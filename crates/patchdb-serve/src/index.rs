@@ -6,8 +6,8 @@ use std::path::Path;
 
 use patch_core::{CommitId, Patch};
 use patchdb::{
-    classify_patch, signatures_of, test_presence, DatasetStats, Error, PatchCategory, PatchDb,
-    PatchSignature, PresenceVerdict, Source, ALL_CATEGORIES,
+    classify_patch, signatures_of, DatasetStats, Error, PatchCategory, PatchDb,
+    PatchSignature, PresenceVerdict, ScanTarget, Source, ALL_CATEGORIES,
 };
 use patchdb_features::{apply_weights, extract, learn_weights, Weights};
 use patchdb_ml::{Classifier, Dataset, RandomForest};
@@ -186,11 +186,12 @@ impl ServeIndex {
     }
 
     /// Tests a target source text against every precompiled vulnerability
-    /// signature.
+    /// signature, compiling the target once for all of them.
     pub fn scan(&self, target: &str) -> ScanOutcome {
         let mut outcome = ScanOutcome::default();
+        let mut compiled = ScanTarget::new(target);
         for entry in &self.signatures {
-            match test_presence(&entry.signature, target) {
+            match compiled.test_presence(&entry.signature) {
                 PresenceVerdict::Vulnerable => outcome.matches.push(ScanMatch {
                     commit: entry.commit,
                     cve_id: entry.cve_id.clone(),

@@ -40,7 +40,7 @@ pub use dataset::{DatasetStats, PatchDb, PatchRecord, Source, SyntheticRecord};
 pub use error::Error;
 pub use patterns::{mine_fix_patterns, pattern_frequencies, FixPattern};
 pub use signatures::{
-    scan_targets, signatures_of, test_presence, PatchSignature, PresenceVerdict,
+    scan_targets, signatures_of, test_presence, PatchSignature, PresenceVerdict, ScanTarget,
 };
 pub use pipeline::{BuildOptions, BuildReport, BuildTelemetry, PoolPlan};
 pub use taxonomy::{classify_patch, taxonomy_distribution};

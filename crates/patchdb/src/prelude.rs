@@ -19,7 +19,7 @@ pub use crate::error::Error;
 pub use crate::patterns::{mine_fix_patterns, pattern_frequencies, FixPattern};
 pub use crate::pipeline::{BuildOptions, BuildReport, BuildTelemetry, PoolPlan};
 pub use crate::signatures::{
-    scan_targets, signatures_of, test_presence, PatchSignature, PresenceVerdict,
+    scan_targets, signatures_of, test_presence, PatchSignature, PresenceVerdict, ScanTarget,
 };
 pub use crate::taxonomy::{classify_patch, taxonomy_distribution};
 

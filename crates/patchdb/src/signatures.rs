@@ -16,7 +16,9 @@
 //! both robust to renaming, exactly like the hunk-level Levenshtein
 //! features of Table I.
 
-use clang_lite::{abstract_tokens, tokenize, tokenize_fragment};
+use std::collections::HashMap;
+
+use clang_lite::{abstract_tokens, tokenize, tokenize_fragment, Token, TokenKind};
 use patch_core::{LineKind, Patch};
 
 /// A signature derived from one hunk of a security patch.
@@ -82,41 +84,210 @@ pub enum PresenceVerdict {
 /// Tests a target file against a signature: vulnerable clone, patched, or
 /// not applicable.
 ///
-/// The target is abstracted per *window* anchored at each function (so
-/// local renaming inside the target cannot defeat the match), then tested
-/// for containment of the vulnerable and fixed shapes.
+/// A window of the target starts at every token and is as long as the
+/// signature shape; each window is abstracted with fresh `VARn`/`FUNCn`
+/// numbering (so local renaming inside the target cannot defeat the
+/// match) and compared with the vulnerable and fixed shapes. To test many
+/// signatures against one target, compile it once with [`ScanTarget`].
 pub fn test_presence(signature: &PatchSignature, target_source: &str) -> PresenceVerdict {
-    // Abstract the whole target once; the signature sequences were
-    // abstracted from hunks whose numbering starts fresh, so renumber the
-    // target per candidate window start for a fair comparison.
-    let toks = tokenize(target_source);
-    let texts: Vec<String> = toks.iter().map(|t| t.text.clone()).collect();
-
-    let fixed_hit = window_match(&texts, &signature.fixed);
-    if fixed_hit {
-        return PresenceVerdict::Patched;
-    }
-    if window_match(&texts, &signature.vulnerable) {
-        return PresenceVerdict::Vulnerable;
-    }
-    PresenceVerdict::NotApplicable
+    ScanTarget::new(target_source).test_presence(signature)
 }
 
-/// Re-abstracts each window of the target so `VARn` numbering aligns with
-/// a fresh-start signature, then compares.
-fn window_match(target_texts: &[String], needle: &[String]) -> bool {
-    if needle.is_empty() || target_texts.len() < needle.len() {
-        return false;
-    }
-    let n = needle.len();
-    for start in 0..=(target_texts.len() - n) {
-        let window = target_texts[start..start + n].join(" ");
-        let abstracted = abstract_line(&window);
-        if abstracted == needle {
-            return true;
+/// A target file compiled once for testing against many signatures.
+///
+/// The reference meaning of a window match is: join the window's token
+/// texts with spaces, re-lex the result as a fragment, abstract it, and
+/// compare with the signature shape. Doing that per window and per
+/// signature dominates a scan, so the target is tokenized once and each
+/// token is marked *stable* when re-lexing it inside a joined window
+/// must give back exactly that token. Windows of stable tokens are then
+/// abstracted token by token with no allocation, stopping at the first
+/// mismatch. A window that reaches an unstable token (a preprocessor
+/// line, an unterminated literal, a `#` that would open a directive, a
+/// byte sequence the lexer splits differently) takes the reference path
+/// instead; its abstraction does not depend on the signature, so it is
+/// memoized per `(start, len)`.
+#[derive(Debug)]
+pub struct ScanTarget {
+    texts: Vec<String>,
+    shapes: Vec<Shape>,
+    vars: Numbering,
+    funcs: Numbering,
+    relexed: HashMap<(usize, usize), Vec<String>>,
+    /// Abstracted tokens held in `relexed`, at most [`RELEXED_MEMO_TOKENS`].
+    relexed_tokens: usize,
+}
+
+/// Bound on the fallback memo. A target that is mostly unstable tokens
+/// (a body of non-ASCII bytes, say) would otherwise keep one abstracted
+/// window per start and signature length; past the bound the memo is
+/// flushed, which costs only recomputation.
+const RELEXED_MEMO_TOKENS: usize = 1 << 16;
+
+/// How one target token abstracts inside a window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// An identifier, interned by text: becomes `VARn` or `FUNCn`.
+    Ident(usize),
+    /// Any literal: becomes `LITERAL`.
+    Literal,
+    /// A keyword or punctuator: stays its own text.
+    Verbatim,
+    /// Re-lexes differently once joined into a window.
+    Unstable,
+}
+
+impl ScanTarget {
+    /// Tokenizes `source` and classifies every token.
+    pub fn new(source: &str) -> ScanTarget {
+        let tokens = tokenize(source);
+        let mut symbols: HashMap<&str, usize> = HashMap::new();
+        let shapes = tokens
+            .iter()
+            .map(|t| match t.kind {
+                _ if !is_stable(t) => Shape::Unstable,
+                TokenKind::Ident => {
+                    let next = symbols.len();
+                    Shape::Ident(*symbols.entry(t.text.as_str()).or_insert(next))
+                }
+                _ if t.is_literal() => Shape::Literal,
+                _ => Shape::Verbatim,
+            })
+            .collect();
+        let symbols = symbols.len();
+        ScanTarget {
+            texts: tokens.into_iter().map(|t| t.text).collect(),
+            shapes,
+            vars: Numbering::new(symbols),
+            funcs: Numbering::new(symbols),
+            relexed: HashMap::new(),
+            relexed_tokens: 0,
         }
     }
-    false
+
+    /// Tests the target against one signature; same verdict as
+    /// [`test_presence`] on the source text.
+    pub fn test_presence(&mut self, signature: &PatchSignature) -> PresenceVerdict {
+        if self.contains(&signature.fixed) {
+            PresenceVerdict::Patched
+        } else if self.contains(&signature.vulnerable) {
+            PresenceVerdict::Vulnerable
+        } else {
+            PresenceVerdict::NotApplicable
+        }
+    }
+
+    fn contains(&mut self, needle: &[String]) -> bool {
+        if needle.is_empty() || self.texts.len() < needle.len() {
+            return false;
+        }
+        (0..=self.texts.len() - needle.len()).any(|start| self.window_matches(start, needle))
+    }
+
+    fn window_matches(&mut self, start: usize, needle: &[String]) -> bool {
+        self.vars.reset();
+        self.funcs.reset();
+        for (j, want) in needle.iter().enumerate() {
+            let i = start + j;
+            let hit = match self.shapes[i] {
+                Shape::Unstable => return self.relexed_matches(start, needle),
+                Shape::Literal => want == "LITERAL",
+                Shape::Verbatim => *want == self.texts[i],
+                Shape::Ident(sym) => {
+                    // Called only if the next token *inside the window* is
+                    // `(`. An unstable next token cannot re-lex to `(`:
+                    // only the always-stable `(` punctuator starts with it.
+                    let called = j + 1 < needle.len()
+                        && self.shapes[i + 1] == Shape::Verbatim
+                        && self.texts[i + 1] == "(";
+                    if called {
+                        is_placeholder(want, "FUNC", self.funcs.number(sym))
+                    } else {
+                        is_placeholder(want, "VAR", self.vars.number(sym))
+                    }
+                }
+            };
+            if !hit {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The reference path: the window joined, re-lexed and abstracted.
+    fn relexed_matches(&mut self, start: usize, needle: &[String]) -> bool {
+        let key = (start, needle.len());
+        if let Some(abstracted) = self.relexed.get(&key) {
+            return abstracted == needle;
+        }
+        let abstracted = abstract_line(&self.texts[start..start + needle.len()].join(" "));
+        let hit = abstracted == needle;
+        if self.relexed_tokens + abstracted.len() > RELEXED_MEMO_TOKENS {
+            self.relexed.clear();
+            self.relexed_tokens = 0;
+        }
+        self.relexed_tokens += abstracted.len();
+        self.relexed.insert(key, abstracted);
+        hit
+    }
+}
+
+/// True when re-lexing `token` inside a joined window must give back
+/// exactly `token`: `"{text} x"` lexes as the token itself and then `x`.
+/// An unterminated literal or a directive swallows the ` x`; a `#` opens
+/// a directive at the start of a fragment; bytes the lexer split in the
+/// source split differently on their own. The lexer treats the space
+/// exactly like the end of input, so this also covers a token that ends
+/// its window.
+fn is_stable(token: &Token) -> bool {
+    let relexed = tokenize_fragment(&format!("{} x", token.text), 1);
+    matches!(
+        relexed.as_slice(),
+        [t, x] if t.kind == token.kind && t.text == token.text && x.text == "x"
+    )
+}
+
+/// True when `canon` is exactly `format!("{prefix}{id}")`.
+fn is_placeholder(canon: &str, prefix: &str, id: usize) -> bool {
+    canon.strip_prefix(prefix).is_some_and(|digits| {
+        digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'))
+            && digits.parse() == Ok(id)
+    })
+}
+
+/// First-appearance numbering of interned identifiers within one window,
+/// reset in O(1) by moving to a new stamp.
+#[derive(Debug)]
+struct Numbering {
+    stamp_of: Vec<u32>,
+    id_of: Vec<usize>,
+    stamp: u32,
+    next: usize,
+}
+
+impl Numbering {
+    fn new(symbols: usize) -> Numbering {
+        Numbering { stamp_of: vec![0; symbols], id_of: vec![0; symbols], stamp: 0, next: 0 }
+    }
+
+    fn reset(&mut self) {
+        self.next = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.stamp_of.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    fn number(&mut self, sym: usize) -> usize {
+        if self.stamp_of[sym] != self.stamp {
+            self.stamp_of[sym] = self.stamp;
+            self.id_of[sym] = self.next;
+            self.next += 1;
+        }
+        self.id_of[sym]
+    }
 }
 
 /// Scans a set of targets with a signature database; returns
@@ -127,8 +298,9 @@ pub fn scan_targets(
 ) -> Vec<(usize, usize, PresenceVerdict)> {
     let mut out = Vec::new();
     for (ti, target) in targets.iter().enumerate() {
+        let mut compiled = ScanTarget::new(target);
         for (si, sig) in signatures.iter().enumerate() {
-            let v = test_presence(sig, target);
+            let v = compiled.test_presence(sig);
             if v != PresenceVerdict::NotApplicable {
                 out.push((ti, si, v));
             }
@@ -141,6 +313,7 @@ pub fn scan_targets(
 mod tests {
     use super::*;
     use patch_core::diff_files;
+    use patchdb_rt::check::{check, Gen};
 
     const BEFORE: &str = "int parse(struct ctx *c, size_t n) {\n    int i = c->pos;\n    char *buf = c->data;\n    buf[i] = read_byte(c, i);\n    c->pos = i + 1;\n    return 0;\n}\n";
     const AFTER: &str = "int parse(struct ctx *c, size_t n) {\n    int i = c->pos;\n    char *buf = c->data;\n    if (i >= (int)n)\n        return -1;\n    buf[i] = read_byte(c, i);\n    c->pos = i + 1;\n    return 0;\n}\n";
@@ -205,6 +378,182 @@ mod tests {
         let hits = scan_targets(&sigs, &[&vulnerable, unrelated]);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0], (0, 0, PresenceVerdict::Vulnerable));
+    }
+
+    /// The matcher [`ScanTarget`] replaced: every window joined,
+    /// re-lexed and abstracted. Kept as the oracle for the fast path.
+    fn reference_presence(signature: &PatchSignature, target_source: &str) -> PresenceVerdict {
+        let texts: Vec<String> = tokenize(target_source).into_iter().map(|t| t.text).collect();
+        if window_match(&texts, &signature.fixed) {
+            PresenceVerdict::Patched
+        } else if window_match(&texts, &signature.vulnerable) {
+            PresenceVerdict::Vulnerable
+        } else {
+            PresenceVerdict::NotApplicable
+        }
+    }
+
+    fn window_match(target_texts: &[String], needle: &[String]) -> bool {
+        if needle.is_empty() || target_texts.len() < needle.len() {
+            return false;
+        }
+        let n = needle.len();
+        for start in 0..=(target_texts.len() - n) {
+            let window = target_texts[start..start + n].join(" ");
+            let abstracted = abstract_line(&window);
+            if abstracted == needle {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Source pieces that stress the stable-token rule: directives with
+    /// `\` continuations, `#` mid-line and at line start, unterminated
+    /// and prefixed string/char literals, comments, stray bytes.
+    const PIECES: &[&str] = &[
+        "a", "b", "buf", "len", "f", "g", "if", "return", "int", "sizeof", "(", ")", "{",
+        "}", "[", "]", ";", ",", "=", "==", "+", "->", "*", "&", "<", "!", ".", "0", "42",
+        "0x1f", "1.5", "1e", "\"s\"", "'c'", "L\"w\"", "u8\"u\"", "R\"(r) \")\"",
+        "R\"d(x)\" y)d\"", "\"open", "'o", "\"esc\\", "#", "##", "#define M(a) \\\n  (a + 1)",
+        "#include <x.h>", "# if X", "// note\n", "/* c */", "\\", "é", "\n",
+    ];
+    const SEPARATORS: &[&str] = &[" ", "", "\n", "\t"];
+    const TAILS: &[&str] = &["", "/* never closed", "\"", "R\"(", "#", "R\"x"];
+    const CANON: &[&str] = &["VAR0", "FUNC0", "LITERAL", "(", ")", ";", "VAR1", "VAR01", "if"];
+
+    fn generated_source(g: &mut Gen) -> String {
+        let mut src = String::new();
+        for _ in 0..g.usize_in(0, 40) {
+            src.push_str(g.pick::<&str>(PIECES));
+            src.push_str(g.pick::<&str>(SEPARATORS));
+        }
+        src.push_str(g.pick::<&str>(TAILS));
+        src
+    }
+
+    /// A signature shape: mostly an abstracted window of `texts` itself
+    /// (so the reference says it matches), sometimes one with a single
+    /// element changed, sometimes arbitrary placeholders.
+    fn needle(g: &mut Gen, texts: &[String]) -> Vec<String> {
+        let mode = g.weighted(&[6, 2, 1]);
+        if mode == 2 || texts.is_empty() {
+            return g.vec_with(0, 6, |g| (*g.pick(CANON)).to_owned());
+        }
+        let start = g.index(texts.len());
+        let len = g.usize_in(1, (texts.len() - start).min(12));
+        let mut shape = abstract_line(&texts[start..start + len].join(" "));
+        if mode == 1 && !shape.is_empty() {
+            let at = g.index(shape.len());
+            shape[at] = (*g.pick(CANON)).to_owned();
+        }
+        shape
+    }
+
+    #[test]
+    fn compiled_target_agrees_with_reference_on_generated_sources() {
+        let commit = patch().commit;
+        let seen = std::cell::Cell::new([0usize; 3]);
+        check("scan_target_agrees_with_reference", 2048, |g| {
+            let src = generated_source(g);
+            let texts: Vec<String> = tokenize(&src).into_iter().map(|t| t.text).collect();
+            // One compiled target serves every signature, as in a scan.
+            let mut compiled = ScanTarget::new(&src);
+            for _ in 0..4 {
+                let sig = PatchSignature {
+                    commit,
+                    vulnerable: needle(g, &texts),
+                    fixed: needle(g, &texts),
+                };
+                let fast = compiled.test_presence(&sig);
+                assert_eq!(fast, reference_presence(&sig, &src), "{src:?} {sig:?}");
+                let mut tally = seen.get();
+                tally[fast as usize] += 1;
+                seen.set(tally);
+            }
+        });
+        let [vulnerable, patched, not_applicable] = seen.get();
+        assert!(
+            vulnerable > 100 && patched > 100 && not_applicable > 100,
+            "verdicts not all exercised: {:?}",
+            seen.get()
+        );
+    }
+
+    #[test]
+    fn stable_tokens_exclude_what_relexes_differently() {
+        let shapes = |src: &str| ScanTarget::new(src).shapes;
+        use Shape::*;
+        assert_eq!(
+            shapes("f(x, f);"),
+            [Ident(0), Verbatim, Ident(1), Verbatim, Ident(0), Verbatim, Verbatim]
+        );
+        assert_eq!(shapes("return 1.5;"), [Verbatim, Literal, Verbatim]);
+        // A directive, a mid-line `#`, an unterminated string, a raw string
+        // left open at end of input.
+        assert_eq!(shapes("#define X 1\nx"), [Unstable, Ident(0)]);
+        assert_eq!(shapes("a # b"), [Ident(0), Unstable, Ident(1)]);
+        assert_eq!(shapes("a = \"open\nb"), [Ident(0), Verbatim, Unstable, Ident(1)]);
+        assert_eq!(shapes("a R\"(open"), [Ident(0), Unstable]);
+        // Prefixed and closed raw strings survive joining.
+        assert_eq!(shapes("L\"w\" R\"(r) \")\""), [Literal, Literal]);
+    }
+
+    #[test]
+    fn placeholders_compare_exactly() {
+        assert!(is_placeholder("VAR0", "VAR", 0));
+        assert!(is_placeholder("FUNC12", "FUNC", 12));
+        assert!(!is_placeholder("VAR01", "VAR", 1));
+        assert!(!is_placeholder("VAR", "VAR", 0));
+        assert!(!is_placeholder("VAR1", "FUNC", 1));
+        assert!(!is_placeholder("VAR+1", "VAR", 1));
+        assert!(!is_placeholder("VAR00", "VAR", 0));
+        assert!(is_placeholder(&format!("VAR{}", usize::MAX), "VAR", usize::MAX));
+    }
+
+    #[test]
+    fn fallback_memo_stays_bounded_on_an_unstable_target() {
+        // Every `é` lexes as two bytes the lexer splits differently alone,
+        // so every window falls back; distinct lengths defeat the memo.
+        let src = "é ".repeat(400);
+        let mut compiled = ScanTarget::new(&src);
+        assert!(compiled.shapes.iter().all(|s| *s == Shape::Unstable));
+        let commit = patch().commit;
+        for len in 8..40 {
+            let sig = PatchSignature {
+                commit,
+                vulnerable: vec!["\u{fffd}".to_owned(); len],
+                fixed: vec!["VAR0".to_owned(); len],
+            };
+            assert_eq!(compiled.test_presence(&sig), reference_presence(&sig, &src));
+            assert!(compiled.relexed_tokens <= RELEXED_MEMO_TOKENS);
+        }
+        assert!(!compiled.relexed.is_empty());
+    }
+
+    #[test]
+    fn compiled_target_agrees_with_reference_across_a_tiny_forge() {
+        use patchdb_corpus::{CorpusConfig, GitHubForge};
+        let forge = GitHubForge::generate(&CorpusConfig::tiny(45));
+        let changes: Vec<_> = forge
+            .all_commits()
+            .filter(|(_, c)| c.kind.is_security())
+            .map(|(_, c)| forge.materialize(c))
+            .collect();
+        let sigs: Vec<PatchSignature> =
+            changes.iter().flat_map(|c| signatures_of(&c.patch)).collect();
+        let mut hits = 0usize;
+        let files =
+            changes.iter().flat_map(|c| c.before_files.values().chain(c.after_files.values()));
+        for text in files {
+            let mut compiled = ScanTarget::new(text);
+            for sig in &sigs {
+                let fast = compiled.test_presence(sig);
+                assert_eq!(fast, reference_presence(sig, text), "{} on {text:?}", sig.commit);
+                hits += usize::from(fast != PresenceVerdict::NotApplicable);
+            }
+        }
+        assert!(sigs.len() > 5 && hits > 5, "{} signatures, {hits} hits", sigs.len());
     }
 
     #[test]

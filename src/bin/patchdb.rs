@@ -6,8 +6,8 @@
 use std::process::ExitCode;
 
 use patchdb::{
-    classify_patch, mine_fix_patterns, pattern_frequencies, signatures_of, test_presence,
-    BuildOptions, BuildTelemetry, Error, PatchDb, PresenceVerdict, ALL_CATEGORIES,
+    classify_patch, mine_fix_patterns, pattern_frequencies, signatures_of, BuildOptions,
+    BuildTelemetry, Error, PatchDb, PresenceVerdict, ScanTarget, ALL_CATEGORIES,
 };
 use patchdb_rt::obs;
 use patchdb_serve::{
@@ -494,13 +494,13 @@ fn cmd_scan(args: &[String]) -> CliResult {
     let db_path = args.first().ok_or_else(|| Error::usage("expected a dataset JSON path"))?;
     let target_path = args.get(1).ok_or_else(|| Error::usage("expected a target .c file"))?;
     let db = load_db(db_path)?;
-    let target = std::fs::read_to_string(target_path)?;
+    let mut target = ScanTarget::new(&std::fs::read_to_string(target_path)?);
 
     let mut vulnerable = 0usize;
     let mut patched = 0usize;
     for record in db.security_patches() {
         for sig in signatures_of(&record.patch) {
-            match test_presence(&sig, &target) {
+            match target.test_presence(&sig) {
                 PresenceVerdict::Vulnerable => {
                     vulnerable += 1;
                     println!(

@@ -1,6 +1,6 @@
 //! Perf trajectory for the nearest link search: the seed's sqrt-based
 //! full-scan init pass vs the squared-distance, parallel, pruned, and
-//! indexed (partitioned / quantized) variants at several `(M, N)`, plus
+//! partitioned-index variants at several `(M, N)`, plus
 //! an XL size class and the end-to-end pipeline build wall time —
 //! written to `BENCH_nls.json` at the repo root so later PRs can
 //! compare against this one.
@@ -11,8 +11,8 @@
 //! * `PATCHDB_THREADS=<n>` steers the worker count of the parallel
 //!   variants, as everywhere else.
 //!
-//! The index variants are measured in two pieces — `*-build` (one-time
-//! partition/quantizer construction, amortized across augmentation
+//! The index variant is measured in two pieces — `*-build` (one-time
+//! partition construction, amortized across augmentation
 //! rounds, which reuse the index) and `*-query` (the per-sweep scan the
 //! rounds actually repeat) — and `speedup_vs_seed` compares the query
 //! piece against the seed baseline at the same shape, single-threaded
@@ -127,22 +127,11 @@ fn xl_size() -> (usize, usize) {
     }
 }
 
-/// The two index variants measured at every shape: single-threaded,
-/// argmin (`k_best = 1`) so the comparison against the single-threaded
-/// seed baseline is one knob, auto cells (`√N`) and auto probes.
-fn index_configs() -> [(&'static str, NlsConfig); 2] {
-    let base = NlsConfig {
-        threads: 1,
-        prune: true,
-        k_best: 1,
-        index: IndexMode::Partitioned,
-        cells: 0,
-        probes: 0,
-    };
-    [
-        ("partitioned", base.clone()),
-        ("quantized", NlsConfig { index: IndexMode::Quantized, ..base }),
-    ]
+/// The index variant measured at every shape: single-threaded, argmin
+/// (`k_best = 1`) so the comparison against the single-threaded seed
+/// baseline is one knob, auto cells (`√N`).
+fn index_configs() -> [(&'static str, NlsConfig); 1] {
+    [("partitioned", NlsConfig { threads: 1, k_best: 1, index: IndexMode::Partitioned, cells: 0 })]
 }
 
 fn bench_init_pass(c: &mut Criterion, sizes: &[(usize, usize)], threads: usize) {
@@ -160,10 +149,13 @@ fn bench_init_pass(c: &mut Criterion, sizes: &[(usize, usize)], threads: usize) 
         // argmin columns before we bother timing it.
         let (_, seed_v) = seed_init_pass(sec, wild);
         let configs = [
-            ("serial-squared", NlsConfig { threads: 1, prune: false, k_best: 1, ..NlsConfig::serial() }),
-            ("parallel", NlsConfig { threads, prune: false, k_best: 8, ..NlsConfig::serial() }),
-            ("pruned", NlsConfig { threads: 1, prune: true, k_best: 8, ..NlsConfig::serial() }),
-            ("parallel-pruned", NlsConfig { threads, prune: true, k_best: 8, ..NlsConfig::serial() }),
+            ("serial-squared", NlsConfig::serial()),
+            ("parallel", NlsConfig { threads, k_best: 8, ..NlsConfig::serial() }),
+            ("pruned", NlsConfig { k_best: 8, ..NlsConfig::serial().index(IndexMode::Pruned) }),
+            (
+                "parallel-pruned",
+                NlsConfig { threads, k_best: 8, ..NlsConfig::serial().index(IndexMode::Pruned) },
+            ),
         ];
         for (name, cfg) in &configs {
             let (_, v) = row_minima(sec, wild, cfg);
@@ -190,7 +182,10 @@ fn bench_init_pass(c: &mut Criterion, sizes: &[(usize, usize)], threads: usize) 
         // tracing on. `row_minima` banks counters but opens no spans, so
         // repeated iterations don't grow the registry.
         let pruned_cfg = &configs[2].1;
-        assert!(pruned_cfg.prune && pruned_cfg.threads == 1, "configs[2] must be `pruned`");
+        assert!(
+            pruned_cfg.index == IndexMode::Pruned && pruned_cfg.threads == 1,
+            "configs[2] must be `pruned`"
+        );
         g.bench_with_input(BenchmarkId::new("pruned-traced", &shape), &(), |b, ()| {
             obs::set_enabled(true);
             obs::reset();
@@ -229,7 +224,7 @@ fn bench_xl(xc: &mut Criterion) {
     // Identity at this scale is anchored through the pruned scan (itself
     // asserted against the seed replica at every standard shape) — the
     // seed replica is only *timed* here, not re-run an extra time.
-    let pruned = NlsConfig { threads: 1, prune: true, k_best: 1, ..NlsConfig::serial() };
+    let pruned = NlsConfig::serial().index(IndexMode::Pruned);
     let (_, ref_v) = row_minima(sec, wild, &pruned);
 
     let mut g = xc.benchmark_group("nls-xl");

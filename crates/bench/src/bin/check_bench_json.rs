@@ -7,8 +7,10 @@
 //! * `patchdb-bench-nls/v2` — the v1 checks plus the `index` block: a
 //!   non-empty `modes` array whose entries carry a string `mode`/`shape`
 //!   and positive `build_median_ns`/`query_median_ns`/`speedup_vs_seed`,
-//!   a positive `index_speedup_largest`, and at least one mode entry
-//!   measured at the report's `xl_shape`.
+//!   at least one mode entry at the largest standard shape (the last
+//!   `sizes` pair) and one at the report's `xl_shape`, and headlines
+//!   that match the rows: `index_speedup_largest` and `xl_speedup` each
+//!   equal the best `speedup_vs_seed` at their shape.
 //! * `patchdb-trace/v1` (TRACE_build.json) — spans nest (every node is
 //!   an object with `name`/`ns`/`children`), durations are non-negative,
 //!   counter names are unique with non-negative integer values, and each
@@ -257,7 +259,8 @@ fn check_bench(json: &Json) -> Result<String, String> {
 
 /// The v2 bench report: everything v1 requires, plus the `index` block
 /// recording the per-mode build/query medians and seed-relative query
-/// speedups, including the XL size class.
+/// speedups at the largest standard shape and the XL size class, with
+/// the two headline speedups cross-checked against those rows.
 fn check_bench_v2(json: &Json) -> Result<String, String> {
     let base = check_bench(json)?;
     let index = json.get("index").ok_or("no `index` object")?;
@@ -265,11 +268,24 @@ fn check_bench_v2(json: &Json) -> Result<String, String> {
     if modes.is_empty() {
         return Err("empty `index.modes` array".into());
     }
+    let largest = json
+        .get("sizes")
+        .and_then(|s| s.as_arr())
+        .and_then(|s| s.last())
+        .and_then(|pair| match pair.as_arr()? {
+            [m, n] => Some(format!("{}x{}", m.as_f64()?, n.as_f64()?)),
+            _ => None,
+        })
+        .ok_or("`sizes` lacks a final numeric `[m, n]` pair")?;
     let xl_shape = index
         .get("xl_shape")
         .and_then(Json::as_str)
         .ok_or("`index` lacks a string `xl_shape`")?;
-    let mut xl_entries = 0usize;
+    // (headline field, its shape, rows at that shape, best speedup there)
+    let mut headlines = [
+        ("index_speedup_largest", largest.as_str(), 0usize, 0.0f64),
+        ("xl_speedup", xl_shape, 0, 0.0),
+    ];
     for (i, m) in modes.iter().enumerate() {
         let at = format!("index.modes[{i}]");
         for field in ["mode", "shape"] {
@@ -286,22 +302,31 @@ fn check_bench_v2(json: &Json) -> Result<String, String> {
                 return Err(format!("{at}: `{field}` = {v} is not positive"));
             }
         }
-        if m.get("shape").and_then(Json::as_str) == Some(xl_shape) {
-            xl_entries += 1;
+        let speedup = m.get("speedup_vs_seed").and_then(Json::as_f64).unwrap_or(0.0);
+        for (_, shape, rows, best) in headlines.iter_mut() {
+            if m.get("shape").and_then(Json::as_str) == Some(*shape) {
+                *rows += 1;
+                *best = best.max(speedup);
+            }
         }
     }
-    if xl_entries == 0 {
-        return Err(format!("no `index.modes` entry measured at xl_shape {xl_shape:?}"));
+    for (field, shape, rows, best) in headlines {
+        if rows == 0 {
+            return Err(format!("no `index.modes` entry measured at {shape:?} (for `{field}`)"));
+        }
+        let v = index
+            .get(field)
+            .and_then(Json::as_f64)
+            .ok_or(format!("`index` lacks a numeric `{field}`"))?;
+        if v != best {
+            return Err(format!(
+                "`{field}` = {v} but the best `speedup_vs_seed` at {shape} is {best}"
+            ));
+        }
     }
-    let headline = index
-        .get("index_speedup_largest")
-        .and_then(Json::as_f64)
-        .ok_or("`index` lacks a numeric `index_speedup_largest`")?;
-    if !(headline > 0.0) {
-        return Err(format!("`index_speedup_largest` = {headline} is not positive"));
-    }
+    let [(_, _, _, headline), (_, _, xl_rows, _)] = headlines;
     Ok(format!(
-        "{base}, {} index modes ({xl_entries} at xl {xl_shape}), best {headline:.1}x",
+        "{base}, {} index modes ({xl_rows} at xl {xl_shape}), best {headline:.1}x",
         modes.len()
     ))
 }
@@ -801,4 +826,44 @@ fn check_span(s: &Json, at: &str, span_count: &mut usize) -> Result<(), String> 
         check_span(c, &format!("{at}.children[{i}]"), span_count)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A v2 NLS report with one mode row at the largest standard shape and
+    /// one at the XL shape, carrying the given headline speedups.
+    fn nls_report(largest: f64, xl: f64) -> Json {
+        let text = format!(
+            r#"{{
+              "schema": "patchdb-bench-nls/v2",
+              "sizes": [[50, 2000], [200, 20000]],
+              "results": [{{"name": "nls-init/seed-baseline/200x20000", "median_ns": 1}}],
+              "index": {{
+                "modes": [
+                  {{"mode": "partitioned", "shape": "200x20000", "build_median_ns": 2,
+                    "query_median_ns": 3, "speedup_vs_seed": 119.5}},
+                  {{"mode": "partitioned", "shape": "2000x200000", "build_median_ns": 4,
+                    "query_median_ns": 5, "speedup_vs_seed": 723.9}}
+                ],
+                "index_speedup_largest": {largest},
+                "xl_shape": "2000x200000",
+                "xl_speedup": {xl}
+              }}
+            }}"#
+        );
+        Json::parse(&text).expect("test report parses")
+    }
+
+    #[test]
+    fn nls_v2_headlines_must_match_the_mode_rows() {
+        let summary = check_bench_v2(&nls_report(119.5, 723.9)).expect("consistent report");
+        assert!(summary.contains("best 119.5x"), "{summary}");
+
+        let err = check_bench_v2(&nls_report(119.5, 800.0)).expect_err("stale xl_speedup");
+        assert!(err.contains("`xl_speedup` = 800"), "{err}");
+        let err = check_bench_v2(&nls_report(723.9, 723.9)).expect_err("headline off the rows");
+        assert!(err.contains("`index_speedup_largest`"), "{err}");
+    }
 }

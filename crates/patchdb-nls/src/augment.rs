@@ -59,15 +59,13 @@ pub struct AugmentationRound {
 /// Global `nls.*` counters banked per round under
 /// `nls.roundNN.<suffix>`. Order is irrelevant (each is snapshot/delta'd
 /// independently); `tests/trace.rs` pins the accounting identity
-/// `dist_evaluated + pruned_norm + masked_skipped + cells_skipped +
-/// quant_rejects == (rows + rescans) × pool_rows` over them.
-const ROUND_COUNTERS: [&str; 8] = [
+/// `dist_evaluated + pruned_norm + masked_skipped + cells_skipped ==
+/// (rows + rescans) × pool_rows` over them.
+const ROUND_COUNTERS: [&str; 6] = [
     "nls.dist_evaluated",
     "nls.pruned_norm",
     "nls.masked_skipped",
     "nls.cells_skipped",
-    "nls.quant_rejects",
-    "nls.exact_rerank",
     "nls.rows",
     "nls.rescans",
 ];
@@ -200,7 +198,7 @@ where
                     sec_w.push(apply_weights(v, w));
                 }
             }
-            if index.is_none() && config.index != IndexMode::Scan {
+            if index.is_none() && config.index == IndexMode::Partitioned {
                 let _s = obs::span("nls.index_build");
                 index = Some(WildIndex::build(&pool_w, config));
             }
@@ -398,7 +396,7 @@ mod tests {
             PoolSpec { name: "B".into(), members: (120..200).collect(), rounds: 2 },
         ];
         let naive = augment_rounds_naive(&seed, &wild, &pools, |i| truth[i]);
-        for mode in [IndexMode::Scan, IndexMode::Partitioned, IndexMode::Quantized] {
+        for mode in [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned] {
             let cfg = NlsConfig::auto().index(mode);
             let fast = augment_rounds_with(&seed, &wild, &pools, &cfg, |i| truth[i]);
             assert_eq!(fast.1, naive.1, "{mode:?}: security partitions differ");

@@ -1,9 +1,7 @@
 //! The sublinear wild-pool index: a coarse k-means partition with
 //! structure-of-arrays side tables (centroid norms, cell radii, member
-//! distances and norms) that let a query retire whole cells — and whole
-//! flanks inside a cell — in O(1) per skip, plus, in
-//! `IndexMode::Quantized`, 8-bit codes for the
-//! [`Quantizer`](crate::quant::Quantizer) fast path.
+//! distances to their centroid) that let a query retire whole cells —
+//! and whole flanks inside a cell — in O(1) per skip.
 //!
 //! ## The skip chain
 //!
@@ -11,40 +9,38 @@
 //! expensive, ever tighter bounds; each layer only sees what the layer
 //! above could not prove away:
 //!
-//! 1. **Norm gap (O(1) per cell).** `d(q, x) ≥ |‖q‖ − ‖c‖| − r` for any
-//!    member `x` of a cell with centroid `c` and radius
+//! 1. **Bulk side retirement (O(1) per side).** Cells are walked
+//!    outward from `‖q‖` in centroid-norm order, so the norm gap below
+//!    only grows; once the nearest remaining cell on a side fails it
+//!    even with that side's largest radius, the whole side retires.
+//! 2. **Cell norm gap (O(1) per cell).** `d(q, x) ≥ |‖q‖ − ‖c‖| − r` for
+//!    any member `x` of a cell with centroid `c` and radius
 //!    `r = max d(c, ·)` (triangle via the origin, then via the
 //!    centroid). One subtract against the SoA `cent_norms`/`radii`
 //!    tables retires the whole cell without touching its 60-dim
 //!    centroid.
-//! 2. **Centroid distance (≤ 60 dims per cell).** Survivors get an
+//! 3. **Centroid distance (≤ 60 dims per cell).** Survivors get an
 //!    early-exiting exact `d²(q, c)` against the d²-space bar
 //!    `(r + t)²` where `t` is the distance-space threshold; crossing
 //!    the bar mid-sum proves `d(q, x) ≥ d(q, c) − r > t` for every
 //!    member, so the cell retires (possibly) without finishing the sum.
-//! 3. **Member windowing (O(1) per skipped flank).** Inside a visited
+//! 4. **Member windowing (O(1) per skipped flank).** Inside a visited
 //!    cell, `d(q, x) ≥ |d(q, c) − d(x, c)|` with every `d(x, c)`
 //!    precomputed and the members sorted by it. Scanning expands
 //!    outward from the query's position in that ordering and retires a
 //!    whole side once its gap alone beats the threshold — exactly the
 //!    norm-prune argument with the cell centroid in place of the
 //!    origin, and a far tighter bound because the centroid is close.
-//! 4. **Member norm and anchor gaps (O(1) per member).** `|‖q‖ − ‖x‖|`
-//!    against the per-cell SoA `norms` table — the classic norm bound —
-//!    and `|d(q, A) − d(x, A)|` against the `anch` table, where `A` is
-//!    a fixed far-out anchor (the max-norm pool row). Each is the same
-//!    triangle argument through a different reference point; the anchor
-//!    projects along a direction the origin cannot see, catching
-//!    members the window and the norm both keep.
-//! 5. **Quantized rejection (`IndexMode::Quantized`).** The
-//!    scalar-quantized lower bound never exceeds the exact squared
-//!    distance *as computed* (see the `quant` module docs — no slack
-//!    involved), and rejects only on a strict `> tau` comparison, so a
-//!    candidate tied at exactly `tau` survives to the exact re-rank and
-//!    can still win an index tie.
-//! 6. **Exact re-rank.** Whatever survives is evaluated with
+//! 5. **Exact evaluation.** Whatever survives is evaluated with
 //!    [`early_exit_d2`](crate::search), which accumulates in exactly
 //!    `squared_euclidean`'s summation order — bit-identical values.
+//!    Bitwise-duplicate rows sit adjacently in the window order, so
+//!    each flank pays the kernel once per duplicate run and reuses the
+//!    outcome for the rest.
+//!
+//! Before the walk, phase one scans the [`PROBES`] nearest cells
+//! unconditionally (no bound can fire while the k-best list is short),
+//! so the threshold the chain compares against starts tight.
 //!
 //! ## Why the indexed scan is byte-identical to the plain scan
 //!
@@ -59,7 +55,7 @@
 //! bound (sqrt-derived quantities are a few ulps loose), and the
 //! d²-space bars inflate by [`BOUND_CUSHION`] on top — orders of
 //! magnitude more slack than the rounding they absorb. NaN distances
-//! make every skip/reject comparison come out false, so NaN-tainted
+//! make every skip comparison come out false, so NaN-tainted
 //! queries degrade to evaluating everything; NaN members sort to the
 //! far end of every table and are only ever retired when the threshold
 //! is finite — a regime where `push_candidate` rejects NaN anyway.
@@ -69,10 +65,9 @@
 //! updates run serially over a fixed subsample, and the full-pool
 //! assignment reuses the (bitwise thread-invariant) pruned row scan.
 
-use patchdb_features::{squared_euclidean, FeatureVector, FEATURE_DIM};
+use patchdb_features::{FeatureVector, FEATURE_DIM};
 use patchdb_rt::rng::Xoshiro256pp;
 
-use crate::quant::{encode_pool, Quantizer};
 use crate::search::{
     early_exit_d2, norm, push_candidate, row_minima, threshold, IndexMode, NlsConfig, Probe,
     PRUNE_SLACK,
@@ -86,6 +81,11 @@ const KMEANS_SEED: u64 = 0x5EED_01DE_CE11_5EED;
 /// Lloyd refinement iterations over the training subsample.
 const LLOYD_ITERS: usize = 2;
 
+/// Nearest cells scanned unconditionally before the cell bound may
+/// skip: scanning the runner-up cell tightens the k-best threshold
+/// faster than its cost on every pool measured.
+const PROBES: usize = 2;
+
 /// Multiplicative inflation on the cell-level bars: makes the derived
 /// thresholds strictly conservative against the handful of extra
 /// roundings (`sqrt`, add, square) they stack on top of `PRUNE_SLACK`.
@@ -93,24 +93,18 @@ const BOUND_CUSHION: f64 = 1.0 + 1e-9;
 
 /// One partition cell. Members are sorted by `(distance to centroid,
 /// original index)` so a query can window-prune around its own centroid
-/// distance; `dists` and `norms` are the SoA bound tables aligned to
-/// that order, `rows` holds contiguous copies of the member features
-/// (the exact kernel walks one 480-byte row at a time), and `codes` the
-/// point-major 8-bit codes when quantized.
+/// distance; `dists` is the SoA bound table aligned to that order and
+/// `rows` holds contiguous copies of the member features (the exact
+/// kernel walks one 480-byte row at a time).
 struct Cell {
     members: Vec<u32>,
     dists: Vec<f64>,
-    norms: Vec<f64>,
-    /// `d(x, anchor)` per member — the second one-dimensional
-    /// projection behind skip layer 4.
-    anch: Vec<f64>,
     rows: Vec<FeatureVector>,
-    codes: Vec<u8>,
     /// `same[p]` = `rows[p]` is bitwise-identical to `rows[p - 1]`.
     /// Duplicate rows share a centroid distance, so the window order
     /// parks them adjacently (ids ascending) and each flank of the
     /// window walk visits them consecutively — one exact evaluation
-    /// per duplicate run, reused for the rest (skip layer 5½).
+    /// per duplicate run, reused for the rest (skip layer 5).
     same: Vec<bool>,
 }
 
@@ -125,16 +119,15 @@ enum DupRun {
     Exited,
 }
 
-/// A partitioned (and optionally quantized) snapshot of one weighted
-/// wild pool. Build once per pool contents, query many times — the
-/// augmentation driver keeps an index alive across rounds while the
-/// learned weights stay identical, masking claimed rows instead of
-/// rebuilding.
+/// A partitioned snapshot of one weighted wild pool. Build once per
+/// pool contents, query many times — the augmentation driver keeps an
+/// index alive across rounds while the learned weights stay identical,
+/// masking claimed rows instead of rebuilding.
 pub struct WildIndex {
     n: usize,
     cells: Vec<Cell>,
     centroids: Vec<FeatureVector>,
-    /// `‖c‖` per cell — the SoA table behind skip layer 1.
+    /// `‖c‖` per cell — the SoA table behind skip layers 1 and 2.
     cent_norms: Vec<f64>,
     /// `max d(c, ·)` per cell.
     radii: Vec<f64>,
@@ -150,25 +143,24 @@ pub struct WildIndex {
     /// Length `k + 1`; empty ranges hold `-inf`.
     rad_before: Vec<f64>,
     rad_after: Vec<f64>,
-    /// The max-norm pool row — the fixed anchor of the per-member
-    /// `anch` tables (ties broken toward the smaller index).
-    anchor: FeatureVector,
-    quant: Option<Quantizer>,
 }
 
 impl WildIndex {
     /// Partitions `wild` into `config.cells` k-means cells (0 = auto:
-    /// `√N`, clamped to `[1, min(N, 4096)]`) and, for
-    /// [`IndexMode::Quantized`], fits the scalar quantizer and encodes
-    /// every row. Deterministic for any `config.threads`.
+    /// `√N`, clamped to `[1, min(N, 4096)]`). Deterministic for any
+    /// `config.threads`.
     ///
     /// # Panics
     ///
-    /// Panics when `wild` is empty or `config.index` is
-    /// [`IndexMode::Scan`] (a plain scan needs no index).
+    /// Panics when `wild` is empty or `config.index` is not
+    /// [`IndexMode::Partitioned`] (the linear scans need no index).
     pub fn build(wild: &[FeatureVector], config: &NlsConfig) -> WildIndex {
         assert!(!wild.is_empty(), "cannot index an empty pool");
-        assert!(config.index != IndexMode::Scan, "IndexMode::Scan takes no index");
+        assert!(
+            config.index == IndexMode::Partitioned,
+            "IndexMode::{:?} takes no index",
+            config.index
+        );
         let threads = config.threads.max(1);
         let n = wild.len();
         let k = effective_cells(config.cells, n);
@@ -188,14 +180,7 @@ impl WildIndex {
         // Nearest-centroid assignment is exactly a k_best=1 pruned row
         // scan with the centroids as the "pool" — reuse it: parallel,
         // pruned, and already pinned bitwise thread-invariant.
-        let assign_cfg = NlsConfig {
-            threads,
-            prune: true,
-            k_best: 1,
-            index: IndexMode::Scan,
-            cells: 0,
-            probes: 0,
-        };
+        let assign_cfg = NlsConfig { threads, k_best: 1, index: IndexMode::Pruned, cells: 0 };
         for _ in 0..LLOYD_ITERS {
             let (_, assign) = row_minima(&sample, &centroids, &assign_cfg);
             // Serial mean update in sample order: deterministic f64 sums.
@@ -233,25 +218,6 @@ impl WildIndex {
             radii[c] = radii[c].max(r);
         }
 
-        let quant = (config.index == IndexMode::Quantized).then(|| Quantizer::fit(wild, threads));
-        let pool_codes = quant.as_ref().map(|q| encode_pool(q, wild, threads));
-
-        // Anchor: the max-norm pool row (strict `>` keeps the first on
-        // ties; NaN norms are passed over — a NaN anchor would disable
-        // the bound). A far-out reference point spreads the projected
-        // distances where the origin's projection concentrates them.
-        let pool_norms: Vec<f64> = wild.iter().map(norm).collect();
-        let mut anchor_at = 0usize;
-        for (i, &pn) in pool_norms.iter().enumerate() {
-            if !pn.is_nan()
-                && (pool_norms[anchor_at].is_nan()
-                    || pn.total_cmp(&pool_norms[anchor_at]) == std::cmp::Ordering::Greater)
-            {
-                anchor_at = i;
-            }
-        }
-        let anchor = wild[anchor_at];
-
         let cells: Vec<Cell> = members
             .into_iter()
             .zip(dists)
@@ -266,12 +232,6 @@ impl WildIndex {
                 });
                 let members: Vec<u32> = order.iter().map(|&p| m[p as usize]).collect();
                 let dists: Vec<f64> = order.iter().map(|&p| ds[p as usize]).collect();
-                let norms: Vec<f64> =
-                    members.iter().map(|&i| pool_norms[i as usize]).collect();
-                let anch: Vec<f64> = members
-                    .iter()
-                    .map(|&i| squared_euclidean(&wild[i as usize], &anchor).sqrt())
-                    .collect();
                 let rows: Vec<FeatureVector> =
                     members.iter().map(|&i| wild[i as usize]).collect();
                 let same: Vec<bool> = (0..rows.len())
@@ -284,18 +244,7 @@ impl WildIndex {
                                 .all(|(a, b)| a.to_bits() == b.to_bits())
                     })
                     .collect();
-                let codes = match &pool_codes {
-                    Some(all) => {
-                        let mut c = Vec::with_capacity(members.len() * FEATURE_DIM);
-                        for &i in &members {
-                            let at = i as usize * FEATURE_DIM;
-                            c.extend_from_slice(&all[at..at + FEATURE_DIM]);
-                        }
-                        c
-                    }
-                    None => Vec::new(),
-                };
-                Cell { members, dists, norms, anch, rows, codes, same }
+                Cell { members, dists, rows, same }
             })
             .collect();
 
@@ -325,8 +274,6 @@ impl WildIndex {
             member_prefix,
             rad_before,
             rad_after,
-            anchor,
-            quant,
         }
     }
 
@@ -345,32 +292,24 @@ impl WildIndex {
         self.cells.len()
     }
 
-    /// Whether the quantized fast path is available.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
     /// The k-best `(d², index)` list of one query row — same contract as
     /// the plain/pruned scans in `search.rs`, byte-identical output.
     ///
-    /// The `probes.max(1)` cells nearest the query in norm are scanned
-    /// unconditionally first (no bound can fire while the k-best list is
-    /// empty, so spend that forced work where the threshold tightens
-    /// fastest); the remaining cells sweep in id order through the skip
+    /// The [`PROBES`] cells nearest the query are scanned unconditionally
+    /// first (no bound can fire while the k-best list is empty, so spend
+    /// that forced work where the threshold tightens fastest); the
+    /// remaining cells sweep outward in norm order through the skip
     /// chain described in the module docs.
     pub(crate) fn scan_row<P: Probe>(
         &self,
         sec: &FeatureVector,
         k_best: usize,
-        probes: usize,
         used: Option<&[bool]>,
-        use_quant: bool,
         probe: &mut P,
     ) -> Vec<(f64, usize)> {
         let sq = norm(sec);
-        let aq = squared_euclidean(sec, &self.anchor).sqrt();
         let k = self.cells.len();
-        let p = probes.max(1).min(k);
+        let p = PROBES.min(k);
 
         // Phase one — probing. Walk outward from the query's position
         // in the norm-sorted cell order and gather the 8p nearest-in-norm
@@ -420,7 +359,7 @@ impl WildIndex {
             let cell = &self.cells[c as usize];
             if i >= p {
                 // d(q, c) is already exact — apply the cell-level bound
-                // directly (tighter than layer 1's norm gap).
+                // directly (tighter than layer 2's norm gap).
                 let tau = threshold(&list, k_best);
                 if tau.to_bits() != cached_tau.to_bits() {
                     cached_tau = tau;
@@ -435,7 +374,7 @@ impl WildIndex {
                     continue;
                 }
             }
-            self.scan_cell(cell, sec, dq, sq, aq, k_best, used, use_quant, &mut list, probe);
+            cell.scan(sec, dq, k_best, used, &mut list, probe);
         }
 
         // Phase two — the remaining walk through the skip chain. `t` is
@@ -452,11 +391,12 @@ impl WildIndex {
                     f64::INFINITY
                 };
             }
-            // Bulk retirement: walking outward, |‖q‖ − ‖c‖| only grows,
-            // so once the closest remaining cell on a side cannot reach
-            // the threshold even with that side's largest radius, every
-            // cell left on the side fails layer 1 at once. (False on a
-            // NaN gap or an infinite t, like the per-cell test.)
+            // Layer 1, bulk retirement: walking outward, |‖q‖ − ‖c‖|
+            // only grows, so once the closest remaining cell on a side
+            // cannot reach the threshold even with that side's largest
+            // radius, every cell left on the side fails layer 2 at once.
+            // (False on a NaN gap or an infinite t, like the per-cell
+            // test.)
             if lo > 0
                 && (sq - self.cent_norms[self.norm_order[lo - 1] as usize]) - self.rad_before[lo]
                     > t
@@ -493,84 +433,67 @@ impl WildIndex {
             if cell.members.is_empty() {
                 continue;
             }
-            // Layer 1: norm gap. |‖q‖ − ‖c‖| − r > t retires the cell
+            // Layer 2: norm gap. |‖q‖ − ‖c‖| − r > t retires the cell
             // for one subtract (false on NaN or an infinite t).
             let gap = (sq - self.cent_norms[c]).abs() - self.radii[c];
             if gap > t {
                 probe.cells_skipped(cell.members.len() as u64);
                 continue;
             }
-            // Layer 2: early-exiting centroid distance against the
+            // Layer 3: early-exiting centroid distance against the
             // d²-space bar (r + t)² — crossing it mid-sum already proves
             // every member out of reach.
             let bar = (self.radii[c] + t) * (self.radii[c] + t) * BOUND_CUSHION;
             match early_exit_d2(sec, &self.centroids[c], bar) {
                 None => probe.cells_skipped(cell.members.len() as u64),
-                Some(dd) => self.scan_cell(
-                    cell,
-                    sec,
-                    dd.sqrt(),
-                    sq,
-                    aq,
-                    k_best,
-                    used,
-                    use_quant,
-                    &mut list,
-                    probe,
-                ),
+                Some(dd) => cell.scan(sec, dd.sqrt(), k_best, used, &mut list, probe),
             }
         }
         list
     }
+}
 
-    /// Window scan of one cell (skip-chain layers 3–6). Starting from
+impl Cell {
+    /// Window scan of one cell (skip-chain layers 4–5). Starting from
     /// the query's position in the member ordering (ascending distance
     /// to centroid), expand outward taking the nearer side first; once a
     /// side's triangle gap `|d(q,c) − d(x,c)|` alone beats the
     /// threshold, every member further out on that side beats it too
     /// (the gap grows monotonically), so the whole side retires at once.
-    /// Survivors pass the member norm and anchor bounds, then the
-    /// quantized lower bound (when enabled), then re-rank exactly.
+    /// Survivors are evaluated exactly, once per duplicate run.
     ///
     /// Retirement fires only on a strict finite comparison, so a NaN
     /// query (NaN gaps) degrades to evaluating everything, and NaN
     /// members are only ever retired when the threshold is finite — a
     /// regime where `push_candidate` rejects NaN distances anyway.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_cell<P: Probe>(
+    fn scan<P: Probe>(
         &self,
-        cell: &Cell,
         sec: &FeatureVector,
         dq: f64,
-        sq: f64,
-        aq: f64,
         k_best: usize,
         used: Option<&[bool]>,
-        use_quant: bool,
         list: &mut Vec<(f64, usize)>,
         probe: &mut P,
     ) {
-        let quant = use_quant
-            .then(|| self.quant.as_ref().expect("quantized scan on an unquantized index"));
-        let len = cell.members.len();
-        let start = cell.dists.partition_point(|&r| r < dq);
+        let len = self.members.len();
+        let start = self.dists.partition_point(|&r| r < dq);
         let (mut lo, mut hi) = (start, start);
         // Per-flank duplicate-run memo. Each flank visits consecutive
         // positions, so `same[pos]` (`same[pos + 1]` descending) says
         // whether the candidate is bitwise-identical to the flank's
         // previous row: if that row evaluated to `d2`, this one *is*
         // `d2`; if it early-exited, its d² beat a past threshold and
-        // thresholds only shrink. Either way the kernel (and the
-        // quantized bound walk) is paid once per duplicate run.
+        // thresholds only shrink. Either way the kernel is paid once
+        // per duplicate run.
         let (mut lo_run, mut hi_run): (Option<DupRun>, Option<DupRun>) = (None, None);
         loop {
             // The flank candidates for this iteration are known before
             // their bounds are checked — start pulling their rows in.
-            prefetch_row(&cell.rows, lo.wrapping_sub(1));
-            prefetch_row(&cell.rows, hi);
+            prefetch_row(&self.rows, lo.wrapping_sub(1));
+            prefetch_row(&self.rows, hi);
             let tau = threshold(list, k_best);
-            let left = (lo > 0).then(|| dq - cell.dists[lo - 1]);
-            let right = (hi < len).then(|| cell.dists[hi] - dq);
+            let left = (lo > 0).then(|| dq - self.dists[lo - 1]);
+            let right = (hi < len).then(|| self.dists[hi] - dq);
             let (pos, gap) = match (left, right) {
                 (None, None) => break,
                 (Some(lg), None) => (lo - 1, lg),
@@ -590,76 +513,36 @@ impl WildIndex {
                 // Chain bit between `pos` and the flank's previous
                 // position `pos + 1` (out of range on the first visit of
                 // a full-left window: no previous visit, no reuse).
-                if !cell.same.get(pos + 1).copied().unwrap_or(false) {
+                if !self.same.get(pos + 1).copied().unwrap_or(false) {
                     lo_run = None;
                 }
                 &mut lo_run
             } else {
                 hi += 1;
-                if !cell.same[pos] {
+                if !self.same[pos] {
                     hi_run = None;
                 }
                 &mut hi_run
             };
-            let idx = cell.members[pos] as usize;
+            let idx = self.members[pos] as usize;
             if used.is_some_and(|u| u[idx]) {
                 probe.masked(1);
                 continue;
             }
-            match *run {
-                Some(DupRun::D2(d2)) => {
-                    probe.evaluated();
-                    if quant.is_some() {
-                        probe.reranked();
-                    }
-                    push_candidate(list, k_best, d2, idx);
-                    continue;
-                }
-                Some(DupRun::Exited) => {
-                    probe.evaluated();
-                    if quant.is_some() {
-                        probe.reranked();
-                    }
-                    probe.early_exited();
-                    continue;
-                }
-                None => {}
-            }
-            // Member norm bound — same rule the pruned scan applies —
-            // then the anchor bound: the identical triangle argument
-            // through the far anchor instead of the origin.
-            let g = (sq - cell.norms[pos]).abs();
-            if g > 0.0 && g * g * PRUNE_SLACK > tau {
-                probe.pruned(1);
-                continue;
-            }
-            let ga = (aq - cell.anch[pos]).abs();
-            if ga > 0.0 && ga * ga * PRUNE_SLACK > tau {
-                probe.pruned(1);
-                continue;
-            }
-            if let Some(quant) = quant {
-                if tau < f64::INFINITY {
-                    let codes = &cell.codes[pos * FEATURE_DIM..(pos + 1) * FEATURE_DIM];
-                    if quant.lower_bound_above(sec, codes, tau).is_none() {
-                        probe.quant_rejected();
-                        continue;
-                    }
-                }
-            }
             probe.evaluated();
-            if quant.is_some() {
-                probe.reranked();
-            }
-            match early_exit_d2(sec, &cell.rows[pos], tau) {
-                Some(d2) => {
-                    push_candidate(list, k_best, d2, idx);
-                    *run = Some(DupRun::D2(d2));
-                }
-                None => {
-                    probe.early_exited();
-                    *run = Some(DupRun::Exited);
-                }
+            match *run {
+                Some(DupRun::D2(d2)) => push_candidate(list, k_best, d2, idx),
+                Some(DupRun::Exited) => probe.early_exited(),
+                None => match early_exit_d2(sec, &self.rows[pos], tau) {
+                    Some(d2) => {
+                        push_candidate(list, k_best, d2, idx);
+                        *run = Some(DupRun::D2(d2));
+                    }
+                    None => {
+                        probe.early_exited();
+                        *run = Some(DupRun::Exited);
+                    }
+                },
             }
         }
     }
@@ -729,39 +612,27 @@ mod tests {
     #[test]
     fn every_row_lands_in_exactly_one_cell() {
         let pool = rand_pool(5, 233);
-        for mode in [IndexMode::Partitioned, IndexMode::Quantized] {
-            let cfg = NlsConfig { index: mode, ..NlsConfig::serial() };
-            let ix = WildIndex::build(&pool, &cfg);
-            let mut seen: Vec<u32> = ix.cells.iter().flat_map(|c| c.members.iter().copied()).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..pool.len() as u32).collect::<Vec<_>>());
-        }
+        let ix = WildIndex::build(&pool, &NlsConfig::serial().index(IndexMode::Partitioned));
+        let mut seen: Vec<u32> = ix.cells.iter().flat_map(|c| c.members.iter().copied()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..pool.len() as u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn indexed_scan_matches_plain_k_best_bitwise() {
         let pool = rand_pool(6, 180);
         let queries = rand_pool(7, 12);
-        for mode in [IndexMode::Partitioned, IndexMode::Quantized] {
-            for cells in [0usize, 1, 3, 64] {
-                let cfg = NlsConfig { index: mode, cells, ..NlsConfig::serial() };
-                let ix = WildIndex::build(&pool, &cfg);
-                for q in &queries {
-                    for k in [1usize, 4, 9] {
-                        let want = plain_k_best(q, &pool, k);
-                        let got = ix.scan_row(
-                            q,
-                            k,
-                            1,
-                            None,
-                            mode == IndexMode::Quantized,
-                            &mut NoProbe,
-                        );
-                        assert_eq!(got.len(), want.len());
-                        for (a, b) in got.iter().zip(&want) {
-                            assert_eq!(a.1, b.1, "mode {mode:?} cells {cells} k {k}");
-                            assert_eq!(a.0.to_bits(), b.0.to_bits());
-                        }
+        for cells in [0usize, 1, 3, 64] {
+            let cfg = NlsConfig { index: IndexMode::Partitioned, cells, ..NlsConfig::serial() };
+            let ix = WildIndex::build(&pool, &cfg);
+            for q in &queries {
+                for k in [1usize, 4, 9] {
+                    let want = plain_k_best(q, &pool, k);
+                    let got = ix.scan_row(q, k, None, &mut NoProbe);
+                    assert_eq!(got.len(), want.len());
+                    for (a, b) in got.iter().zip(&want) {
+                        assert_eq!(a.1, b.1, "cells {cells} k {k}");
+                        assert_eq!(a.0.to_bits(), b.0.to_bits());
                     }
                 }
             }
@@ -771,11 +642,10 @@ mod tests {
     #[test]
     fn masked_rows_never_surface() {
         let pool = rand_pool(8, 96);
-        let cfg = NlsConfig { index: IndexMode::Quantized, ..NlsConfig::serial() };
-        let ix = WildIndex::build(&pool, &cfg);
+        let ix = WildIndex::build(&pool, &NlsConfig::serial().index(IndexMode::Partitioned));
         let used: Vec<bool> = (0..pool.len()).map(|i| i % 3 == 0).collect();
         let q = &rand_pool(9, 1)[0];
-        let got = ix.scan_row(q, 5, 1, Some(&used), true, &mut NoProbe);
+        let got = ix.scan_row(q, 5, Some(&used), &mut NoProbe);
         assert!(got.iter().all(|&(_, n)| !used[n]));
         // Equals the plain masked scan.
         let mut want = Vec::new();
@@ -790,29 +660,24 @@ mod tests {
     #[test]
     fn side_tables_are_consistent_with_the_pool() {
         let pool = rand_pool(12, 160);
-        let cfg = NlsConfig { index: IndexMode::Quantized, cells: 5, ..NlsConfig::serial() };
+        let cfg = NlsConfig { index: IndexMode::Partitioned, cells: 5, ..NlsConfig::serial() };
         let ix = WildIndex::build(&pool, &cfg);
         assert_eq!(ix.cells.len(), ix.centroids.len());
         assert_eq!(ix.cells.len(), ix.cent_norms.len());
         assert_eq!(ix.cells.len(), ix.radii.len());
         for (c, cell) in ix.cells.iter().enumerate() {
             assert_eq!(cell.members.len(), cell.dists.len());
-            assert_eq!(cell.members.len(), cell.norms.len());
             assert_eq!(cell.members.len(), cell.rows.len());
-            assert_eq!(cell.codes.len(), cell.members.len() * FEATURE_DIM);
             // Window order: member distances ascend.
             for w in cell.dists.windows(2) {
                 assert!(w[0] <= w[1], "dists not sorted: {} > {}", w[0], w[1]);
             }
             for (i, (&m, row)) in cell.members.iter().zip(&cell.rows).enumerate() {
                 assert_eq!(row.as_slice(), pool[m as usize].as_slice());
-                // The stored distance/norm tables are the exact fl values
-                // the bounds reason about.
+                // The stored distance table holds the exact fl values the
+                // window bound reasons about.
                 let want_d = squared_euclidean(row, &ix.centroids[c]).sqrt();
                 assert_eq!(cell.dists[i].to_bits(), want_d.to_bits());
-                assert_eq!(cell.norms[i].to_bits(), norm(row).to_bits());
-                let want_a = squared_euclidean(row, &ix.anchor).sqrt();
-                assert_eq!(cell.anch[i].to_bits(), want_a.to_bits());
                 assert!(cell.dists[i] <= ix.radii[c], "member distance exceeds radius");
             }
             assert_eq!(ix.cent_norms[c].to_bits(), norm(&ix.centroids[c]).to_bits());

@@ -28,7 +28,6 @@
 mod augment;
 mod baselines;
 mod index;
-mod quant;
 mod search;
 
 pub use augment::{augment_rounds, augment_rounds_with, AugmentationRound, PoolSpec};
@@ -36,7 +35,6 @@ pub use baselines::{
     brute_force_candidates, pseudo_label_candidates, uncertainty_candidates,
 };
 pub use index::WildIndex;
-pub use quant::Quantizer;
 pub use search::{
     nearest_link_search, nearest_link_search_indexed, nearest_link_search_matrix,
     nearest_link_search_serial, nearest_link_search_with, row_minima, row_minima_indexed,

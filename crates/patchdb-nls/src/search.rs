@@ -52,24 +52,24 @@ pub(crate) const PRUNE_SLACK: f64 = 1.0 - 1e-9;
 pub(crate) const EARLY_EXIT_STRIDE: usize = 15;
 
 /// Which candidate-generation machinery the init pass (and the collision
-/// rescans) run on. Output bytes are identical in every mode — the index
-/// modes only skip candidates whose squared distance *provably* exceeds
-/// the current k-best threshold, and re-rank every survivor with the
-/// exact f64 kernel.
+/// rescans) run on — the one wall-time switch of the search. Output
+/// bytes are identical in every mode: the pruned and partitioned modes
+/// only skip candidates whose squared distance *provably* exceeds the
+/// current k-best threshold, and evaluate every survivor with the exact
+/// f64 kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexMode {
-    /// Linear scan over the pool (optionally norm-pruned via
-    /// [`NlsConfig::prune`]). No index is built.
+    /// Linear scan evaluating every pool row in index order — the
+    /// literal Algorithm 1 init pass (the bench baselines run it).
     Scan,
+    /// Linear scan outward from the query's norm in norm-sorted order,
+    /// retiring each side once the norm gap `|‖s‖−‖w‖|` proves it out of
+    /// reach, with early-exit partial sums. No index is built.
+    Pruned,
     /// Coarse k-means partition: only cells whose centroid-distance
-    /// bound can beat the current k-best are scanned, with a blocked
-    /// (structure-of-arrays) exact kernel inside each cell.
+    /// bound can beat the current k-best are scanned, each through a
+    /// window over its members' centroid distances (see [`WildIndex`]).
     Partitioned,
-    /// The partition plus an 8-bit scalar-quantized fast path: cell
-    /// survivors are bound-checked in code space first and only
-    /// re-ranked exactly when the (sound) lower bound cannot rule them
-    /// out.
-    Quantized,
 }
 
 /// How the nearest link search runs; output is identical for every
@@ -77,41 +77,30 @@ pub enum IndexMode {
 #[derive(Debug, Clone)]
 pub struct NlsConfig {
     /// Worker threads for the init pass (the greedy assignment loop is
-    /// inherently sequential and always runs on the caller's thread).
+    /// inherently sequential and always runs on the caller's thread);
+    /// `0` runs on one thread.
     pub threads: usize,
-    /// Enable norm-bound + early-exit distance pruning
-    /// ([`IndexMode::Scan`] only; the index modes carry their own
-    /// bounds).
-    pub prune: bool,
     /// Per-row candidate list length: collisions are resolved from this
     /// list and fall back to a masked rescan only when all entries are
     /// claimed. Clamped to at least 1.
     pub k_best: usize,
     /// Candidate-generation machinery (see [`IndexMode`]).
     pub index: IndexMode,
-    /// Partition cell count for the index modes; `0` = auto (`√N`,
-    /// clamped to `[1, min(N, 4096)]`).
+    /// Partition cell count for [`IndexMode::Partitioned`]; `0` = auto
+    /// (`√N`, clamped to `[1, min(N, 4096)]`).
     pub cells: usize,
-    /// Nearest cells always scanned before the cell bound may skip;
-    /// `0` = auto (2 — scanning the runner-up cell tightens the k-best
-    /// threshold faster than its cost on every pool measured). Purely a
-    /// wall-time knob.
-    pub probes: usize,
 }
 
 impl NlsConfig {
-    /// The production configuration: quantized-index candidate
-    /// generation over auto-sized cells, pruned scan fallbacks, and the
-    /// worker count from `PATCHDB_THREADS` / available parallelism
-    /// (capped at 16).
+    /// The production configuration: partitioned-index candidate
+    /// generation over auto-sized cells and the worker count from
+    /// `PATCHDB_THREADS` / available parallelism (capped at 16).
     pub fn auto() -> NlsConfig {
         NlsConfig {
             threads: par::configured_threads(16),
-            prune: true,
             k_best: 8,
-            index: IndexMode::Quantized,
+            index: IndexMode::Partitioned,
             cells: 0,
-            probes: 0,
         }
     }
 
@@ -119,14 +108,7 @@ impl NlsConfig {
     /// closest configuration to the literal Algorithm 1 loop (used as
     /// the bench baseline).
     pub fn serial() -> NlsConfig {
-        NlsConfig {
-            threads: 1,
-            prune: false,
-            k_best: 1,
-            index: IndexMode::Scan,
-            cells: 0,
-            probes: 0,
-        }
+        NlsConfig { threads: 1, k_best: 1, index: IndexMode::Scan, cells: 0 }
     }
 
     /// Sets [`IndexMode`] (builder style).
@@ -195,8 +177,7 @@ pub fn nearest_link_search_with(
 ///
 /// Panics when `security` is empty, when the non-dead row count is
 /// smaller than `security.len()`, or when `index`/`dead` don't match
-/// `wild` (wrong length, or a non-quantized index under
-/// [`IndexMode::Quantized`]).
+/// `wild` in length.
 pub fn nearest_link_search_indexed(
     security: &[FeatureVector],
     wild: &[FeatureVector],
@@ -354,11 +335,10 @@ pub fn nearest_link_search_serial(
 /// obs-off overhead of the init pass near zero (tracked in
 /// BENCH_nls.json).
 /// Every candidate column of a scan is accounted to exactly one of
-/// `evaluated` / `pruned` / `masked` / `cells_skipped` /
-/// `quant_rejected` — the per-round counter identity
-/// `Σ = scans × pool_rows` that `tests/trace.rs` pins rests on this.
-/// (`early_exited` and `reranked` annotate `evaluated` candidates and
-/// sit outside the partition.)
+/// `evaluated` / `pruned` / `masked` / `cells_skipped` — the per-round
+/// counter identity `Σ = scans × pool_rows` that `tests/trace.rs` pins
+/// rests on this. (`early_exited` annotates `evaluated` candidates and
+/// sits outside the partition.)
 pub(crate) trait Probe {
     /// A distance computation was started for a candidate.
     fn evaluated(&mut self);
@@ -373,12 +353,6 @@ pub(crate) trait Probe {
     /// `rows` candidates were skipped wholesale by the cell
     /// centroid-distance bound.
     fn cells_skipped(&mut self, rows: u64);
-    /// A candidate was rejected by the quantized lower bound without
-    /// touching its f64 data.
-    fn quant_rejected(&mut self);
-    /// A candidate survived the quantized bound and was re-ranked with
-    /// the exact kernel (a subset of `evaluated`).
-    fn reranked(&mut self);
 }
 
 /// The tracing-off probe: all no-ops.
@@ -395,10 +369,6 @@ impl Probe for NoProbe {
     fn masked(&mut self, _n: u64) {}
     #[inline(always)]
     fn cells_skipped(&mut self, _rows: u64) {}
-    #[inline(always)]
-    fn quant_rejected(&mut self) {}
-    #[inline(always)]
-    fn reranked(&mut self) {}
 }
 
 /// The tracing-on probe: plain local tallies, merged row-by-row in input
@@ -411,8 +381,6 @@ struct ScanStats {
     pruned_norm: u64,
     masked: u64,
     cells_skipped: u64,
-    quant_rejects: u64,
-    exact_rerank: u64,
 }
 
 impl Probe for ScanStats {
@@ -436,14 +404,6 @@ impl Probe for ScanStats {
     fn cells_skipped(&mut self, rows: u64) {
         self.cells_skipped += rows;
     }
-    #[inline]
-    fn quant_rejected(&mut self) {
-        self.quant_rejects += 1;
-    }
-    #[inline]
-    fn reranked(&mut self) {
-        self.exact_rerank += 1;
-    }
 }
 
 impl ScanStats {
@@ -453,8 +413,6 @@ impl ScanStats {
         self.pruned_norm += other.pruned_norm;
         self.masked += other.masked;
         self.cells_skipped += other.cells_skipped;
-        self.quant_rejects += other.quant_rejects;
-        self.exact_rerank += other.exact_rerank;
     }
 
     /// Adds the tallies to the global `nls.*` counters.
@@ -464,8 +422,6 @@ impl ScanStats {
         obs::counter_add("nls.pruned_norm", self.pruned_norm);
         obs::counter_add("nls.masked_skipped", self.masked);
         obs::counter_add("nls.cells_skipped", self.cells_skipped);
-        obs::counter_add("nls.quant_rejects", self.quant_rejects);
-        obs::counter_add("nls.exact_rerank", self.exact_rerank);
     }
 }
 
@@ -486,20 +442,16 @@ impl IndexHandle<'_> {
 }
 
 /// Shared state of one search invocation: the inputs plus (when pruning)
-/// per-vector norms and the wild indices sorted by norm, or (in the
-/// index modes) the partitioned/quantized pool snapshot.
+/// per-vector norms and the wild indices sorted by norm, or (when
+/// partitioned) the pool index.
 struct Workspace<'a> {
     security: &'a [FeatureVector],
     wild: &'a [FeatureVector],
     k_best: usize,
     threads: usize,
     prune: bool,
-    /// Partition index (index modes only).
+    /// Partition index ([`IndexMode::Partitioned`] only).
     index: Option<IndexHandle<'a>>,
-    /// Whether cell scans take the quantized fast path.
-    quantized: bool,
-    /// Nearest cells always scanned before the cell bound applies.
-    probes: usize,
     /// Rows excluded from the search entirely (masked searches).
     dead: Option<&'a [bool]>,
     /// `‖security[m]‖` per row (pruning only).
@@ -526,20 +478,16 @@ impl<'a> Workspace<'a> {
     ) -> Self {
         let threads = config.threads.max(1);
         let index = match (config.index, prebuilt) {
-            (IndexMode::Scan, _) => None,
-            (mode, Some(ix)) => {
+            (IndexMode::Scan | IndexMode::Pruned, _) => None,
+            (IndexMode::Partitioned, Some(ix)) => {
                 assert_eq!(ix.len(), wild.len(), "index was built over a different pool");
-                assert!(
-                    mode != IndexMode::Quantized || ix.is_quantized(),
-                    "IndexMode::Quantized needs a quantized index"
-                );
                 Some(IndexHandle::Borrowed(ix))
             }
-            (_, None) => Some(IndexHandle::Owned(Box::new(WildIndex::build(wild, config)))),
+            (IndexMode::Partitioned, None) => {
+                Some(IndexHandle::Owned(Box::new(WildIndex::build(wild, config))))
+            }
         };
-        // The norm-pruning machinery serves the Scan mode only; the
-        // index modes bound candidates through the partition instead.
-        let prune = config.prune && index.is_none();
+        let prune = config.index == IndexMode::Pruned;
         let (sec_norms, order, sorted_norms, sorted_wild) = if prune {
             let sec_norms = par::map_chunked(security, threads, |v| norm(v));
             let wild_norms = par::map_chunked(wild, threads, |v| norm(v));
@@ -557,8 +505,6 @@ impl<'a> Workspace<'a> {
             k_best: config.k_best.max(1),
             threads,
             prune,
-            quantized: config.index == IndexMode::Quantized,
-            probes: if config.probes == 0 { 2 } else { config.probes },
             index,
             dead,
             sec_norms,
@@ -605,14 +551,7 @@ impl<'a> Workspace<'a> {
     /// rule, so the pruned and plain scans agree exactly.
     fn scan_row<P: Probe>(&self, m: usize, used: Option<&[bool]>, probe: &mut P) -> Vec<(f64, usize)> {
         if let Some(ix) = &self.index {
-            return ix.get().scan_row(
-                &self.security[m],
-                self.k_best,
-                self.probes,
-                used,
-                self.quantized,
-                probe,
-            );
+            return ix.get().scan_row(&self.security[m], self.k_best, used, probe);
         }
         if self.prune {
             self.scan_row_pruned(m, used, probe)
@@ -975,23 +914,15 @@ mod tests {
         let wild: Vec<FeatureVector> =
             (0..90).map(|_| palette[rng.gen_range(0..palette.len() as u64) as usize]).collect();
         let reference = nearest_link_search_serial(&sec, &wild);
-        for index in [IndexMode::Scan, IndexMode::Partitioned, IndexMode::Quantized] {
+        for index in [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned] {
             for threads in [1usize, 2, 8] {
-                for prune in [false, true] {
-                    for k_best in [1usize, 2, 8] {
-                        let cfg = NlsConfig {
-                            threads,
-                            prune,
-                            k_best,
-                            index,
-                            ..NlsConfig::serial()
-                        };
-                        assert_eq!(
-                            nearest_link_search_with(&sec, &wild, &cfg),
-                            reference,
-                            "index={index:?} threads={threads} prune={prune} k_best={k_best}"
-                        );
-                    }
+                for k_best in [1usize, 2, 8] {
+                    let cfg = NlsConfig { threads, k_best, index, ..NlsConfig::serial() };
+                    assert_eq!(
+                        nearest_link_search_with(&sec, &wild, &cfg),
+                        reference,
+                        "index={index:?} threads={threads} k_best={k_best}"
+                    );
                 }
             }
         }
@@ -1006,11 +937,11 @@ mod tests {
             (0..150).map(|_| fv(&[rng.gen_range(-3.0..3.0), rng.gen()])).collect();
         let (serial_u, serial_v) = row_minima(&sec, &wild, &NlsConfig::serial());
         for cfg in [
-            NlsConfig { threads: 4, prune: false, k_best: 8, ..NlsConfig::serial() },
-            NlsConfig { threads: 4, prune: true, k_best: 8, ..NlsConfig::serial() },
-            NlsConfig { threads: 1, prune: true, k_best: 2, ..NlsConfig::serial() },
-            NlsConfig { index: IndexMode::Partitioned, k_best: 8, ..NlsConfig::serial() },
-            NlsConfig { index: IndexMode::Quantized, threads: 4, k_best: 8, ..NlsConfig::serial() },
+            NlsConfig { threads: 4, k_best: 8, ..NlsConfig::serial() },
+            NlsConfig { threads: 4, k_best: 8, index: IndexMode::Pruned, ..NlsConfig::serial() },
+            NlsConfig { threads: 1, k_best: 2, index: IndexMode::Pruned, ..NlsConfig::serial() },
+            NlsConfig { k_best: 8, index: IndexMode::Partitioned, ..NlsConfig::serial() },
+            NlsConfig { threads: 4, k_best: 8, index: IndexMode::Partitioned, ..NlsConfig::serial() },
         ] {
             let (u, v) = row_minima(&sec, &wild, &cfg);
             assert_eq!(serial_v, v, "argmin drift under {cfg:?}");

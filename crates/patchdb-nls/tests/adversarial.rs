@@ -12,7 +12,7 @@ use patchdb_nls::{
     nearest_link_search_with, IndexMode, NlsConfig,
 };
 
-const MODES: [IndexMode; 3] = [IndexMode::Scan, IndexMode::Partitioned, IndexMode::Quantized];
+const MODES: [IndexMode; 3] = [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned];
 
 fn fv(vals: &[f64]) -> FeatureVector {
     let mut v = FeatureVector::zero();
@@ -31,14 +31,7 @@ fn assert_oracle_agreement(sec: &[FeatureVector], wild: &[FeatureVector], tag: &
     for index in MODES {
         for cells in [0usize, 1, 2, 1000] {
             for k_best in [1usize, 4, 64] {
-                let cfg = NlsConfig {
-                    threads: 2,
-                    prune: true,
-                    k_best,
-                    index,
-                    cells,
-                    probes: 0,
-                };
+                let cfg = NlsConfig { threads: 2, k_best, index, cells };
                 assert_eq!(
                     nearest_link_search_with(sec, wild, &cfg),
                     oracle,
@@ -100,10 +93,8 @@ fn single_cell_degenerate_clustering() {
         .map(|s| wild.iter().map(|w| squared_euclidean(s, w)).collect())
         .collect();
     let oracle = nearest_link_search_matrix(&matrix);
-    for index in [IndexMode::Partitioned, IndexMode::Quantized] {
-        let cfg = NlsConfig { cells: 1, index, ..NlsConfig::auto() };
-        assert_eq!(nearest_link_search_with(&sec, &wild, &cfg), oracle, "{index:?}");
-    }
+    let cfg = NlsConfig { cells: 1, ..NlsConfig::auto() };
+    assert_eq!(nearest_link_search_with(&sec, &wild, &cfg), oracle);
 }
 
 #[test]
@@ -112,12 +103,9 @@ fn pool_smaller_than_cell_count() {
     // the pool size and still cover every row exactly once.
     let wild = vec![fv(&[0.0]), fv(&[1.0]), fv(&[2.0]), fv(&[3.0])];
     let sec = vec![fv(&[0.4]), fv(&[2.6])];
-    for index in [IndexMode::Partitioned, IndexMode::Quantized] {
-        let cfg = NlsConfig { cells: 64, index, ..NlsConfig::auto() };
-        let links = nearest_link_search_with(&sec, &wild, &cfg);
-        let serial = nearest_link_search_serial(&sec, &wild);
-        assert_eq!(links, serial, "{index:?}");
-    }
+    let cfg = NlsConfig { cells: 64, ..NlsConfig::auto() };
+    let links = nearest_link_search_with(&sec, &wild, &cfg);
+    assert_eq!(links, nearest_link_search_serial(&sec, &wild));
 }
 
 #[test]

@@ -8,10 +8,10 @@ use patchdb_features::{euclidean, squared_euclidean, FeatureVector};
 use patchdb_nls::{
     nearest_link_search, nearest_link_search_indexed, nearest_link_search_matrix,
     nearest_link_search_serial, nearest_link_search_with, row_minima, total_link_distance,
-    IndexMode, NlsConfig, Quantizer, WildIndex,
+    IndexMode, NlsConfig, WildIndex,
 };
 
-const MODES: [IndexMode; 3] = [IndexMode::Scan, IndexMode::Partitioned, IndexMode::Quantized];
+const MODES: [IndexMode; 3] = [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned];
 
 const CASES: u32 = 128;
 
@@ -74,9 +74,9 @@ fn palette_points(g: &mut Gen, palette: &[FeatureVector], min: usize, max: usize
 
 /// The parallel + pruned + indexed search equals the faithful serial
 /// Algorithm 1 loop *and* the explicit-matrix reference for every
-/// configuration — index modes Scan/Partitioned/Quantized, thread counts
-/// 1/2/8, pruning on/off, several candidate-list lengths and cell counts
-/// — including on tie-heavy instances.
+/// configuration — index modes Scan/Pruned/Partitioned, thread counts
+/// 1/2/8, several candidate-list lengths and cell counts — including on
+/// tie-heavy instances.
 #[test]
 fn configs_agree_with_serial_and_matrix() {
     check("configs_agree_with_serial_and_matrix", CASES, |g| {
@@ -92,29 +92,18 @@ fn configs_agree_with_serial_and_matrix() {
             .map(|s| wild.iter().map(|w| squared_euclidean(s, w)).collect())
             .collect();
         assert_eq!(reference, nearest_link_search_matrix(&matrix), "serial vs matrix");
-        // Each case draws one (cells, probes) point; the mode × threads ×
-        // prune × k_best grid is swept exhaustively within it.
+        // Each case draws one cell count; the mode × threads × k_best
+        // grid is swept exhaustively within it.
         let cells = g.usize_in(0, 6);
-        let probes = g.usize_in(0, 3);
         for index in MODES {
             for threads in [1usize, 2, 8] {
-                for prune in [false, true] {
-                    for k_best in [1usize, 4] {
-                        let cfg = NlsConfig {
-                            threads,
-                            prune,
-                            k_best,
-                            index,
-                            cells,
-                            probes,
-                        };
-                        assert_eq!(
-                            nearest_link_search_with(&sec, &wild, &cfg),
-                            reference,
-                            "index={index:?} threads={threads} prune={prune} \
-                             k_best={k_best} cells={cells} probes={probes}"
-                        );
-                    }
+                for k_best in [1usize, 4] {
+                    let cfg = NlsConfig { threads, k_best, index, cells };
+                    assert_eq!(
+                        nearest_link_search_with(&sec, &wild, &cfg),
+                        reference,
+                        "index={index:?} threads={threads} k_best={k_best} cells={cells}"
+                    );
                 }
             }
         }
@@ -164,11 +153,7 @@ fn masked_search_equals_compacted_search() {
 fn prebuilt_index_matches_fresh_build() {
     check("prebuilt_index_matches_fresh_build", CASES / 2, |g| {
         let wild = points(g, 16, 47);
-        let cfg = NlsConfig {
-            index: if g.bool() { IndexMode::Quantized } else { IndexMode::Partitioned },
-            cells: g.usize_in(0, 5),
-            ..NlsConfig::auto()
-        };
+        let cfg = NlsConfig { cells: g.usize_in(0, 5), ..NlsConfig::auto() };
         let ix = WildIndex::build(&wild, &cfg);
         for _ in 0..3 {
             let sec = points(g, 1, 6);
@@ -176,67 +161,6 @@ fn prebuilt_index_matches_fresh_build() {
                 nearest_link_search_indexed(&sec, &wild, &cfg, Some(&ix), None),
                 nearest_link_search_with(&sec, &wild, &cfg),
             );
-        }
-    });
-}
-
-/// Quantizer round trip: every encoded coordinate lands inside its own
-/// bucket (`b[c] ≤ x ≤ b[c+1]`) — the invariant the bound soundness
-/// argument rests on.
-#[test]
-fn quantizer_round_trip_respects_buckets() {
-    check("quantizer_round_trip_respects_buckets", CASES, |g| {
-        let n = g.usize_in(1, 64);
-        let scale = g.f64_in(1e-6, 1e6);
-        let pool: Vec<FeatureVector> = (0..n)
-            .map(|_| {
-                let mut v = FeatureVector::zero();
-                for x in v.as_mut_slice() {
-                    *x = g.f64_in(-scale, scale);
-                }
-                v
-            })
-            .collect();
-        let q = Quantizer::fit(&pool, g.usize_in(1, 8));
-        for v in &pool {
-            let codes = q.encode(v);
-            for (d, &x) in v.as_slice().iter().enumerate() {
-                let (lo, hi) = q.bucket(d, codes[d]);
-                assert!(lo <= x && x <= hi, "dim {d}: {x} outside [{lo}, {hi}]");
-            }
-        }
-    });
-}
-
-/// Bound soundness: for random pools and queries (queries deliberately
-/// allowed outside the fitted range), the quantized lower bound never
-/// exceeds the exact squared distance — so the fast path can never
-/// wrongly reject a candidate the exhaustive scan would keep.
-#[test]
-fn quantizer_bound_is_sound() {
-    check("quantizer_bound_is_sound", CASES, |g| {
-        let n = g.usize_in(1, 48);
-        let pool: Vec<FeatureVector> = (0..n)
-            .map(|_| {
-                let mut v = FeatureVector::zero();
-                for x in v.as_mut_slice() {
-                    *x = g.f64_in(-10.0, 10.0);
-                }
-                v
-            })
-            .collect();
-        let q = Quantizer::fit(&pool, 1);
-        let mut query = FeatureVector::zero();
-        for x in query.as_mut_slice() {
-            *x = g.f64_in(-30.0, 30.0);
-        }
-        for v in &pool {
-            let codes = q.encode(v);
-            let bound = q.lower_bound(&query, &codes);
-            let exact = squared_euclidean(&query, v);
-            assert!(bound <= exact, "bound {bound} > exact {exact}");
-            // The early exit agrees with the full bound at tau == bound.
-            assert_eq!(q.lower_bound_above(&query, &codes, bound), Some(bound));
         }
     });
 }
@@ -251,17 +175,15 @@ fn row_minima_bitwise_stable() {
         let (u0, v0) = row_minima(&sec, &wild, &NlsConfig::serial());
         for index in MODES {
             for threads in [2usize, 8] {
-                for prune in [false, true] {
-                    let cfg = NlsConfig { threads, prune, k_best: 8, index, ..NlsConfig::serial() };
-                    let (u, v) = row_minima(&sec, &wild, &cfg);
-                    assert_eq!(v0, v, "argmin drift: index={index:?} threads={threads} prune={prune}");
-                    for (a, b) in u0.iter().zip(&u) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "distance drift: index={index:?} threads={threads} prune={prune}"
-                        );
-                    }
+                let cfg = NlsConfig { threads, k_best: 8, index, ..NlsConfig::serial() };
+                let (u, v) = row_minima(&sec, &wild, &cfg);
+                assert_eq!(v0, v, "argmin drift: index={index:?} threads={threads}");
+                for (a, b) in u0.iter().zip(&u) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "distance drift: index={index:?} threads={threads}"
+                    );
                 }
             }
         }

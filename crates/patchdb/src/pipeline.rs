@@ -147,7 +147,7 @@ impl BuildOptions {
     }
 
     /// Replaces the augmentation-stage NLS configuration (index mode,
-    /// cell/probe knobs, pruning). A [`BuildOptions::threads`] override
+    /// cell count, candidate-list length). A [`BuildOptions::threads`] override
     /// still wins over the config's own thread count.
     pub fn nls(mut self, config: NlsConfig) -> Self {
         self.nls = Some(config);

@@ -91,7 +91,7 @@ fn main() {
     );
 
     // With --trace, per-round counters show how much work the index
-    // bounds (whole cells, quantized rejects) and the norm-bound pruning
+    // bounds (whole cells and cell flanks) and the norm-bound pruning
     // saved the distance kernel on each pass.
     if trace {
         let telemetry = obs::report();
@@ -102,9 +102,7 @@ fn main() {
             if let (Some(evaluated), Some(pruned)) =
                 (counter("dist_evaluated"), counter("pruned_norm"))
             {
-                let skipped = pruned
-                    + counter("cells_skipped").unwrap_or(0)
-                    + counter("quant_rejects").unwrap_or(0);
+                let skipped = pruned + counter("cells_skipped").unwrap_or(0);
                 let total = evaluated + skipped;
                 let avoided =
                     if total == 0 { 0.0 } else { 100.0 * skipped as f64 / total as f64 };

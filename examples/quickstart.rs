@@ -47,8 +47,8 @@ fn main() {
     );
 
     // With --trace, the build telemetry carries per-round NLS counters:
-    // how many distance computations the index bounds (whole cells,
-    // quantized rejects) and the norm bound skipped outright.
+    // how many distance computations the index bounds (whole cells and
+    // cell flanks) and the norm bound skipped outright.
     if let Some(telemetry) = &report.telemetry {
         println!("\n== NLS pruning efficiency (per round) ==");
         for r in &report.rounds {
@@ -58,9 +58,7 @@ fn main() {
             if let (Some(evaluated), Some(pruned)) =
                 (counter("dist_evaluated"), counter("pruned_norm"))
             {
-                let skipped = pruned
-                    + counter("cells_skipped").unwrap_or(0)
-                    + counter("quant_rejects").unwrap_or(0);
+                let skipped = pruned + counter("cells_skipped").unwrap_or(0);
                 let total = evaluated + skipped;
                 let avoided =
                     if total == 0 { 0.0 } else { 100.0 * skipped as f64 / total as f64 };

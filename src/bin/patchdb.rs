@@ -395,8 +395,7 @@ fn print_stage_summary(telemetry: &BuildTelemetry) {
     }
     let evaluated = trace.counter("nls.dist_evaluated").unwrap_or(0);
     let skipped = trace.counter("nls.pruned_norm").unwrap_or(0)
-        + trace.counter("nls.cells_skipped").unwrap_or(0)
-        + trace.counter("nls.quant_rejects").unwrap_or(0);
+        + trace.counter("nls.cells_skipped").unwrap_or(0);
     if evaluated + skipped > 0 {
         println!(
             "nls: {evaluated} distances evaluated, {skipped} skipped by index/norm bounds \

@@ -108,7 +108,7 @@ fn trace_toggle_does_not_change_output() {
 }
 
 /// The NLS index modes steer wall time only: builds through the plain
-/// scan, the partitioned index, and the quantized index export
+/// scan, the norm-pruned scan, and the partitioned index export
 /// byte-identical JSON and bit-identical round tables. This is the
 /// pipeline-level face of the byte-identity contract the property suites
 /// pin at the search level.
@@ -118,7 +118,7 @@ fn index_mode_does_not_change_output() {
         PatchDb::build(&BuildOptions::tiny(1234).nls(NlsConfig::auto().index(mode)))
     };
     let scan = build_with(IndexMode::Scan);
-    for mode in [IndexMode::Partitioned, IndexMode::Quantized] {
+    for mode in [IndexMode::Pruned, IndexMode::Partitioned] {
         let indexed = build_with(mode);
         assert_eq!(
             scan.db.to_json().expect("export scan"),
@@ -136,17 +136,17 @@ fn index_mode_does_not_change_output() {
     }
 }
 
-/// `IndexMode::Quantized` at `PATCHDB_THREADS=1` vs `8` produces
+/// The unmodified production NLS configuration ([`NlsConfig::auto`],
+/// the partitioned index) at `PATCHDB_THREADS=1` vs `8` produces
 /// byte-identical stats, rounds and JSON — the deterministic k-means
-/// seeding, the thread-invariant quantizer fit, and the order-preserving
-/// parallel scans compose into a thread-invariant end-to-end build.
+/// seeding and the order-preserving parallel scans compose into a
+/// thread-invariant end-to-end build. `auto()` reads the variable, so
+/// the config is built inside each run.
 #[test]
-fn quantized_index_is_thread_invariant() {
+fn default_index_is_thread_invariant() {
     let run_with = |threads: &str| {
         std::env::set_var("PATCHDB_THREADS", threads);
-        let report = PatchDb::build(
-            &BuildOptions::tiny(1234).nls(NlsConfig::auto().index(IndexMode::Quantized)),
-        );
+        let report = PatchDb::build(&BuildOptions::tiny(1234).nls(NlsConfig::auto()));
         std::env::remove_var("PATCHDB_THREADS");
         report
     };
@@ -156,7 +156,7 @@ fn quantized_index_is_thread_invariant() {
     assert_eq!(
         single.db.to_json().expect("export single-threaded"),
         many.db.to_json().expect("export multi-threaded"),
-        "thread count changed quantized-index output bytes"
+        "thread count changed default-index output bytes"
     );
     assert_eq!(single.verification_effort, many.verification_effort);
     assert_eq!(single.rounds.len(), many.rounds.len());

@@ -19,8 +19,10 @@
 //! * [`par`] — scoped-thread fan-out over `std::thread::scope`, replacing
 //!   `crossbeam::scope`.
 //! * [`obs`] — spans, counters, gauges, histograms (cumulative and
-//!   rolling-window) and an event ring buffer behind a `PATCHDB_TRACE`
-//!   toggle (near-zero cost when off), replacing `tracing`/`metrics` —
+//!   rolling-window), one per-second slot ring ([`obs::SecondRing`])
+//!   and an event ring buffer behind three env switches
+//!   (`PATCHDB_TRACE`, `PATCHDB_FLIGHT`, `PATCHDB_SAMPLER`; near-zero
+//!   cost when off), replacing `tracing`/`metrics` —
 //!   plus the introspection runtime on top: a per-thread flight
 //!   recorder with a panic-hook dump ([`obs::flight`]), a seqlock
 //!   span-path sampling profiler emitting folded stacks

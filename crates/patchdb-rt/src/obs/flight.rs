@@ -32,10 +32,11 @@
 //! nothing here feeds back into output bytes.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 
 use super::ring::EventRing;
+use super::Switch;
 use crate::json::Json;
 
 /// Events each thread's journal retains before overwriting the oldest.
@@ -96,33 +97,18 @@ pub struct FlightEvent {
     pub value: u64,
 }
 
-// 0 = uninitialized (consult PATCHDB_FLIGHT), 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
+static SWITCH: Switch = Switch::new("PATCHDB_FLIGHT");
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
-/// Whether flight recording is on: one relaxed load on the fast path.
-/// The first call consults `PATCHDB_FLIGHT` (any value other than
-/// empty/`"0"` enables it).
+/// Whether flight recording is on (the `PATCHDB_FLIGHT` [`Switch`]).
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        s => s == 2,
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("PATCHDB_FLIGHT")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    SWITCH.on()
 }
 
 /// Programmatic override of the `PATCHDB_FLIGHT` toggle.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    SWITCH.set(on);
 }
 
 struct ThreadJournal {

@@ -1,6 +1,8 @@
 //! Zero-dependency observability: hierarchical spans, named counters,
 //! gauges, fixed-bucket histograms, rolling-window histograms and an
-//! event ring buffer behind a single `PATCHDB_TRACE` toggle.
+//! event ring buffer, behind three env switches — `PATCHDB_TRACE` (the
+//! registry), `PATCHDB_FLIGHT` (the [`flight`] recorder) and
+//! `PATCHDB_SAMPLER` (the [`sampler`] mirror), each a [`Switch`].
 //!
 //! The registry is process-global and disabled by default; every probe
 //! site guards itself with [`enabled`], a relaxed atomic load, so the
@@ -27,8 +29,8 @@
 //! * **Cumulative-since-start** — [`counter_add`], [`hist_record`]: the
 //!   build-report view, exported to `TRACE_build.json`.
 //! * **Live** — [`gauge_set`]/[`gauge_add`] point-in-time values and
-//!   [`window_record`] rolling-window histograms (a ring of per-second
-//!   [`Hist`] slots, see [`window::WindowHist`]), the serve-path view: a
+//!   [`window_record`] rolling-window histograms (a [`WindowHist`]: a
+//!   [`SecondRing`] of per-second [`Hist`] slots), the serve-path view: a
 //!   scrape reads the *current* inflight count and the p99 of the last
 //!   1 s/10 s/60 s instead of an average since boot. [`metrics_snapshot`]
 //!   captures all metric families without cloning the span tree — the
@@ -76,7 +78,7 @@ pub mod tsdb;
 pub mod window;
 
 pub use ring::EventRing;
-pub use window::WindowHist;
+pub use window::{Merge, SecondRing, WindowHist};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -101,33 +103,55 @@ pub const METRIC_WINDOWS_S: [u64; 3] = [1, 10, 60];
 /// enough to answer every window in [`METRIC_WINDOWS_S`].
 pub const WINDOW_SLOTS: usize = 64;
 
-// 0 = uninitialized (consult PATCHDB_TRACE), 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// A process-global on/off switch seeded from an environment variable:
+/// the first [`on`](Self::on) reads it (any value other than empty or
+/// `"0"` is on), later reads are one relaxed atomic load, and
+/// [`set`](Self::set) overrides it for probes that run after the store.
+pub struct Switch {
+    /// 0 = uninitialized (consult `env`), 1 = off, 2 = on.
+    state: AtomicU8,
+    env: &'static str,
+}
 
-/// Whether tracing is on. One relaxed atomic load on the fast path; the
-/// first call consults the `PATCHDB_TRACE` environment variable (`"1"`
-/// or any value other than empty/`"0"` enables it).
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        s => s == 2,
+impl Switch {
+    /// A switch that consults `env` on its first read.
+    pub const fn new(env: &'static str) -> Switch {
+        Switch { state: AtomicU8::new(0), env }
+    }
+
+    /// Whether the switch is on.
+    #[inline]
+    pub fn on(&self) -> bool {
+        match self.state.load(Ordering::Relaxed) {
+            0 => self.init_from_env(),
+            s => s == 2,
+        }
+    }
+
+    #[cold]
+    fn init_from_env(&self) -> bool {
+        let on = std::env::var(self.env).map(|v| !v.is_empty() && v != "0").unwrap_or(false);
+        self.set(on);
+        on
+    }
+
+    /// Turns the switch on or off, overriding the environment.
+    pub fn set(&self, on: bool) {
+        self.state.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     }
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("PATCHDB_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+static TRACE: Switch = Switch::new("PATCHDB_TRACE");
+
+/// Whether tracing is on (the `PATCHDB_TRACE` [`Switch`]).
+#[inline]
+pub fn enabled() -> bool {
+    TRACE.on()
 }
 
-/// Programmatic override of the `PATCHDB_TRACE` toggle (CLI flags,
-/// benches, tests). Takes effect for probes that run after the store.
+/// Programmatic override of the `PATCHDB_TRACE` toggle.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    TRACE.set(on);
 }
 
 struct SpanNode {
@@ -1049,7 +1073,7 @@ mod tests {
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.windows.len(), 1);
         let (_, w) = &snap.windows[0];
-        assert_eq!(w.count(snap.at_second, 60), 1);
+        assert_eq!(w.merged(snap.at_second, 60).count(), 1);
 
         let text = snap.to_metrics_text();
         assert!(text.contains("# gauges"), "{text}");

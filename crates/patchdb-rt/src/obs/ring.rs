@@ -76,6 +76,12 @@ impl<T: Clone> EventRing<T> {
         inner.items.iter().skip(skip).cloned().collect()
     }
 
+    /// The newest held record matching `pred`, cloned — only the match
+    /// is copied out, whatever the ring's size.
+    pub fn rfind(&self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
+        self.inner.lock().unwrap().items.iter().rev().find(|item| pred(item)).cloned()
+    }
+
     /// Records currently held.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().items.len()
@@ -112,6 +118,8 @@ mod tests {
         assert_eq!(ring.recent(2), vec![8, 9]);
         assert_eq!(ring.dropped(), 6);
         assert_eq!(ring.total(), 10);
+        assert_eq!(ring.rfind(|&v| v % 2 == 0), Some(8), "newest match wins");
+        assert_eq!(ring.rfind(|&v| v < 6), None, "overwritten records are gone");
     }
 
     #[test]

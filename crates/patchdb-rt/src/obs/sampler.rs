@@ -50,12 +50,11 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{
-    fence, AtomicBool, AtomicU8, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use super::Switch;
 use crate::json::Json;
 
 /// Deepest span path a slot can mirror; deeper paths are truncated to
@@ -65,32 +64,17 @@ pub const MAX_DEPTH: usize = 32;
 /// The stack name reported for a sampled thread with no open frames.
 pub const IDLE_FRAME: &str = "(idle)";
 
-// 0 = uninitialized (consult PATCHDB_SAMPLER), 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
+static SWITCH: Switch = Switch::new("PATCHDB_SAMPLER");
 
-/// Whether span-path mirroring is on: one relaxed load on the fast
-/// path. The first call consults `PATCHDB_SAMPLER` (any value other
-/// than empty/`"0"` enables it).
+/// Whether span-path mirroring is on (the `PATCHDB_SAMPLER` [`Switch`]).
 #[inline]
 pub fn mirroring() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        s => s == 2,
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("PATCHDB_SAMPLER")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    SWITCH.on()
 }
 
 /// Programmatic override of the `PATCHDB_SAMPLER` toggle.
 pub fn set_mirroring(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    SWITCH.set(on);
 }
 
 /// The name-interning table: names in, dense `u32` ids out.

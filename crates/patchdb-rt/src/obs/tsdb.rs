@@ -6,9 +6,9 @@
 //! did this counter look like over the last ten minutes" — the question
 //! an operator asks when a burn-rate alert fires and they want the
 //! shape of the regression, not its instantaneous value. The tsdb keeps
-//! that history in bounded memory: each series is a ring of
-//! `(second, value)` slots sized by a configurable retention, reclaimed
-//! lazily on collision exactly like [`WindowHist`](super::WindowHist) —
+//! that history in bounded memory: each series is a
+//! [`SecondRing<f64>`](super::SecondRing) sized by a configurable
+//! retention, where a same-second write overwrites (last write wins) —
 //! rotation costs nothing when idle and one slot overwrite per second
 //! under load. The store never allocates past
 //! `series × retention × 16 bytes`, so a long-lived server's history
@@ -25,68 +25,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
+use super::SecondRing;
+
 /// Default per-series retention in seconds (10 minutes).
 pub const DEFAULT_RETENTION_S: usize = 600;
 
-/// Marks a ring slot that has never been written.
-const VACANT: u64 = u64::MAX;
-
-/// One fixed-capacity ring of per-second samples. Slot `second % len`
-/// covers absolute second `second`; a newer second reclaims the slot it
-/// collides with, an older one is dropped (it aged past the horizon).
-#[derive(Debug, Clone)]
-pub struct SeriesRing {
-    slots: Vec<(u64, f64)>,
-}
-
-impl SeriesRing {
-    /// A ring retaining `retention_s` one-second samples (clamped to at
-    /// least 1).
-    pub fn new(retention_s: usize) -> SeriesRing {
-        SeriesRing { slots: vec![(VACANT, 0.0); retention_s.max(1)] }
-    }
-
-    /// How many one-second samples the ring can hold.
-    pub fn retention_s(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Records the sample for absolute second `second`. A second the
-    /// ring already holds is overwritten (last write wins — the sampler
-    /// runs once per second, so this is the refresh path); a newer
-    /// second reclaims its colliding slot; an older-than-held second is
-    /// dropped rather than resurrecting evicted history.
-    pub fn record_at(&mut self, second: u64, value: f64) {
-        let idx = (second % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.0 != VACANT && slot.0 > second {
-            return; // late arrival from an evicted second
-        }
-        *slot = (second, value);
-    }
-
-    /// Every sample with a second in `(now_s - secs, now_s]`, ascending
-    /// by second. Lookback clamps to the retention; seconds newer than
-    /// `now_s` are excluded so a query at `now_s` is self-consistent.
-    pub fn query(&self, now_s: u64, secs: u64) -> Vec<(u64, f64)> {
-        if secs == 0 {
-            return Vec::new();
-        }
-        let lookback = secs.min(self.slots.len() as u64);
-        let oldest = now_s.saturating_sub(lookback - 1);
-        let mut out: Vec<(u64, f64)> = self
-            .slots
-            .iter()
-            .filter(|(s, _)| *s != VACANT && *s >= oldest && *s <= now_s)
-            .copied()
-            .collect();
-        out.sort_by_key(|&(s, _)| s);
-        out
-    }
-}
-
 struct Store {
-    series: BTreeMap<String, SeriesRing>,
+    series: BTreeMap<String, SecondRing<f64>>,
     retention_s: usize,
 }
 
@@ -109,23 +54,32 @@ pub fn retention_s() -> usize {
     store().lock().unwrap().retention_s
 }
 
+impl Store {
+    /// Writes `value` into the named series at `second`, creating the
+    /// series (at the configured retention) on first touch. A second
+    /// the ring already holds is overwritten — the sampler runs once
+    /// per second, so this is the refresh path.
+    fn put(&mut self, name: &str, second: u64, value: f64) {
+        let retention = self.retention_s;
+        let ring = self.series.entry(name.to_owned()).or_insert_with(|| SecondRing::new(retention));
+        if let Some(slot) = ring.slot_mut(second) {
+            *slot = value;
+        }
+    }
+}
+
 /// Records one sample into the named series at absolute second
 /// `second`, creating the series (at the configured retention) on first
 /// touch.
 pub fn record_at(name: &str, second: u64, value: f64) {
-    let mut st = store().lock().unwrap();
-    let retention = st.retention_s;
-    st.series
-        .entry(name.to_owned())
-        .or_insert_with(|| SeriesRing::new(retention))
-        .record_at(second, value);
+    store().lock().unwrap().put(name, second, value);
 }
 
 /// The named series over the trailing `secs` seconds ending at `now_s`,
 /// ascending by second. `None` when the series has never been recorded.
 pub fn query(name: &str, now_s: u64, secs: u64) -> Option<Vec<(u64, f64)>> {
     let st = store().lock().unwrap();
-    st.series.get(name).map(|ring| ring.query(now_s, secs))
+    st.series.get(name).map(|ring| ring.window(now_s, secs).map(|(s, &v)| (s, v)).collect())
 }
 
 /// Every series name currently held, ascending.
@@ -148,73 +102,22 @@ pub fn reset() {
 pub fn sample_registry(now_s: u64) {
     let snap = super::metrics_snapshot();
     let mut st = store().lock().unwrap();
-    let retention = st.retention_s;
-    let put = |series: &mut BTreeMap<String, SeriesRing>, name: String, value: f64| {
-        series
-            .entry(name)
-            .or_insert_with(|| SeriesRing::new(retention))
-            .record_at(now_s, value);
-    };
     for (name, value) in &snap.counters {
-        put(&mut st.series, name.clone(), *value as f64);
+        st.put(name, now_s, *value as f64);
     }
     for (name, value) in &snap.gauges {
-        put(&mut st.series, name.clone(), *value as f64);
+        st.put(name, now_s, *value as f64);
     }
     for (name, wh) in &snap.windows {
         let last = wh.merged(now_s, 1);
-        put(&mut st.series, format!("{name}.rate1s"), last.count() as f64);
-        put(&mut st.series, format!("{name}.p99_1s"), last.quantile(0.99) as f64);
+        st.put(&format!("{name}.rate1s"), now_s, last.count() as f64);
+        st.put(&format!("{name}.p99_1s"), now_s, last.quantile(0.99) as f64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_then_query_round_trips_in_second_order() {
-        let mut ring = SeriesRing::new(8);
-        ring.record_at(5, 1.5);
-        ring.record_at(3, 0.5);
-        ring.record_at(4, 1.0);
-        assert_eq!(ring.query(5, 8), vec![(3, 0.5), (4, 1.0), (5, 1.5)]);
-        assert_eq!(ring.query(5, 2), vec![(4, 1.0), (5, 1.5)]);
-        assert_eq!(ring.query(4, 8), vec![(3, 0.5), (4, 1.0)], "future samples excluded");
-    }
-
-    #[test]
-    fn newer_seconds_reclaim_and_older_are_dropped() {
-        let mut ring = SeriesRing::new(4);
-        ring.record_at(0, 10.0);
-        ring.record_at(4, 40.0); // collides with second 0, reclaims it
-        assert_eq!(ring.query(4, 4), vec![(4, 40.0)]);
-        ring.record_at(0, 99.0); // beyond the horizon: dropped
-        assert_eq!(ring.query(4, 4), vec![(4, 40.0)]);
-    }
-
-    #[test]
-    fn same_second_refreshes_in_place() {
-        let mut ring = SeriesRing::new(4);
-        ring.record_at(7, 1.0);
-        ring.record_at(7, 2.0);
-        assert_eq!(ring.query(7, 1), vec![(7, 2.0)]);
-    }
-
-    #[test]
-    fn lookback_clamps_to_retention_and_zero_is_empty() {
-        let mut ring = SeriesRing::new(4);
-        for s in 0..8u64 {
-            ring.record_at(s, s as f64);
-        }
-        assert_eq!(ring.query(7, 0), vec![]);
-        // Only the last 4 seconds survive the 4-slot ring.
-        assert_eq!(
-            ring.query(7, 100),
-            vec![(4, 4.0), (5, 5.0), (6, 6.0), (7, 7.0)]
-        );
-        assert_eq!(SeriesRing::new(0).retention_s(), 1);
-    }
 
     #[test]
     fn global_store_creates_series_lazily_and_resets() {

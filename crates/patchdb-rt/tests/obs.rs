@@ -2,13 +2,16 @@
 //! `fold_chunked` combine discipline) carry exactly the totals a
 //! single-threaded pass produces, at every thread count — the
 //! determinism story of the tentpole's "thread-aware registry" — plus
-//! the rolling-window and event-ring laws the serve-path telemetry
-//! leans on: window merges commute, windowed counts match a brute-force
-//! oracle over the event log, and the ring conserves pushed = held +
-//! dropped.
+//! the per-second-ring and event-ring laws the serve-path telemetry
+//! leans on: `SecondRing<Hist>` merges commute, every `SecondRing`
+//! instantiation (histogram, last-write-wins `f64`, `(good, bad)`
+//! tallies) matches a brute-force oracle over the event log, and the
+//! event ring conserves pushed = held + dropped.
+
+use std::collections::BTreeMap;
 
 use patchdb_rt::check::check;
-use patchdb_rt::obs::{self, EventRing, Shard, WindowHist};
+use patchdb_rt::obs::{self, EventRing, Hist, SecondRing, Shard};
 use patchdb_rt::par;
 
 /// Folds `items` into a shard exactly as an instrumented parallel pass
@@ -64,7 +67,7 @@ fn window_merge_is_commutative() {
         };
         let (ea, eb) = (events(g), events(g));
         let fill = |events: &[(u64, u64)]| {
-            let mut w = WindowHist::new(capacity);
+            let mut w: SecondRing<Hist> = SecondRing::new(capacity);
             for &(second, value) in events {
                 w.record_at(second, value);
             }
@@ -79,9 +82,11 @@ fn window_merge_is_commutative() {
     });
 }
 
-/// Windowed counts agree with a brute-force oracle over the raw event
-/// log, for every (now, window) pair — slot rotation and window-edge
-/// eviction can't silently double-count or resurrect seconds.
+/// Every `SecondRing` instantiation agrees with a brute-force oracle
+/// over the raw event log, for every (now, window) pair — slot rotation
+/// and window-edge eviction can't silently double-count, resurrect, or
+/// reorder seconds. One generated log drives all three: histogram
+/// counts, last-write-wins `f64` samples, and `(good, bad)` tallies.
 #[test]
 fn window_counts_match_the_event_log_oracle() {
     check("obs_window_count_oracle", 128, |g| {
@@ -94,24 +99,39 @@ fn window_counts_match_the_event_log_oracle() {
             second += g.u64_in(0, 3);
             (second, g.u64_in(0, 100))
         });
-        let mut w = WindowHist::new(capacity as usize);
+        let mut hists: SecondRing<Hist> = SecondRing::new(capacity as usize);
+        let mut samples: SecondRing<f64> = SecondRing::new(capacity as usize);
+        let mut tallies: SecondRing<(u64, u64)> = SecondRing::new(capacity as usize);
         for &(s, v) in &events {
-            w.record_at(s, v);
+            hists.record_at(s, v);
+            if let Some(slot) = samples.slot_mut(s) {
+                *slot = v as f64;
+            }
+            if let Some((good, bad)) = tallies.slot_mut(s) {
+                if v % 3 == 0 { *bad += 1 } else { *good += 1 }
+            }
         }
         let now = second;
-        for window in [1u64, 2, capacity, capacity + 7] {
-            let oracle = events
+        for window in [0u64, 1, 2, capacity, capacity + 7] {
+            // In the trailing window, and not rotated out of the ring.
+            let kept: Vec<(u64, u64)> = events
                 .iter()
-                .filter(|&&(s, _)| {
-                    // In the trailing window, and not rotated out of the ring.
-                    s + window > now && s + capacity > now && s <= now
-                })
-                .count() as u64;
-            assert_eq!(
-                w.count(now, window),
-                oracle,
-                "window {window} at now {now} (capacity {capacity}): {events:?}"
-            );
+                .copied()
+                .filter(|&(s, _)| s + window > now && s + capacity > now && s <= now)
+                .collect();
+            let ctx = format!("window {window} at now {now} (capacity {capacity}): {events:?}");
+
+            assert_eq!(hists.merged(now, window).count(), kept.len() as u64, "hist {ctx}");
+
+            let last: BTreeMap<u64, f64> = kept.iter().map(|&(s, v)| (s, v as f64)).collect();
+            let got: Vec<(u64, f64)> = samples.window(now, window).map(|(s, &v)| (s, v)).collect();
+            assert_eq!(got, last.into_iter().collect::<Vec<_>>(), "f64 {ctx}");
+
+            let bad = kept.iter().filter(|&&(_, v)| v % 3 == 0).count() as u64;
+            let got = tallies
+                .window(now, window)
+                .fold((0, 0), |(g, b), (_, &(dg, db))| (g + dg, b + db));
+            assert_eq!(got, (kept.len() as u64 - bad, bad), "tallies {ctx}");
         }
     });
 }
@@ -156,7 +176,7 @@ fn window_lookback_survives_multi_wrap_second_skips() {
     });
 
     fn for_each_skip(capacity: u64, busy: u64, wraps: u64, offset: u64) {
-        let mut w = WindowHist::new(capacity as usize);
+        let mut w: SecondRing<Hist> = SecondRing::new(capacity as usize);
         for s in 0..busy {
             w.record_at(s, 100 + s);
         }
@@ -172,13 +192,13 @@ fn window_lookback_survives_multi_wrap_second_skips() {
         // exclude them at every window width.
         for window in 1..=capacity {
             assert!(
-                w.count(jump, window) <= 1,
+                w.merged(jump, window).count() <= 1,
                 "stale slot counted at window {window} after skip to {jump}"
             );
         }
         // Recording into the current second keeps accumulating.
         w.record_at(jump, 9);
-        assert_eq!(w.count(jump, 1), 2);
+        assert_eq!(w.merged(jump, 1).count(), 2);
     }
 }
 

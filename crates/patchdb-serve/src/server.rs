@@ -69,8 +69,9 @@ pub struct ServeConfig {
     /// Requests at least this slow are kept as exemplars with their full
     /// stage breakdown, served by `GET /debug/slow`.
     pub slow_ms: u64,
-    /// How many finished requests `GET /debug/requests` retains
-    /// (overwrite-oldest ring; clamped to at least 1).
+    /// How many finished requests `GET /debug/requests` and
+    /// `GET /debug/trace/<id>` retain (one overwrite-oldest ring;
+    /// clamped to at least 1).
     pub debug_ring: usize,
     /// Whether HTTP/1.1 keep-alive is honored; `false` forces
     /// `Connection: close` on every response (the v1 protocol).

@@ -13,18 +13,18 @@
 //!
 //! The engine is fed one [`RequestRecord`](crate::telemetry::RequestRecord)
 //! per finished request and keeps per-second good/bad tallies in a
-//! fixed ring (lazy slot reclamation, same shape as the tsdb's
-//! [`SeriesRing`](patchdb_rt::obs::tsdb::SeriesRing)) sized to the
-//! longest window. Evaluation runs on the event loop's once-per-second
-//! tick: it publishes `serve.slo.*` gauges (milli-units — the registry
-//! stores integers) and backs `GET /debug/slo`. Like every observation
-//! layer here, the engine reads outcomes and never steers admission,
-//! routing, or response bytes.
+//! [`SecondRing<(u64, u64)>`](patchdb_rt::obs::SecondRing) — the same
+//! per-second slot ring behind the rolling windows and the tsdb — sized
+//! to the longest window. Evaluation runs on the event loop's
+//! once-per-second tick: it publishes `serve.slo.*` gauges (milli-units
+//! — the registry stores integers) and backs `GET /debug/slo`. Like
+//! every observation layer here, the engine reads outcomes and never
+//! steers admission, routing, or response bytes.
 
 use std::sync::Mutex;
 
 use patchdb_rt::json::Json;
-use patchdb_rt::obs;
+use patchdb_rt::obs::{self, SecondRing};
 
 use crate::server::ServeConfig;
 use crate::telemetry::RequestRecord;
@@ -34,9 +34,6 @@ pub(crate) const SLO_WINDOWS_S: [u64; 2] = [300, 3600];
 
 /// Ring retention: the longest window.
 const RETENTION_S: usize = 3600;
-
-/// Marks a never-written tally slot.
-const VACANT: u64 = u64::MAX;
 
 /// What a rule counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +57,9 @@ struct Rule {
 }
 
 impl Rule {
-    /// `(good, bad)` deltas this record contributes, or `None` when the
-    /// record is outside the rule's population.
+    /// Whether this record is good (`Some(true)`) or bad
+    /// (`Some(false)`) for the rule, or `None` when the record is
+    /// outside the rule's population.
     fn classify(&self, record: &RequestRecord) -> Option<bool> {
         match self.kind {
             RuleKind::IdentifyLatency => {
@@ -80,46 +78,9 @@ impl Rule {
     }
 }
 
-/// Per-second `(second, good, bad)` tallies in a fixed ring. Slot
-/// `second % len` covers absolute second `second`; a newer second
-/// reclaims its colliding slot, an older one is dropped.
-struct RateRing {
-    slots: Vec<(u64, u64, u64)>,
-}
-
-impl RateRing {
-    fn new(retention_s: usize) -> RateRing {
-        RateRing { slots: vec![(VACANT, 0, 0); retention_s.max(1)] }
-    }
-
-    fn add(&mut self, second: u64, good: u64, bad: u64) {
-        let idx = (second % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.0 == second {
-            slot.1 += good;
-            slot.2 += bad;
-            return;
-        }
-        if slot.0 != VACANT && slot.0 > second {
-            return; // late arrival from an evicted second
-        }
-        *slot = (second, good, bad);
-    }
-
-    /// Total `(good, bad)` over `(now_s - window_s, now_s]`.
-    fn totals(&self, now_s: u64, window_s: u64) -> (u64, u64) {
-        let window = window_s.min(self.slots.len() as u64).max(1);
-        let oldest = now_s.saturating_sub(window - 1);
-        let mut good = 0;
-        let mut bad = 0;
-        for &(s, g, b) in &self.slots {
-            if s != VACANT && s >= oldest && s <= now_s {
-                good += g;
-                bad += b;
-            }
-        }
-        (good, bad)
-    }
+/// Total `(good, bad)` over the trailing window `(now_s - window_s, now_s]`.
+fn totals(ring: &SecondRing<(u64, u64)>, now_s: u64, window_s: u64) -> (u64, u64) {
+    ring.window(now_s, window_s).fold((0, 0), |(good, bad), (_, &(g, b))| (good + g, bad + b))
 }
 
 /// Burn rate for the observed counts against an objective: the
@@ -138,9 +99,9 @@ fn burn_rate(good: u64, bad: u64, objective_pct: f64) -> f64 {
 /// The engine: declared rules plus their tally rings.
 pub(crate) struct SloEngine {
     rules: Vec<Rule>,
-    /// One ring per rule, same order; a single lock — the per-request
-    /// critical section is two integer adds.
-    rings: Mutex<Vec<RateRing>>,
+    /// One `(good, bad)` ring per rule, same order; a single lock — the
+    /// per-request critical section is one integer add per rule.
+    rings: Mutex<Vec<SecondRing<(u64, u64)>>>,
 }
 
 impl SloEngine {
@@ -160,7 +121,7 @@ impl SloEngine {
                 threshold_ns: None,
             },
         ];
-        let rings = rules.iter().map(|_| RateRing::new(RETENTION_S)).collect();
+        let rings = rules.iter().map(|_| SecondRing::new(RETENTION_S)).collect();
         SloEngine { rules, rings: Mutex::new(rings) }
     }
 
@@ -173,10 +134,9 @@ impl SloEngine {
     pub fn observe_at(&self, record: &RequestRecord, now_s: u64) {
         let mut rings = self.rings.lock().unwrap();
         for (rule, ring) in self.rules.iter().zip(rings.iter_mut()) {
-            match rule.classify(record) {
-                Some(true) => ring.add(now_s, 1, 0),
-                Some(false) => ring.add(now_s, 0, 1),
-                None => {}
+            let Some(good) = rule.classify(record) else { continue };
+            if let Some((g, b)) = ring.slot_mut(now_s) {
+                if good { *g += 1 } else { *b += 1 }
             }
         }
     }
@@ -188,7 +148,7 @@ impl SloEngine {
         let rings = self.rings.lock().unwrap();
         for (rule, ring) in self.rules.iter().zip(rings.iter()) {
             for &window_s in &SLO_WINDOWS_S {
-                let (good, bad) = ring.totals(now_s, window_s);
+                let (good, bad) = totals(ring, now_s, window_s);
                 let burn = burn_rate(good, bad, rule.objective_pct);
                 let label = if window_s == 300 { "5m" } else { "1h" };
                 obs::gauge_set(
@@ -196,7 +156,7 @@ impl SloEngine {
                     (burn * 1000.0).round() as i64,
                 );
             }
-            let (good, bad) = ring.totals(now_s, SLO_WINDOWS_S[1]);
+            let (good, bad) = totals(ring, now_s, SLO_WINDOWS_S[1]);
             let remaining = budget_remaining_pct(good, bad, rule.objective_pct);
             obs::gauge_set(
                 &format!("serve.slo.{}.budget_milli_pct", rule.name),
@@ -216,7 +176,7 @@ impl SloEngine {
                 let windows = SLO_WINDOWS_S
                     .iter()
                     .map(|&window_s| {
-                        let (good, bad) = ring.totals(now_s, window_s);
+                        let (good, bad) = totals(ring, now_s, window_s);
                         Json::Obj(vec![
                             ("window_s".into(), Json::Num(window_s as f64)),
                             ("good".into(), Json::Num(good as f64)),
@@ -228,7 +188,7 @@ impl SloEngine {
                         ])
                     })
                     .collect();
-                let (good, bad) = ring.totals(now_s, SLO_WINDOWS_S[1]);
+                let (good, bad) = totals(ring, now_s, SLO_WINDOWS_S[1]);
                 let mut fields = vec![
                     ("name".into(), Json::Str(rule.name.into())),
                     (
@@ -291,20 +251,6 @@ mod tests {
         assert_eq!(burn_rate(0, 0, 99.0), 0.0, "no traffic burns nothing");
         assert_eq!(budget_remaining_pct(100, 0, 99.0), 100.0);
         assert_eq!(budget_remaining_pct(0, 100, 99.0), 0.0, "clamped at zero");
-    }
-
-    #[test]
-    fn rate_ring_accumulates_within_second_and_reclaims() {
-        let mut ring = RateRing::new(4);
-        ring.add(10, 1, 0);
-        ring.add(10, 0, 1);
-        ring.add(11, 1, 0);
-        assert_eq!(ring.totals(11, 2), (2, 1));
-        assert_eq!(ring.totals(11, 1), (1, 0));
-        ring.add(14, 1, 0); // collides with second 10, reclaims
-        assert_eq!(ring.totals(14, 4), (2, 0));
-        ring.add(10, 5, 5); // beyond the horizon: dropped
-        assert_eq!(ring.totals(14, 4), (2, 0));
     }
 
     #[test]

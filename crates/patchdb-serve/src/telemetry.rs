@@ -86,6 +86,9 @@ pub(crate) struct RequestRecord {
     /// Per-shard compute nanoseconds for a scatter-gather fan-out, in
     /// shard order; empty when the request ran single-shard.
     pub shards: Vec<u64>,
+    /// Whether the tracing layer was on when the request finished — only
+    /// traced records answer `/debug/trace/<id>`. Not serialized.
+    pub traced: bool,
 }
 
 impl RequestRecord {
@@ -110,6 +113,7 @@ impl RequestRecord {
             generation: 0,
             cache: None,
             shards: Vec::new(),
+            traced: false,
         }
     }
 
@@ -238,9 +242,6 @@ pub(crate) struct Telemetry {
     /// `ts_ms` is read under this lock so log lines are written with
     /// strictly non-decreasing timestamps even under worker contention.
     access: Option<Mutex<AccessSink>>,
-    /// Finished records addressable by trace id for `/debug/trace/<id>`.
-    /// Fed only while the tracing layer is on.
-    traces: EventRing<RequestRecord>,
     /// The SLO burn-rate engine; every finished request feeds it.
     slo: SloEngine,
 }
@@ -272,7 +273,6 @@ impl Telemetry {
             slow: EventRing::new(SLOW_RING),
             slow_ns: config.slow_ms.saturating_mul(1_000_000),
             access: access.map(Mutex::new),
-            traces: EventRing::new(config.debug_ring),
             slo: SloEngine::new(config),
         })
     }
@@ -298,7 +298,8 @@ impl Telemetry {
     /// histograms, the debug ring, the slow-exemplar ring, and the
     /// access log. Called exactly once per accepted connection, after
     /// the response (if any) was written.
-    pub fn observe(&self, record: RequestRecord) {
+    pub fn observe(&self, mut record: RequestRecord) {
+        record.traced = crate::tracing_enabled();
         obs::window_record("serve.request.total_ns", record.total_ns);
         obs::window_record(
             &format!("serve.{}.total_ns", record.endpoint),
@@ -323,20 +324,19 @@ impl Telemetry {
             obs::counter_add("serve.slow_requests", 1);
             self.slow.push(record.clone());
         }
-        if crate::tracing_enabled() {
+        if record.traced {
             self.slo.observe(&record);
-            self.traces.push(record.clone());
         }
         self.ring.push(record);
     }
 
-    /// The `GET /debug/trace/<id>` document for the most recent finished
+    /// The `GET /debug/trace/<id>` document for the most recent traced
     /// request carrying `trace` — stage clocks, shard timings, cache
-    /// outcome, and pinned generation. `None` when no retained record
-    /// matches (never traced, or aged out of the ring).
+    /// outcome, and pinned generation — looked up in the debug ring.
+    /// `None` when no retained record matches (finished while tracing
+    /// was off, or aged out of the ring).
     pub fn debug_trace_json(&self, trace: &str) -> Option<Json> {
-        let records = self.traces.recent(self.traces.capacity());
-        let record = records.iter().rev().find(|r| r.trace == trace)?;
+        let record = self.ring.rfind(|r| r.traced && r.trace == trace)?;
         Some(Json::Obj(vec![
             ("schema".into(), Json::Str("patchdb-trace-request/v1".into())),
             ("trace_id".into(), Json::Str(record.trace.clone())),
@@ -552,5 +552,21 @@ mod tests {
         // The derived trace of request 2 resolves too; a stranger 404s.
         assert!(telemetry.debug_trace_json(&derived_trace(2)).is_some());
         assert!(telemetry.debug_trace_json("no-such-trace").is_none());
+
+        // Records that finished while tracing was off stay in the debug
+        // ring but are invisible to the trace view: a newer untraced
+        // record never shadows an older traced one with the same id...
+        let mut dark = record(3, 500);
+        dark.trace = "client-a".into();
+        dark.generation = 4;
+        telemetry.ring.push(dark);
+        let doc = telemetry.debug_trace_json("client-a").expect("traced record still found");
+        assert_eq!(doc.get("request").unwrap().get("id").and_then(Json::as_f64), Some(1.0));
+        // ...and an id seen only untraced is not found at all.
+        let mut unseen = record(4, 500);
+        unseen.trace = "client-dark".into();
+        telemetry.ring.push(unseen);
+        assert!(telemetry.debug_trace_json("client-dark").is_none());
+        assert_eq!(telemetry.ring.len(), 4, "untraced records stay in /debug/requests");
     }
 }

@@ -39,7 +39,7 @@ mod stats;
 mod structure;
 mod token;
 
-pub use abstraction::{abstract_tokens, AbstractedToken};
+pub use abstraction::{abstract_tokens, is_stable, AbstractedToken, Numbering};
 pub use ast::{parse_bodies, Stmt, StmtKind};
 pub use keywords::{is_keyword, Keyword};
 pub use lexer::{tokenize, tokenize_fragment, tokenize_with_comments};

@@ -5,8 +5,8 @@
 use patchdb_rt::check::check;
 
 use clang_lite::{
-    abstract_tokens, count_stats, find_if_statements, parse_bodies, tokenize, StmtKind,
-    TokenKind,
+    abstract_tokens, count_stats, find_if_statements, is_stable, parse_bodies, tokenize,
+    tokenize_fragment, StmtKind, Token, TokenKind,
 };
 
 /// Printable ASCII without newline, the analogue of proptest's `.`.
@@ -167,5 +167,32 @@ fn preprocessor_is_opaque() {
         let src = format!("#define X {body}\n");
         let toks = tokenize(&src);
         assert!(toks.iter().all(|t| t.kind == TokenKind::Preprocessor));
+    });
+}
+
+/// The lemma id-based abstraction rests on: a run of stable tokens,
+/// joined with spaces and re-lexed, gives back exactly those tokens, so
+/// abstracting the tokens equals abstracting the re-lexed text.
+#[test]
+fn stable_runs_survive_joining() {
+    const PIECES: &[&str] = &[
+        "a", "u8", "L", "R", "if", "0x1f", "1e", "1.5", "(", ")", ";", "->", "<<=", "/", "*",
+        ".", "#", "##", "\"s\"", "\"open", "'c'", "L\"w\"", "R\"(r)\"", "R\"(", "\\", "é",
+        "/* c */", "/*", "//", "\n", "\r",
+    ];
+    check("stable_runs_survive_joining", CASES, |g| {
+        let src: String = g
+            .vec_with(0, 30, |g| {
+                let sep = *g.pick(&[" ", "", "\t"]);
+                format!("{sep}{}", g.pick(PIECES))
+            })
+            .concat();
+        let toks = tokenize(&src);
+        for run in toks.split(|t| !is_stable(t)) {
+            let joined: Vec<&str> = run.iter().map(|t| t.text.as_str()).collect();
+            let relexed = tokenize_fragment(&joined.join(" "), 1);
+            let shape = |ts: &[Token]| ts.iter().map(|t| (t.kind, t.text.clone())).collect::<Vec<_>>();
+            assert_eq!(shape(&relexed), shape(run), "{src:?}");
+        }
     });
 }

@@ -1,8 +1,13 @@
 //! Generic Levenshtein edit distance, used by Table I features 49–56 to
 //! measure intra-hunk before/after similarity at the token level.
 
-/// Computes the Levenshtein distance between two sequences with the
-/// classic two-row dynamic program: O(|a|·|b|) time, O(min(|a|,|b|)) space.
+/// Computes the Levenshtein distance between two sequences.
+///
+/// The common prefix and suffix are stripped first: edit distance does
+/// not change under that strip, and the before/after sides of a hunk
+/// share their leading and trailing context. What remains goes through
+/// the classic two-row dynamic program: O(|a'|·|b'|) time and
+/// O(min(|a'|,|b'|)) space over the stripped middles `a'`, `b'`.
 ///
 /// ```rust
 /// use patchdb_features::levenshtein;
@@ -10,6 +15,11 @@
 /// assert_eq!(levenshtein::<u8>(&[], &[]), 0);
 /// ```
 pub fn levenshtein<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+    let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[prefix..], &b[prefix..]);
+    let suffix = a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[..a.len() - suffix], &b[..b.len() - suffix]);
+
     // Keep the shorter sequence as the DP row.
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {

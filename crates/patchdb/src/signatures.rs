@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use clang_lite::{abstract_tokens, tokenize, tokenize_fragment, Token, TokenKind};
+use clang_lite::{abstract_tokens, is_stable, tokenize, tokenize_fragment, Numbering, TokenKind};
 use patch_core::{LineKind, Patch};
 
 /// A signature derived from one hunk of a security patch.
@@ -99,14 +99,14 @@ pub fn test_presence(signature: &PatchSignature, target_source: &str) -> Presenc
 /// texts with spaces, re-lex the result as a fragment, abstract it, and
 /// compare with the signature shape. Doing that per window and per
 /// signature dominates a scan, so the target is tokenized once and each
-/// token is marked *stable* when re-lexing it inside a joined window
-/// must give back exactly that token. Windows of stable tokens are then
-/// abstracted token by token with no allocation, stopping at the first
-/// mismatch. A window that reaches an unstable token (a preprocessor
-/// line, an unterminated literal, a `#` that would open a directive, a
-/// byte sequence the lexer splits differently) takes the reference path
-/// instead; its abstraction does not depend on the signature, so it is
-/// memoized per `(start, len)`.
+/// token is marked *stable* ([`clang_lite::is_stable`]) when re-lexing
+/// it inside a joined window must give back exactly that token. Windows
+/// of stable tokens are then abstracted token by token with no
+/// allocation, stopping at the first mismatch. A window that reaches an
+/// unstable token (a preprocessor line, an unterminated literal, a `#`
+/// that would open a directive, a byte sequence the lexer splits
+/// differently) takes the reference path instead; its abstraction does
+/// not depend on the signature, so it is memoized per `(start, len)`.
 #[derive(Debug)]
 pub struct ScanTarget {
     texts: Vec<String>,
@@ -232,21 +232,6 @@ impl ScanTarget {
     }
 }
 
-/// True when re-lexing `token` inside a joined window must give back
-/// exactly `token`: `"{text} x"` lexes as the token itself and then `x`.
-/// An unterminated literal or a directive swallows the ` x`; a `#` opens
-/// a directive at the start of a fragment; bytes the lexer split in the
-/// source split differently on their own. The lexer treats the space
-/// exactly like the end of input, so this also covers a token that ends
-/// its window.
-fn is_stable(token: &Token) -> bool {
-    let relexed = tokenize_fragment(&format!("{} x", token.text), 1);
-    matches!(
-        relexed.as_slice(),
-        [t, x] if t.kind == token.kind && t.text == token.text && x.text == "x"
-    )
-}
-
 /// True when `canon` is exactly `format!("{prefix}{id}")`.
 fn is_placeholder(canon: &str, prefix: &str, id: usize) -> bool {
     canon.strip_prefix(prefix).is_some_and(|digits| {
@@ -254,40 +239,6 @@ fn is_placeholder(canon: &str, prefix: &str, id: usize) -> bool {
             && (digits == "0" || !digits.starts_with('0'))
             && digits.parse() == Ok(id)
     })
-}
-
-/// First-appearance numbering of interned identifiers within one window,
-/// reset in O(1) by moving to a new stamp.
-#[derive(Debug)]
-struct Numbering {
-    stamp_of: Vec<u32>,
-    id_of: Vec<usize>,
-    stamp: u32,
-    next: usize,
-}
-
-impl Numbering {
-    fn new(symbols: usize) -> Numbering {
-        Numbering { stamp_of: vec![0; symbols], id_of: vec![0; symbols], stamp: 0, next: 0 }
-    }
-
-    fn reset(&mut self) {
-        self.next = 0;
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.stamp_of.fill(0);
-            self.stamp = 1;
-        }
-    }
-
-    fn number(&mut self, sym: usize) -> usize {
-        if self.stamp_of[sym] != self.stamp {
-            self.stamp_of[sym] = self.stamp;
-            self.id_of[sym] = self.next;
-            self.next += 1;
-        }
-        self.id_of[sym]
-    }
 }
 
 /// Scans a set of targets with a signature database; returns

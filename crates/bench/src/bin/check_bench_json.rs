@@ -46,12 +46,10 @@
 //! * `patchdb-profile/v1` (`GET /debug/profile`) — positive `hz`,
 //!   non-negative `samples`, and a `folded` field passing the same
 //!   folded-stacks line checks.
-//! * `patchdb-trace-request/v1` (`GET /debug/trace/<id>`) — a string
+//! * `patchdb-trace-request/v2` (`GET /debug/trace/<id>`) — a string
 //!   `trace_id` matching the embedded request record's `trace`, a
 //!   boolean `supplied`, and a `request` object whose six stage
-//!   durations are non-negative and sum to at most `total_ns`; when the
-//!   record carries per-shard spans, each is non-negative and
-//!   `shard_imbalance_ns` equals their max-minus-min spread.
+//!   durations are non-negative and sum to at most `total_ns`.
 //! * `patchdb-timeseries/v1` (`GET /debug/timeseries`) — a string
 //!   `metric`, a positive `retention_s`, and a `points` array of
 //!   `{s, v}` samples with strictly increasing second stamps, none of
@@ -153,7 +151,7 @@ fn main() -> ExitCode {
         "patchdb-serve/v1" => check_serve(&json),
         "patchdb-serve/v2" => check_serve_v2(&json),
         "patchdb-profile/v1" => check_profile(&json),
-        "patchdb-trace-request/v1" => check_trace_request(&json),
+        "patchdb-trace-request/v2" => check_trace_request(&json),
         "patchdb-timeseries/v1" => check_timeseries(&json),
         "patchdb-slo/v1" => check_slo(&json),
         // Chrome trace-event documents carry no schema tag; dispatch on
@@ -553,8 +551,7 @@ fn check_profile(json: &Json) -> Result<String, String> {
 }
 
 /// A `/debug/trace/<id>` document: the trace id round-trips into the
-/// embedded request record, the stage clocks stay within `total_ns`,
-/// and any per-shard spans are coherent with the recorded imbalance.
+/// embedded request record, and the stage clocks stay within `total_ns`.
 fn check_trace_request(json: &Json) -> Result<String, String> {
     let trace_id =
         json.get("trace_id").and_then(Json::as_str).ok_or("no string `trace_id`")?;
@@ -590,27 +587,7 @@ fn check_trace_request(json: &Json) -> Result<String, String> {
     if stage_sum > total {
         return Err(format!("stage durations sum to {stage_sum} > total_ns {total}"));
     }
-    let mut summary = format!("trace {trace_id}, request {id}");
-    if let Some(shards) = request.get("shards").and_then(|s| s.as_arr()) {
-        let mut spans = Vec::with_capacity(shards.len());
-        for (i, s) in shards.iter().enumerate() {
-            let v = s.as_f64().ok_or(format!("shards[{i}] is not a number"))?;
-            if v < 0.0 {
-                return Err(format!("shards[{i}] = {v} is negative"));
-            }
-            spans.push(v);
-        }
-        let spread = spans.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - spans.iter().cloned().fold(f64::INFINITY, f64::min);
-        let imbalance = num("shard_imbalance_ns")?;
-        if imbalance != spread {
-            return Err(format!(
-                "shard_imbalance_ns {imbalance} != max-min spread {spread}"
-            ));
-        }
-        summary.push_str(&format!(", {} shard spans", spans.len()));
-    }
-    Ok(summary)
+    Ok(format!("trace {trace_id}, request {id}"))
 }
 
 /// A `/debug/timeseries` document: per-second samples in strictly

@@ -124,7 +124,8 @@ fn parse_hunk(lines: &[&str], start: usize) -> Result<(Hunk, usize), ParsePatchE
     let bad = || ParsePatchError::InvalidHunkHeader { line: start + 1, text: header.to_owned() };
 
     let body_idx = header.find(" @@").ok_or_else(bad)?;
-    let ranges = &header[3..body_idx]; // between "@@ " and " @@"
+    // Between "@@ " and " @@"; `@@ @@` finds its closer inside the opener.
+    let ranges = header.get(3..body_idx).ok_or_else(bad)?;
     let section = header[body_idx + 3..].trim_start().to_owned();
 
     let (old_part, new_part) = ranges.split_once(' ').ok_or_else(bad)?;

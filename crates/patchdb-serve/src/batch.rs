@@ -2,16 +2,11 @@
 //! batch window are scored through the forest as a single
 //! `predict_proba_batch` call instead of one tree-walk pass each.
 //!
-//! Two submission shapes share one batch:
-//!
-//! * **Synchronous** ([`Batcher::submit_timed`]): the caller blocks on a
-//!   per-job slot until its batch is scored — used by tests and any
-//!   caller outside the serve path.
-//! * **Detached** ([`Batcher::submit_detached`]): the caller hands over
-//!   an [`IdentifyTicket`] and returns immediately; the batcher thread
-//!   builds the response and completes it straight into the event
-//!   loop's mailbox. Workers are never parked on the batch window, so
-//!   batch pressure cannot starve the worker pool.
+//! Submission is detached ([`Batcher::submit_detached`]): the caller
+//! hands over an [`IdentifyTicket`] and returns immediately; the batcher
+//! thread builds the response and completes it straight into the event
+//! loop's mailbox. Workers are never parked on the batch window, so
+//! batch pressure cannot starve the worker pool.
 //!
 //! Because per-row scoring is a pure function of the fitted forest, a
 //! row's score is independent of which rows happened to share its batch
@@ -25,7 +20,7 @@ use patchdb_rt::json::Json;
 use patchdb_rt::obs;
 
 use crate::event_loop::{Completion, LoopShared};
-use crate::handle::{Generation, IndexHandle};
+use crate::handle::Generation;
 use crate::http::{render_head, Response};
 use crate::telemetry::{elapsed_ns, RequestRecord};
 
@@ -40,13 +35,6 @@ pub(crate) fn identify_response(score: f64) -> Response {
             ("security".into(), Json::Bool(score >= 0.5)),
         ]),
     )
-}
-
-/// One waiting request's result cell.
-#[derive(Default)]
-struct Slot {
-    result: Mutex<Option<f64>>,
-    ready: Condvar,
 }
 
 /// Everything needed to finish an identify request away from the
@@ -75,12 +63,10 @@ pub(crate) struct IdentifyTicket {
     pub index_gen: Arc<Generation>,
 }
 
-enum Job {
-    /// Test-only shape in production builds; the serve path is all
-    /// detached.
-    #[cfg_attr(not(test), allow(dead_code))]
-    Sync { row: Vec<f64>, slot: Arc<Slot> },
-    Detached { row: Vec<f64>, ticket: IdentifyTicket },
+/// One queued identify: its weighted feature row and completion route.
+struct Job {
+    row: Vec<f64>,
+    ticket: IdentifyTicket,
 }
 
 #[derive(Default)]
@@ -90,7 +76,6 @@ struct State {
 }
 
 struct Shared {
-    handle: IndexHandle,
     window: Duration,
     state: Mutex<State>,
     arrived: Condvar,
@@ -108,13 +93,8 @@ impl Batcher {
     /// Starts the batcher thread; returns the submit handle and the
     /// join handle for shutdown. Detached completions are published to
     /// `serve`.
-    pub(crate) fn start(
-        handle: IndexHandle,
-        window: Duration,
-        serve: Arc<LoopShared>,
-    ) -> (Batcher, JoinHandle<()>) {
+    pub(crate) fn start(window: Duration, serve: Arc<LoopShared>) -> (Batcher, JoinHandle<()>) {
         let shared = Arc::new(Shared {
-            handle,
             window,
             state: Mutex::new(State::default()),
             arrived: Condvar::new(),
@@ -126,43 +106,6 @@ impl Batcher {
             .spawn(move || run(&run_shared))
             .expect("spawn batcher thread");
         (Batcher { shared }, handle)
-    }
-
-    /// Scores one weighted feature row, blocking until its batch is
-    /// evaluated. After shutdown the row is scored inline instead — a
-    /// draining worker never deadlocks on a stopped batcher.
-    #[cfg(test)]
-    pub(crate) fn submit(&self, row: Vec<f64>) -> f64 {
-        self.submit_timed(row).0
-    }
-
-    /// Scores one row like [`submit`](Self::submit), also returning how
-    /// long the caller was blocked here in nanoseconds — the `batch`
-    /// stage of the request clock. Timing wraps the whole call (enqueue,
-    /// window wait, score, wake) so the stage covers everything the
-    /// caller could not spend computing.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn submit_timed(&self, row: Vec<f64>) -> (f64, u64) {
-        let entered = Instant::now();
-        let slot = Arc::new(Slot::default());
-        {
-            let mut state = self.shared.state.lock().unwrap();
-            if state.shutdown {
-                drop(state);
-                let current = self.shared.handle.load();
-                let score = current.index.score_rows(std::slice::from_ref(&row))[0];
-                return (score, elapsed_ns(entered));
-            }
-            state.pending.push(Job::Sync { row, slot: Arc::clone(&slot) });
-            obs::gauge_set("serve.batch.queue_depth", state.pending.len() as i64);
-        }
-        self.shared.arrived.notify_all();
-        let mut result = slot.result.lock().unwrap();
-        while result.is_none() {
-            result = slot.ready.wait(result).unwrap();
-        }
-        let score = result.unwrap();
-        (score, elapsed_ns(entered))
     }
 
     /// Queues one row for batch scoring and returns immediately; the
@@ -177,7 +120,7 @@ impl Batcher {
                 fulfill(&self.shared.serve, score, ticket);
                 return;
             }
-            state.pending.push(Job::Detached { row, ticket });
+            state.pending.push(Job { row, ticket });
             obs::gauge_set("serve.batch.queue_depth", state.pending.len() as i64);
         }
         self.shared.arrived.notify_all();
@@ -191,8 +134,8 @@ impl Batcher {
 }
 
 /// Finishes one detached identify: populates the pinned generation's
-/// cache, banks stage accounting, renders the response JSON (identical
-/// bytes to the synchronous path), and publishes the loop completion.
+/// cache, banks stage accounting, renders the response JSON, and
+/// publishes the loop completion.
 fn fulfill(serve: &LoopShared, score: f64, mut ticket: IdentifyTicket) {
     let body = std::mem::take(&mut ticket.body);
     ticket.index_gen.cache.insert(ticket.cache_key, body, score);
@@ -243,44 +186,21 @@ fn run(shared: &Shared) {
 
         obs::counter_add("serve.identify.batches", 1);
         obs::hist_record("serve.identify.batch_len", batch.len() as u64);
-        // Every detached job pinned a generation at admission; a batch
-        // that straddles an index swap is scored per generation group,
-        // so each row always goes through the exact model it pinned.
-        // Sync jobs (test-only) score through the current generation.
-        let mut sync: Vec<(Vec<f64>, Arc<Slot>)> = Vec::new();
-        let mut groups: Vec<(Arc<Generation>, Vec<(Vec<f64>, IdentifyTicket)>)> = Vec::new();
+        // Every job pinned a generation at admission; a batch that
+        // straddles an index swap is scored per generation group, so each
+        // row always goes through the exact model it pinned.
+        let mut groups: Vec<(Arc<Generation>, Vec<Job>)> = Vec::new();
         for job in batch {
-            match job {
-                Job::Sync { row, slot } => sync.push((row, slot)),
-                Job::Detached { row, ticket } => {
-                    match groups.iter_mut().find(|(g, _)| g.number == ticket.index_gen.number) {
-                        Some((_, jobs)) => jobs.push((row, ticket)),
-                        None => {
-                            let generation = Arc::clone(&ticket.index_gen);
-                            groups.push((generation, vec![(row, ticket)]));
-                        }
-                    }
-                }
-            }
-        }
-        if !sync.is_empty() {
-            let current = shared.handle.load();
-            let rows: Vec<Vec<f64>> = sync.iter().map(|(r, _)| r.clone()).collect();
-            let scores = current.index.score_rows(&rows);
-            for ((_, slot), score) in sync.into_iter().zip(scores) {
-                *slot.result.lock().unwrap() = Some(score);
-                slot.ready.notify_all();
+            match groups.iter_mut().find(|(g, _)| g.number == job.ticket.index_gen.number) {
+                Some((_, jobs)) => jobs.push(job),
+                None => groups.push((Arc::clone(&job.ticket.index_gen), vec![job])),
             }
         }
         for (generation, jobs) in groups {
-            let rows: Vec<Vec<f64>> = jobs.iter().map(|(r, _)| r.clone()).collect();
-            let (scores, shard_ns) = generation.index.score_rows_traced(&rows);
-            for ((_, mut ticket), score) in jobs.into_iter().zip(scores) {
-                // Every row in the group shares one scatter-gather, so
-                // each request's trace carries the same per-shard spans.
-                if crate::tracing_enabled() {
-                    ticket.rec.shards = shard_ns.clone();
-                }
+            let (rows, tickets): (Vec<Vec<f64>>, Vec<IdentifyTicket>) =
+                jobs.into_iter().map(|j| (j.row, j.ticket)).unzip();
+            let scores = generation.index.score_rows(&rows);
+            for (ticket, score) in tickets.into_iter().zip(scores) {
                 fulfill(&shared.serve, score, ticket);
             }
         }
@@ -290,6 +210,7 @@ fn run(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::IndexHandle;
     use crate::index::ServeIndex;
     use patchdb::{BuildOptions, PatchDb};
     use patchdb_features::FEATURE_DIM;
@@ -306,12 +227,42 @@ mod tests {
         Arc::new(LoopShared::new(waker))
     }
 
+    /// A fresh ticket for a request on loop slot `slot` carrying `body`,
+    /// pinned to `index_gen`.
+    fn ticket(slot: usize, body: &[u8], index_gen: &Arc<Generation>) -> IdentifyTicket {
+        let now = Instant::now();
+        IdentifyTicket {
+            slot,
+            generation: 1,
+            seq: 0,
+            started: now,
+            dispatch_started: now,
+            submitted: now,
+            close_after: false,
+            rec: RequestRecord::admitted(1, 0),
+            cache_key: crate::cache::cache_key(body),
+            body: body.to_vec(),
+            index_gen: Arc::clone(index_gen),
+        }
+    }
+
+    /// Waits until `n` completions have landed in the mailbox.
+    fn wait_for(shared: &LoopShared, n: usize) -> Vec<Completion> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut got = Vec::new();
+        while got.len() < n {
+            got.extend(shared.take_for_test());
+            assert!(Instant::now() < deadline, "batcher completed {} of {n} jobs", got.len());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        got
+    }
+
     #[test]
     fn batched_scores_equal_direct_scores() {
-        let index_handle = tiny_handle();
-        let generation = index_handle.load();
-        let (batcher, handle) =
-            Batcher::start(index_handle, Duration::from_millis(5), loop_shared());
+        let generation = tiny_handle().load();
+        let shared = loop_shared();
+        let (batcher, handle) = Batcher::start(Duration::from_millis(5), Arc::clone(&shared));
         let db = PatchDb::build(&BuildOptions::tiny(3).synthesize(false)).db;
         let rows: Vec<Vec<f64>> = db
             .security_patches()
@@ -319,88 +270,69 @@ mod tests {
             .map(|r| generation.index.weighted_features(&r.patch))
             .collect();
         let direct = generation.index.score_rows(&rows);
-        let batched: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .iter()
-                .map(|row| {
-                    let b = batcher.clone();
-                    let row = row.clone();
-                    scope.spawn(move || b.submit(row))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(batched, direct, "batch composition leaked into scores");
+        for (slot, row) in rows.into_iter().enumerate() {
+            let body = format!("body {slot}");
+            batcher.submit_detached(row, ticket(slot, body.as_bytes(), &generation));
+        }
+        let mut completions = wait_for(&shared, direct.len());
+        completions.sort_by_key(|c| c.slot);
+        for (c, score) in completions.iter().zip(&direct) {
+            let want = identify_response(*score).body;
+            assert_eq!(c.body, want, "batch composition leaked into slot {}", c.slot);
+        }
         batcher.shutdown();
         handle.join().unwrap();
     }
 
     #[test]
-    fn submit_timed_reports_the_blocked_interval() {
-        let index_handle = tiny_handle();
-        let generation = index_handle.load();
-        let (batcher, handle) =
-            Batcher::start(index_handle, Duration::from_millis(2), loop_shared());
-        let row = vec![0.0; FEATURE_DIM];
-        let direct = generation.index.score_rows(std::slice::from_ref(&row))[0];
-        let (score, wait_ns) = batcher.submit_timed(row);
-        assert_eq!(score, direct);
-        assert!(wait_ns > 0, "a 2 ms batch window implies a measurable wait");
+    fn detached_jobs_report_the_batch_window_as_their_batch_stage() {
+        let generation = tiny_handle().load();
+        let shared = loop_shared();
+        let window = Duration::from_millis(2);
+        let (batcher, handle) = Batcher::start(window, Arc::clone(&shared));
+        batcher.submit_detached(vec![0.0; FEATURE_DIM], ticket(0, b"x", &generation));
+        let completion = wait_for(&shared, 1).pop().unwrap();
+        assert!(
+            completion.rec.batch_ns >= window.as_nanos() as u64,
+            "the batch stage ({} ns) must cover the {window:?} window",
+            completion.rec.batch_ns
+        );
         batcher.shutdown();
         handle.join().unwrap();
     }
 
     #[test]
     fn submit_after_shutdown_scores_inline() {
-        let (batcher, handle) =
-            Batcher::start(tiny_handle(), Duration::from_millis(1), loop_shared());
+        let generation = tiny_handle().load();
+        let shared = loop_shared();
+        let (batcher, handle) = Batcher::start(Duration::from_millis(1), Arc::clone(&shared));
         batcher.shutdown();
         handle.join().unwrap();
-        let score = batcher.submit(vec![0.0; FEATURE_DIM]);
-        assert!((0.0..=1.0).contains(&score));
+        let row = vec![0.0; FEATURE_DIM];
+        let direct = generation.index.score_rows(std::slice::from_ref(&row))[0];
+        batcher.submit_detached(row, ticket(5, b"late", &generation));
+        // No batcher thread is left, so the completion must already be
+        // in the mailbox when `submit_detached` returns.
+        let completions = shared.take_for_test();
+        assert_eq!(completions.len(), 1, "a stopped batcher must complete inline");
+        assert_eq!(completions[0].slot, 5);
+        assert_eq!(completions[0].body, identify_response(direct).body);
+        let key = crate::cache::cache_key(b"late");
+        assert_eq!(generation.cache.lookup(key, b"late"), Some(direct));
     }
 
     #[test]
     fn detached_jobs_complete_into_the_mailbox() {
-        let index_handle = tiny_handle();
-        let generation = index_handle.load();
+        let generation = tiny_handle().load();
         let shared = loop_shared();
-        let (batcher, handle) = Batcher::start(
-            index_handle.clone(),
-            Duration::from_millis(1),
-            Arc::clone(&shared),
-        );
+        let (batcher, handle) = Batcher::start(Duration::from_millis(1), Arc::clone(&shared));
         let row = vec![0.0; FEATURE_DIM];
         let direct = generation.index.score_rows(std::slice::from_ref(&row))[0];
-        let now = Instant::now();
-        let body_bytes = b"diff --git a/x b/x".to_vec();
-        let key = crate::cache::cache_key(&body_bytes);
-        batcher.submit_detached(
-            row,
-            IdentifyTicket {
-                slot: 3,
-                generation: 9,
-                seq: 0,
-                started: now,
-                dispatch_started: now,
-                submitted: now,
-                close_after: false,
-                rec: RequestRecord::admitted(1, 0),
-                cache_key: key,
-                body: body_bytes.clone(),
-                index_gen: Arc::clone(&generation),
-            },
-        );
-        // Wait for the completion to land.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let completion = loop {
-            let mut got = shared.take_for_test();
-            if let Some(c) = got.pop() {
-                break c;
-            }
-            assert!(Instant::now() < deadline, "batcher never completed the job");
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let body_bytes = b"diff --git a/x b/x";
+        let mut sent = ticket(3, body_bytes, &generation);
+        sent.generation = 9;
+        batcher.submit_detached(row, sent);
+        let completion = wait_for(&shared, 1).pop().unwrap();
         assert_eq!(completion.slot, 3);
         assert_eq!(completion.generation, 9);
         assert!(completion.rec.batch_ns > 0);
@@ -409,7 +341,7 @@ mod tests {
         let head = String::from_utf8(completion.head.clone()).unwrap();
         assert!(head.contains("Connection: keep-alive"), "{head}");
         assert_eq!(
-            generation.cache.lookup(key, &body_bytes),
+            generation.cache.lookup(crate::cache::cache_key(body_bytes), body_bytes),
             Some(direct),
             "fulfill must populate the pinned generation's identify cache"
         );
@@ -422,11 +354,7 @@ mod tests {
         let index_handle = tiny_handle();
         let pinned = index_handle.load();
         let shared = loop_shared();
-        let (batcher, handle) = Batcher::start(
-            index_handle.clone(),
-            Duration::from_millis(1),
-            Arc::clone(&shared),
-        );
+        let (batcher, handle) = Batcher::start(Duration::from_millis(1), Arc::clone(&shared));
         let row = vec![0.25; FEATURE_DIM];
         let direct = pinned.index.score_rows(std::slice::from_ref(&row))[0];
         // Swap in a different index (different dataset size → different
@@ -434,33 +362,8 @@ mod tests {
         index_handle.swap(ServeIndex::build(
             PatchDb::build(&BuildOptions::tiny(7).synthesize(false)).db,
         ));
-        let now = Instant::now();
-        let body_bytes = b"diff --git a/y b/y".to_vec();
-        batcher.submit_detached(
-            row,
-            IdentifyTicket {
-                slot: 0,
-                generation: 1,
-                seq: 0,
-                started: now,
-                dispatch_started: now,
-                submitted: now,
-                close_after: false,
-                rec: RequestRecord::admitted(1, 0),
-                cache_key: crate::cache::cache_key(&body_bytes),
-                body: body_bytes,
-                index_gen: Arc::clone(&pinned),
-            },
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let completion = loop {
-            let mut got = shared.take_for_test();
-            if let Some(c) = got.pop() {
-                break c;
-            }
-            assert!(Instant::now() < deadline, "batcher never completed the job");
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        batcher.submit_detached(row, ticket(0, b"diff --git a/y b/y", &pinned));
+        let completion = wait_for(&shared, 1).pop().unwrap();
         let body = String::from_utf8(completion.body).unwrap();
         assert!(
             body.contains(&format!("\"score\":{direct}")),

@@ -262,8 +262,6 @@ pub(crate) struct EventLoop {
     handle: IndexHandle,
     /// SIGHUP rebuild source (`None` = the signal is ignored).
     reload: Option<ReloadSource>,
-    /// Shard count for SIGHUP rebuilds.
-    shards: usize,
     /// Last process second the tsdb sampler and SLO evaluation ran for;
     /// the loop drives both once per second from its own thread.
     last_sampled_s: u64,
@@ -307,7 +305,6 @@ impl EventLoop {
             next_tick_emit: None,
             handle,
             reload: config.reload_source(),
-            shards: config.shards.max(1),
             last_sampled_s: u64::MAX,
         }
     }
@@ -517,11 +514,10 @@ impl EventLoop {
         let Some(source) = self.reload.clone() else { return };
         obs::counter_add("serve.index.sighup", 1);
         let handle = self.handle.clone();
-        let shards = self.shards;
         let spawned = std::thread::Builder::new()
             .name("patchdb-serve-reload".into())
             .spawn(move || {
-                if let Err(e) = reload(&handle, &source, shards) {
+                if let Err(e) = reload(&handle, &source) {
                     obs::counter_add("serve.index.reload_failed", 1);
                     eprintln!("patchdb-serve: SIGHUP reload failed: {e}");
                 }

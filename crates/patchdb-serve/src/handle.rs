@@ -1,5 +1,5 @@
 //! The live-index handle: an atomically swappable, generation-counted
-//! pointer to the currently served [`ShardedIndex`].
+//! pointer to the currently served [`ServeIndex`].
 //!
 //! The swap protocol is copy-on-write and readers never block:
 //!
@@ -28,13 +28,12 @@ use patchdb_rt::obs;
 
 use crate::cache::IdentifyCache;
 use crate::index::ServeIndex;
-use crate::shard::ShardedIndex;
 
 /// One immutable served generation: the index plus its private
 /// identify cache.
 pub(crate) struct Generation {
     pub(crate) number: u64,
-    pub(crate) index: ShardedIndex,
+    pub(crate) index: ServeIndex,
     pub(crate) cache: IdentifyCache,
 }
 
@@ -49,13 +48,9 @@ pub struct IndexHandle {
 }
 
 impl IndexHandle {
-    /// Wraps an index (already sharded or not) as generation 1.
-    pub fn new(index: impl Into<ShardedIndex>) -> IndexHandle {
-        let generation = Arc::new(Generation {
-            number: 1,
-            index: index.into(),
-            cache: IdentifyCache::new(),
-        });
+    /// Wraps an index as generation 1.
+    pub fn new(index: ServeIndex) -> IndexHandle {
+        let generation = Arc::new(Generation { number: 1, index, cache: IdentifyCache::new() });
         obs::gauge_set("serve.index.generation", 1);
         IndexHandle { current: Arc::new(Mutex::new(generation)) }
     }
@@ -77,8 +72,7 @@ impl IndexHandle {
     /// they pinned at admission; requests admitted after this call see
     /// the new one. The critical section is a pointer exchange — no
     /// reader ever waits on an index build.
-    pub fn swap(&self, index: impl Into<ShardedIndex>) -> u64 {
-        let index = index.into();
+    pub fn swap(&self, index: ServeIndex) -> u64 {
         let swap_started = Instant::now();
         let number = {
             let mut current = self.current.lock().expect("index handle poisoned");
@@ -106,12 +100,6 @@ impl IndexHandle {
 
 impl From<ServeIndex> for IndexHandle {
     fn from(index: ServeIndex) -> Self {
-        IndexHandle::new(ShardedIndex::single(index))
-    }
-}
-
-impl From<ShardedIndex> for IndexHandle {
-    fn from(index: ShardedIndex) -> Self {
         IndexHandle::new(index)
     }
 }
@@ -126,14 +114,10 @@ pub enum ReloadSource {
     Snapshot(String),
 }
 
-/// Builds the next generation from `source`, shards it `shards` ways,
-/// and swaps it in. The entire build happens before the swap — traffic
-/// keeps flowing against the old generation throughout.
-pub(crate) fn reload(
-    handle: &IndexHandle,
-    source: &ReloadSource,
-    shards: usize,
-) -> Result<u64, Error> {
+/// Builds the next generation from `source` and swaps it in. The
+/// entire build happens before the swap — traffic keeps flowing against
+/// the old generation throughout.
+pub(crate) fn reload(handle: &IndexHandle, source: &ReloadSource) -> Result<u64, Error> {
     let started = Instant::now();
     let index = match source {
         ReloadSource::Dataset(path) => {
@@ -142,7 +126,7 @@ pub(crate) fn reload(
         }
         ReloadSource::Snapshot(path) => ServeIndex::load_snapshot(path)?,
     };
-    let number = handle.swap(ShardedIndex::from_index(index, shards));
+    let number = handle.swap(index);
     obs::hist_record("serve.index.reload_ns", started.elapsed().as_nanos() as u64);
     Ok(number)
 }
@@ -152,39 +136,41 @@ mod tests {
     use super::*;
     use patchdb::BuildOptions;
 
-    fn built_index() -> ServeIndex {
-        ServeIndex::build(PatchDb::build(&BuildOptions::tiny(5).synthesize(false)).db)
+    fn tiny(seed: u64) -> ServeIndex {
+        ServeIndex::build(PatchDb::build(&BuildOptions::tiny(seed).synthesize(false)).db)
     }
 
     #[test]
     fn swap_bumps_generation_and_pins_old_readers() {
-        let handle = IndexHandle::from(built_index());
+        let handle = IndexHandle::from(tiny(5));
         assert_eq!(handle.generation(), 1);
         let pinned = handle.load();
         let sigs_before = pinned.index.signature_count();
-        let new_number = handle.swap(ShardedIndex::from_index(built_index(), 2));
+        let next = tiny(7);
+        let sigs_after = next.signature_count();
+        assert_ne!(sigs_before, sigs_after, "the two generations must be distinguishable");
+        let new_number = handle.swap(next);
         assert_eq!(new_number, 2);
         assert_eq!(handle.generation(), 2);
         // The pinned generation still answers from the old index.
         assert_eq!(pinned.number, 1);
         assert_eq!(pinned.index.signature_count(), sigs_before);
-        assert_eq!(pinned.index.shard_count(), 1);
-        assert_eq!(handle.load().index.shard_count(), 2);
+        assert_eq!(handle.load().index.signature_count(), sigs_after);
     }
 
     #[test]
     fn clones_share_the_same_current_generation() {
-        let handle = IndexHandle::from(built_index());
+        let handle = IndexHandle::from(tiny(5));
         let clone = handle.clone();
-        handle.swap(ShardedIndex::single(built_index()));
+        handle.swap(tiny(5));
         assert_eq!(clone.generation(), 2);
     }
 
     #[test]
     fn reload_rejects_a_missing_source() {
-        let handle = IndexHandle::from(built_index());
+        let handle = IndexHandle::from(tiny(5));
         let missing = ReloadSource::Dataset("/nonexistent/patchdb.json".into());
-        assert!(matches!(reload(&handle, &missing, 1), Err(Error::Io(_))));
+        assert!(matches!(reload(&handle, &missing), Err(Error::Io(_))));
         // A failed reload must leave the served generation untouched.
         assert_eq!(handle.generation(), 1);
     }

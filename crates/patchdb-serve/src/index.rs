@@ -1,13 +1,12 @@
 //! The in-memory query index: everything hot paths need, precomputed at
 //! load time so no request ever re-parses or re-fits anything.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use patch_core::{CommitId, Patch};
 use patchdb::{
-    classify_patch, signatures_of, DatasetStats, Error, PatchCategory, PatchDb,
-    PatchSignature, PresenceVerdict, ScanTarget, Source, ALL_CATEGORIES,
+    classify_patch, signatures_of, Error, PatchDb, PatchSignature, PresenceVerdict,
+    ScanTarget, Source, ALL_CATEGORIES,
 };
 use patchdb_features::{apply_weights, extract, learn_weights, Weights};
 use patchdb_ml::{Classifier, Dataset, RandomForest};
@@ -114,8 +113,7 @@ impl ServeIndex {
     }
 
     /// Reassembles an index from already-built parts — the snapshot
-    /// loader and the shard splitter, which must never re-run the
-    /// learning pipeline.
+    /// loader, which must never re-run the learning pipeline.
     pub(crate) fn from_parts(
         db: PatchDb,
         weights: Weights,
@@ -125,20 +123,11 @@ impl ServeIndex {
         ServeIndex { db, weights, forest, signatures }
     }
 
-    /// Read access to every built part, for the snapshot encoder and
-    /// the shard splitter.
+    /// Read access to every built part, for the snapshot encoder.
     pub(crate) fn parts(
         &self,
     ) -> (&PatchDb, &Weights, Option<&RandomForest>, &[SignatureEntry]) {
         (&self.db, &self.weights, self.forest.as_ref(), &self.signatures)
-    }
-
-    /// Consumes the index into its parts (the shard splitter moves the
-    /// dataset instead of cloning it).
-    pub(crate) fn into_parts(
-        self,
-    ) -> (PatchDb, Weights, Option<RandomForest>, Vec<SignatureEntry>) {
-        (self.db, self.weights, self.forest, self.signatures)
     }
 
     /// Persists the built index as a `patchdb-snapshot/v1` file; a
@@ -205,92 +194,17 @@ impl ServeIndex {
         outcome
     }
 
-    /// The raw, additive statistics behind `/v1/stats`. Counts over
-    /// disjoint record subsets sum, so N shards' parts merged with
-    /// [`StatsParts::merge`] and rendered once are byte-identical to the
-    /// unsharded document — the normalizing division happens exactly
-    /// once, on identical integers.
-    pub(crate) fn stats_parts(&self) -> StatsParts {
-        let (category_counts, labeled) =
-            PatchDb::category_counts(self.db.security_patches());
-        StatsParts {
-            stats: self.db.stats(),
-            signatures: self.signatures.len(),
-            category_counts,
-            labeled,
-        }
-    }
-
     /// The `/v1/stats` document: headline counts, signature count, and
     /// the ground-truth category distribution in Table V order.
     pub fn stats_json(&self) -> Json {
-        self.stats_parts().render()
-    }
-
-    /// Prefix lookup returning the match count alongside the rendered
-    /// record (of the first match). The caller decides uniqueness —
-    /// a sharded index sums counts across shards before trusting any
-    /// single shard's "unique" hit.
-    pub(crate) fn patch_lookup(&self, id: &str) -> (usize, Option<Json>) {
-        let (hits, first) = self.db.find_patch_counted(id);
-        (hits, first.map(render_patch))
-    }
-
-    /// The `/v1/patch/<id>` document, `None` when the id resolves to no
-    /// unique record.
-    pub fn patch_json(&self, id: &str) -> Option<Json> {
-        match self.patch_lookup(id) {
-            (1, json) => json,
-            _ => None,
-        }
-    }
-
-    /// The `/v1/classify` document for one parsed patch.
-    pub fn classify_json(&self, patch: &Patch) -> Json {
-        let category = classify_patch(patch);
-        Json::Obj(vec![
-            ("type_id".into(), Json::Num(category.type_id() as f64)),
-            ("label".into(), Json::Str(category.label().to_owned())),
-        ])
-    }
-}
-
-/// Additive `/v1/stats` statistics: headline counts, signature count,
-/// and *raw* category counts (normalization is deferred to rendering so
-/// shard merges stay exact).
-#[derive(Debug, Clone)]
-pub(crate) struct StatsParts {
-    pub(crate) stats: DatasetStats,
-    pub(crate) signatures: usize,
-    pub(crate) category_counts: HashMap<PatchCategory, usize>,
-    pub(crate) labeled: usize,
-}
-
-impl StatsParts {
-    /// Folds another shard's parts into this one (disjoint subsets, so
-    /// every field adds).
-    pub(crate) fn merge(&mut self, other: &StatsParts) {
-        self.stats.nvd_security += other.stats.nvd_security;
-        self.stats.wild_security += other.stats.wild_security;
-        self.stats.non_security += other.stats.non_security;
-        self.stats.synthetic_security += other.stats.synthetic_security;
-        self.stats.synthetic_non_security += other.stats.synthetic_non_security;
-        self.signatures += other.signatures;
-        for (c, n) in &other.category_counts {
-            *self.category_counts.entry(*c).or_insert(0) += n;
-        }
-        self.labeled += other.labeled;
-    }
-
-    /// Renders the `/v1/stats` document — the single code path both the
-    /// unsharded and the merged sharded answers go through.
-    pub(crate) fn render(&self) -> Json {
-        let s = &self.stats;
-        let total = self.labeled.max(1) as f64;
+        let s = self.db.stats();
+        let (category_counts, labeled) =
+            PatchDb::category_counts(self.db.security_patches());
+        let total = labeled.max(1) as f64;
         let categories = ALL_CATEGORIES
             .into_iter()
             .map(|c| {
-                let n = self.category_counts.get(&c).copied().unwrap_or(0);
+                let n = category_counts.get(&c).copied().unwrap_or(0);
                 (c.label().to_owned(), Json::Num(n as f64 / total))
             })
             .collect();
@@ -303,14 +217,28 @@ impl StatsParts {
                 "synthetic_non_security".into(),
                 Json::Num(s.synthetic_non_security as f64),
             ),
-            ("signatures".into(), Json::Num(self.signatures as f64)),
+            ("signatures".into(), Json::Num(self.signatures.len() as f64)),
             ("categories".into(), Json::Obj(categories)),
+        ])
+    }
+
+    /// The `/v1/patch/<id>` document, `None` when the id resolves to no
+    /// unique record.
+    pub fn patch_json(&self, id: &str) -> Option<Json> {
+        self.db.find_patch(id).map(render_patch)
+    }
+
+    /// The `/v1/classify` document for one parsed patch.
+    pub fn classify_json(&self, patch: &Patch) -> Json {
+        let category = classify_patch(patch);
+        Json::Obj(vec![
+            ("type_id".into(), Json::Num(category.type_id() as f64)),
+            ("label".into(), Json::Str(category.label().to_owned())),
         ])
     }
 }
 
-/// The `/v1/patch/<id>` record document — one renderer shared by the
-/// unsharded and sharded lookup paths.
+/// The `/v1/patch/<id>` record document.
 fn render_patch(r: &patchdb::PatchRecord) -> Json {
     let source = match r.source {
         Source::Nvd => "nvd",

@@ -26,7 +26,7 @@
 //! | `/debug/slow`        | GET    | slow-request exemplars above `--slow-ms`        |
 //! | `/debug/flight`      | GET    | recent flight-recorder journal as a Chrome trace|
 //! | `/debug/profile`     | GET    | sampling profile (`?seconds=&hz=`), folded stacks|
-//! | `/debug/trace/<id>`  | GET    | one request by trace id: stages, shards, cache  |
+//! | `/debug/trace/<id>`  | GET    | one request by trace id: stages, cache          |
 //! | `/debug/timeseries`  | GET    | per-second metric history (`?metric=&secs=`)    |
 //! | `/debug/slo`         | GET    | objectives, multi-window burn rates, budgets    |
 //!
@@ -62,8 +62,7 @@
 //! Responses are deterministic: the same request against the same
 //! dataset yields byte-identical bodies at any worker count or batch
 //! composition (`tests/serve.rs` pins threads 1 vs 8), whether the
-//! index was pipeline-built or booted from a binary snapshot, and at
-//! any shard count.
+//! index was pipeline-built or booted from a binary snapshot.
 //!
 //! ## Index lifecycle
 //!
@@ -76,9 +75,7 @@
 //! the configured [`ReloadSource`] entirely off the handle, then swaps
 //! it in: in-flight requests keep the generation they pinned at
 //! admission, new requests see the new one, and readers never block.
-//! [`ShardedIndex`] partitions one logical index across N shards with
-//! deterministic scatter-gather merges that are byte-identical to the
-//! 1-shard answers. Non-2xx responses share one JSON error envelope:
+//! Non-2xx responses share one JSON error envelope:
 //! `{"error": {"code": ..., "message": ...}}`.
 //!
 //! Every non-2xx response body is that envelope; `code` is an HTTP
@@ -108,7 +105,6 @@ mod handle;
 mod http;
 mod index;
 mod server;
-mod shard;
 mod slo;
 mod snapshot;
 mod telemetry;
@@ -117,7 +113,6 @@ pub use handle::{IndexHandle, ReloadSource};
 pub use http::{Request, Response};
 pub use index::{ScanMatch, ScanOutcome, ServeIndex};
 pub use server::{ServeConfig, Server};
-pub use shard::ShardedIndex;
 pub use snapshot::Snapshot;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,9 +121,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Mirrors the PR 8 pattern for the flight recorder and sampler: a
 /// relaxed atomic read on the hot path, flippable live so a bench can
 /// price the layer with paired off/on drives on one server. Gates only
-/// *observation* — trace-ring pushes, per-shard attribution, registry
-/// sampling, SLO accounting. Response bytes never change; the
-/// `X-Patchdb-*` correlation headers are always emitted.
+/// *observation* — trace-ring pushes, registry sampling, SLO
+/// accounting. Response bytes never change; the `X-Patchdb-*`
+/// correlation headers are always emitted.
 static TRACING: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables the tracing/tsdb/SLO observation layer.

@@ -98,11 +98,6 @@ pub struct ServeConfig {
     /// Whether threads mirror their span path into the sampler's seqlock
     /// slots, enabling `GET /debug/profile`. Purely observational.
     pub sampler: bool,
-    /// How many ways `/admin/reload` and SIGHUP rebuilds shard the next
-    /// generation (clamped to at least 1). The *initial* index is
-    /// sharded by the caller (pass a `ShardedIndex` to
-    /// [`Server::start`]); this knob only governs swapped-in rebuilds.
-    pub shards: usize,
     /// The snapshot file this server booted from, if any. Doubles as
     /// the default reload source when `reload` is unset.
     pub snapshot: Option<String>,
@@ -111,9 +106,9 @@ pub struct ServeConfig {
     /// reload: `/admin/reload` answers `409` and SIGHUP is ignored.
     pub reload: Option<ReloadSource>,
     /// Whether the tracing/tsdb/SLO layer observes: trace-ring pushes,
-    /// per-shard attribution, per-second registry sampling, and SLO
-    /// accounting. Purely observational — response bytes are identical
-    /// either way, and the `X-Patchdb-*` headers are always emitted.
+    /// per-second registry sampling, and SLO accounting. Purely
+    /// observational — response bytes are identical either way, and the
+    /// `X-Patchdb-*` headers are always emitted.
     pub tracing: bool,
     /// Per-series retention of the embedded metrics time-series store,
     /// in seconds of one-second samples.
@@ -144,7 +139,6 @@ impl Default for ServeConfig {
             access_log_max_mb: 0,
             flight: true,
             sampler: true,
-            shards: 1,
             snapshot: None,
             reload: None,
             tracing: true,
@@ -246,12 +240,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the reload shard count (clamped to at least 1).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
-
     /// Records the snapshot file this server boots from (also the
     /// default reload source).
     pub fn snapshot(mut self, path: impl Into<String>) -> Self {
@@ -334,8 +322,6 @@ struct Ctx {
     telemetry: Arc<Telemetry>,
     /// Where `/admin/reload` rebuilds from (`None` = reload disabled).
     reload: Option<ReloadSource>,
-    /// Shard count for swapped-in rebuilds.
-    shards: usize,
 }
 
 /// A running query server. Dropping it (or calling
@@ -358,9 +344,8 @@ impl Server {
     /// `/metrics` endpoint has counters to export.
     ///
     /// Accepts anything that converts into an [`IndexHandle`]: a bare
-    /// [`crate::ServeIndex`] (one shard, generation 1), a
-    /// [`crate::ShardedIndex`], or an existing handle — the latter lets
-    /// the caller keep a clone and drive swaps externally.
+    /// [`crate::ServeIndex`] (generation 1) or an existing handle — the
+    /// latter lets the caller keep a clone and drive swaps externally.
     ///
     /// # Errors
     ///
@@ -409,11 +394,8 @@ impl Server {
             patchdb_rt::net::install_sighup_handler(waker.raw_write_fd());
         }
         let shared = Arc::new(LoopShared::new(waker));
-        let (batcher, batcher_thread) = Batcher::start(
-            handle.clone(),
-            Duration::from_millis(config.batch_window_ms),
-            Arc::clone(&shared),
-        );
+        let (batcher, batcher_thread) =
+            Batcher::start(Duration::from_millis(config.batch_window_ms), Arc::clone(&shared));
 
         let ctx = Arc::new(Ctx {
             handle: handle.clone(),
@@ -421,7 +403,6 @@ impl Server {
             shared: Arc::clone(&shared),
             telemetry: Arc::clone(&telemetry),
             reload: reload_source,
-            shards: config.shards.max(1),
         });
         let workers: Vec<JoinHandle<()>> = (0..worker_count)
             .map(|i| {
@@ -649,7 +630,7 @@ fn handle_work(mut work: Work, ctx: &Ctx) {
     }
 
     let started = Instant::now();
-    let (endpoint, response) = dispatch(&work.request, &work.index_gen, ctx, &mut work.rec);
+    let (endpoint, response) = dispatch(&work.request, &work.index_gen, ctx);
     let dispatch_ns = elapsed_ns(started);
     work.rec.compute_ns = dispatch_ns;
     obs::counter_add(&format!("serve.{endpoint}.requests"), 1);
@@ -658,15 +639,8 @@ fn handle_work(mut work: Work, ctx: &Ctx) {
 }
 
 /// Routes one (non-identify) request against the generation it pinned
-/// at admission; returns the endpoint label the metrics use. `rec` is
-/// the request's telemetry record — endpoints with per-shard fan-outs
-/// attach their shard timings to it.
-fn dispatch(
-    request: &Request,
-    gen: &Generation,
-    ctx: &Ctx,
-    rec: &mut RequestRecord,
-) -> (&'static str, Response) {
+/// at admission; returns the endpoint label the metrics use.
+fn dispatch(request: &Request, gen: &Generation, ctx: &Ctx) -> (&'static str, Response) {
     let path = request.path.as_str();
     // HEAD routes exactly like GET; `reply` drops the body after the
     // head (Content-Length included) is rendered.
@@ -702,7 +676,7 @@ fn dispatch(
             ("stats", Response::json(200, &gen.index.stats_json()))
         }
         "/v1/classify" if post => ("classify", classify(request, gen)),
-        "/v1/scan" if post => ("scan", scan(request, gen, rec)),
+        "/v1/scan" if post => ("scan", scan(request, gen)),
         "/admin/reload" if post => ("admin_reload", admin_reload(ctx)),
         _ if path.starts_with("/v1/patch/") && get => {
             let id = &path["/v1/patch/".len()..];
@@ -820,7 +794,7 @@ fn admin_reload(ctx: &Ctx) -> Response {
             "no reload source configured; start the server with a dataset or snapshot path",
         );
     };
-    match reload(&ctx.handle, source, ctx.shards) {
+    match reload(&ctx.handle, source) {
         Ok(generation) => Response::json(
             200,
             &Json::Obj(vec![
@@ -878,14 +852,11 @@ fn classify(request: &Request, gen: &Generation) -> Response {
     }
 }
 
-fn scan(request: &Request, gen: &Generation, rec: &mut RequestRecord) -> Response {
+fn scan(request: &Request, gen: &Generation) -> Response {
     let Ok(target) = std::str::from_utf8(&request.body) else {
         return Response::error(400, "bad_request", "body is not UTF-8");
     };
-    let (outcome, shard_ns) = gen.index.scan_traced(target);
-    if crate::tracing_enabled() {
-        rec.shards = shard_ns;
-    }
+    let outcome = gen.index.scan(target);
     let matches = outcome
         .matches
         .iter()

@@ -83,9 +83,6 @@ pub(crate) struct RequestRecord {
     /// Identify-cache outcome: `Some(true)` hit, `Some(false)` miss,
     /// `None` when the request never consulted the cache.
     pub cache: Option<bool>,
-    /// Per-shard compute nanoseconds for a scatter-gather fan-out, in
-    /// shard order; empty when the request ran single-shard.
-    pub shards: Vec<u64>,
     /// Whether the tracing layer was on when the request finished — only
     /// traced records answer `/debug/trace/<id>`. Not serialized.
     pub traced: bool,
@@ -112,7 +109,6 @@ impl RequestRecord {
             trace_supplied: false,
             generation: 0,
             cache: None,
-            shards: Vec::new(),
             traced: false,
         }
     }
@@ -148,15 +144,6 @@ impl RequestRecord {
         if let Some(hit) = self.cache {
             let outcome = if hit { "hit" } else { "miss" };
             fields.push(("cache".into(), Json::Str(outcome.into())));
-        }
-        if !self.shards.is_empty() {
-            fields.push((
-                "shards".into(),
-                Json::Arr(self.shards.iter().map(|&ns| Json::Num(ns as f64)).collect()),
-            ));
-            let max = self.shards.iter().copied().max().unwrap_or(0);
-            let min = self.shards.iter().copied().min().unwrap_or(0);
-            fields.push(("shard_imbalance_ns".into(), Json::Num((max - min) as f64)));
         }
         fields
     }
@@ -331,14 +318,14 @@ impl Telemetry {
     }
 
     /// The `GET /debug/trace/<id>` document for the most recent traced
-    /// request carrying `trace` — stage clocks, shard timings, cache
-    /// outcome, and pinned generation — looked up in the debug ring.
+    /// request carrying `trace` — stage clocks, cache outcome, and
+    /// pinned generation — looked up in the debug ring.
     /// `None` when no retained record matches (finished while tracing
     /// was off, or aged out of the ring).
     pub fn debug_trace_json(&self, trace: &str) -> Option<Json> {
         let record = self.ring.rfind(|r| r.traced && r.trace == trace)?;
         Some(Json::Obj(vec![
-            ("schema".into(), Json::Str("patchdb-trace-request/v1".into())),
+            ("schema".into(), Json::Str("patchdb-trace-request/v2".into())),
             ("trace_id".into(), Json::Str(record.trace.clone())),
             ("supplied".into(), Json::Bool(record.trace_supplied)),
             ("request".into(), record.to_json()),
@@ -533,21 +520,15 @@ mod tests {
         a.trace_supplied = true;
         a.generation = 3;
         a.cache = Some(true);
-        a.shards = vec![100, 250, 50, 200];
         telemetry.observe(a);
         telemetry.observe(record(2, 500));
 
         let doc = telemetry.debug_trace_json("client-a").expect("trace retained");
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("patchdb-trace-request/v1"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("patchdb-trace-request/v2"));
         assert_eq!(doc.get("trace_id").and_then(Json::as_str), Some("client-a"));
         let req = doc.get("request").unwrap();
         assert_eq!(req.get("generation").and_then(Json::as_f64), Some(3.0));
         assert_eq!(req.get("cache").and_then(Json::as_str), Some("hit"));
-        assert_eq!(
-            req.get("shards").and_then(|s| s.as_arr()).map(|s| s.len()),
-            Some(4)
-        );
-        assert_eq!(req.get("shard_imbalance_ns").and_then(Json::as_f64), Some(200.0));
 
         // The derived trace of request 2 resolves too; a stranger 404s.
         assert!(telemetry.debug_trace_json(&derived_trace(2)).is_some());

@@ -118,10 +118,8 @@ impl PatchDb {
     }
 
     /// Raw ground-truth category counts over a set of records, plus the
-    /// number of labeled records. The un-normalized statistic behind
-    /// [`PatchDb::category_distribution`]: counts over disjoint record
-    /// subsets add, so a sharded index can sum per-shard counts and
-    /// normalize once, reproducing the whole-set distribution exactly.
+    /// number of labeled records: the un-normalized statistic behind
+    /// [`PatchDb::category_distribution`].
     pub fn category_counts<'a, I>(records: I) -> (HashMap<PatchCategory, usize>, usize)
     where
         I: IntoIterator<Item = &'a PatchRecord>,
@@ -183,30 +181,12 @@ impl PatchDb {
     /// matches or the prefix is ambiguous — the query surface must never
     /// silently pick one of several commits.
     pub fn find_patch(&self, id: &str) -> Option<&PatchRecord> {
-        let (hits, first) = self.find_patch_counted(id);
-        if hits == 1 { first } else { None }
-    }
-
-    /// Prefix lookup that also reports how many records matched: the
-    /// match count and the first matching record (if any). A sharded
-    /// index sums per-shard counts to decide global uniqueness — a
-    /// prefix unique within one shard but matched in another must still
-    /// resolve to nothing, exactly as the unsharded lookup would.
-    pub fn find_patch_counted(&self, id: &str) -> (usize, Option<&PatchRecord>) {
         if id.len() < 4 {
-            return (0, None);
+            return None;
         }
-        let mut hits = 0usize;
-        let mut first: Option<&PatchRecord> = None;
-        for r in self.records() {
-            if r.commit.to_string().starts_with(id) {
-                hits += 1;
-                if first.is_none() {
-                    first = Some(r);
-                }
-            }
-        }
-        (hits, first)
+        let mut hits = self.records().filter(|r| r.commit.to_string().starts_with(id));
+        let first = hits.next()?;
+        hits.next().is_none().then_some(first)
     }
 }
 

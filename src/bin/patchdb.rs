@@ -10,9 +10,7 @@ use patchdb::{
     BuildTelemetry, Error, PatchDb, PresenceVerdict, ScanTarget, ALL_CATEGORIES,
 };
 use patchdb_rt::obs;
-use patchdb_serve::{
-    IndexHandle, ReloadSource, ServeConfig, ServeIndex, Server, ShardedIndex, Snapshot,
-};
+use patchdb_serve::{ReloadSource, ServeConfig, ServeIndex, Server, Snapshot};
 
 const USAGE: &str = "usage: patchdb <command> [...]
 
@@ -91,7 +89,7 @@ answering byte-identically to a fresh build.
   --out PATH  snapshot output path (default patchdb.snapshot)"
         }
         "serve" => {
-            "usage: patchdb serve [<FILE>] [--snapshot PATH] [--shards N]
+            "usage: patchdb serve [<FILE>] [--snapshot PATH]
                      [--addr HOST:PORT] [--threads N]
                      [--batch-window-ms N] [--max-inflight N]
                      [--access-log PATH|-] [--slow-ms N]
@@ -106,9 +104,6 @@ answering byte-identically to a fresh build.
                       `patchdb snapshot` — skips the learning pipeline
                       entirely; responses are byte-identical to a fresh
                       build of the same dataset
-  --shards N          partition the index across N shards with
-                      scatter-gather serving; answers are byte-identical
-                      to --shards 1 (default 1)
   --addr HOST:PORT    bind address (default 127.0.0.1:7979; port 0 = ephemeral)
   --threads N         worker pool size (default 0 = auto)
   --batch-window-ms N identify micro-batch window (default 2)
@@ -131,10 +126,10 @@ answering byte-identically to a fresh build.
                       close a connection after N responses (default 0 = off)
   --max-conns N       concurrent-connection cap; over it new connections are
                       answered 503 and closed (default 10240)
-  --tracing on|off    request tracing, per-shard attribution, the embedded
-                      time-series store, and the SLO engine; responses are
-                      byte-identical either way except the documented
-                      X-Patchdb-* headers (default on)
+  --tracing on|off    request tracing, the embedded time-series store,
+                      and the SLO engine; responses are byte-identical
+                      either way except the documented X-Patchdb-*
+                      headers (default on)
   --tsdb-retention-s N
                       per-second metric samples kept per series by the
                       embedded time-series ring (default 600)
@@ -528,9 +523,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "--snapshot" => {
                 snapshot = Some(value_after(&mut it, "--snapshot")?.clone());
             }
-            "--shards" => {
-                config = config.shards(parse_num(value_after(&mut it, "--shards")?, "--shards")?);
-            }
             "--threads" => {
                 config =
                     config.threads(parse_num(value_after(&mut it, "--threads")?, "--threads")?);
@@ -648,14 +640,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
             return Err(Error::usage("expected a dataset JSON path or --snapshot"));
         }
     };
-    let shards = config.shards;
-    eprintln!(
-        "{} signatures compiled; starting server ({shards} shard{})",
-        index.signature_count(),
-        if shards == 1 { "" } else { "s" }
-    );
-    let handle = IndexHandle::new(ShardedIndex::from_index(index, shards));
-    let server = Server::start(handle, &config)?;
+    eprintln!("{} signatures compiled; starting server", index.signature_count());
+    let server = Server::start(index, &config)?;
     println!("listening on http://{} ({} workers)", server.addr(), server.workers());
     server.wait();
     Ok(())

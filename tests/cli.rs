@@ -94,6 +94,11 @@ fn cli_rejects_bad_usage() {
     assert_eq!(code, 2, "{text}");
     assert!(text.contains("usage: patchdb serve"), "{text}");
 
+    // The removed `--shards` flag is rejected, not silently accepted.
+    let (code, text) = run_coded(&["serve", "/no/such/db.json", "--shards", "2"]);
+    assert_eq!(code, 2, "{text}");
+    assert!(text.contains("unknown flag --shards"), "{text}");
+
     // Runtime failures (the command was well-formed) exit 1.
     let (code, text) = run_coded(&["stats", "/no/such/file.json"]);
     assert_eq!(code, 1, "{text}");

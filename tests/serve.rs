@@ -6,8 +6,8 @@
 //! graceful-drain shutdown, metrics monotonicity, request-scoped
 //! telemetry (stage clocks, debug rings, access log), failure-mode
 //! classification, worker-count/transport-mode determinism, and the
-//! tracing surface (X-Patchdb id headers, /debug/trace lookup,
-//! per-shard attribution, the time-series store, and the SLO engine).
+//! tracing surface (X-Patchdb id headers, /debug/trace lookup, the
+//! time-series store, and the SLO engine).
 //!
 //! The tiny dataset is built exactly once, before any server starts:
 //! `PatchDb::build` resets the global `rt::obs` registry when tracing is
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use patchdb::prelude::*;
 use patchdb_rt::json::Json;
 use patchdb_serve::client::{self, Client};
-use patchdb_serve::{ReloadSource, ServeConfig, ServeIndex, Server, ShardedIndex};
+use patchdb_serve::{ReloadSource, ServeConfig, ServeIndex, Server};
 
 fn shared_db() -> &'static PatchDb {
     static DB: OnceLock<PatchDb> = OnceLock::new();
@@ -1134,19 +1134,6 @@ fn snapshot_boot_answers_byte_identically_to_fresh_build() {
 }
 
 #[test]
-fn four_shard_server_answers_byte_identically_to_one_shard() {
-    let one = start(ephemeral().threads(2));
-    let four = Server::start(
-        ShardedIndex::from_index(ServeIndex::build(shared_db().clone()), 4),
-        &ephemeral().threads(2),
-    )
-    .expect("server binds");
-    assert_servers_identical(one.addr(), four.addr(), "4-shard scatter-gather");
-    one.shutdown();
-    four.shutdown();
-}
-
-#[test]
 fn reload_swaps_generations_under_live_traffic() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1352,7 +1339,7 @@ fn client_trace_ids_round_trip_and_are_queryable() {
     let json = Json::parse(&reply.body_text()).expect("/debug/trace is JSON");
     assert_eq!(
         json.get("schema").and_then(Json::as_str),
-        Some("patchdb-trace-request/v1")
+        Some("patchdb-trace-request/v2")
     );
     assert_eq!(json.get("trace_id").and_then(Json::as_str), Some("it-trace-1"));
     assert_eq!(json.get("supplied").and_then(Json::as_bool), Some(true));
@@ -1434,50 +1421,6 @@ fn tracing_toggle_never_changes_response_bytes() {
         );
     }
     lit.shutdown();
-}
-
-#[test]
-fn four_shard_trace_attributes_per_shard_compute() {
-    let _guard = obs_lock().lock().unwrap();
-    let server = Server::start(
-        ShardedIndex::from_index(ServeIndex::build(shared_db().clone()), 4),
-        &ephemeral().threads(2).debug_ring(64),
-    )
-    .expect("server binds");
-    let addr = server.addr();
-
-    // A signature scan scatter-gathers across all four shards inside
-    // the request's compute stage.
-    let (status, _, _) = raw_exchange(
-        addr,
-        "POST",
-        "/v1/scan",
-        &[("X-Patchdb-Trace-Id", "shard-trace-1")],
-        b"void unrelated(void) { }\n",
-    );
-    assert!(status.contains("200"), "{status}");
-
-    let reply = client::request(addr, "GET", "/debug/trace/shard-trace-1", b"").unwrap();
-    assert_eq!(reply.status, 200, "{}", reply.body_text());
-    let json = Json::parse(&reply.body_text()).unwrap();
-    let request = json.get("request").expect("request record");
-    let shards = request.get("shards").and_then(Json::as_arr).expect("per-shard spans");
-    assert_eq!(shards.len(), 4, "one span per shard: {}", reply.body_text());
-    let spans: Vec<f64> = shards.iter().map(|s| s.as_f64().expect("span ns")).collect();
-    let compute = request.get("compute_ns").and_then(Json::as_f64).expect("compute_ns");
-    let sum: f64 = spans.iter().sum();
-    assert!(
-        sum <= compute,
-        "shard spans sum to {sum} ns > compute stage {compute} ns"
-    );
-    let spread = spans.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        - spans.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert_eq!(
-        request.get("shard_imbalance_ns").and_then(Json::as_f64),
-        Some(spread),
-        "imbalance must be the max-min spread of the recorded spans"
-    );
-    server.shutdown();
 }
 
 #[test]

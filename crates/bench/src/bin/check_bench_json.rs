@@ -39,10 +39,11 @@
 //!   extension-dispatched: non-empty, every line is `path count` with a
 //!   `;`-joined non-empty frame path and a positive integer count.
 //! * `*.snapshot` binary indexes (`patchdb snapshot`) — also
-//!   extension-dispatched (the file is binary, never UTF-8): `PDBSNAP1`
-//!   magic, the `patchdb-snapshot/v1` schema string, exactly four
-//!   length-prefixed sections with a non-empty records section, no
-//!   trailing garbage, and a valid trailing FNV-1a-64 checksum.
+//!   extension-dispatched (the file is binary, never UTF-8) and decoded
+//!   in full by `patchdb_serve::Snapshot::decode`, the loader
+//!   `serve --snapshot` uses: the current schema only (a
+//!   `patchdb-snapshot/v1` file fails with the rebuild message), a
+//!   valid checksum, and every section, count and model state intact.
 //! * `patchdb-profile/v1` (`GET /debug/profile`) — positive `hz`,
 //!   non-negative `samples`, and a `folded` field passing the same
 //!   folded-stacks line checks.
@@ -73,6 +74,7 @@
 use std::process::ExitCode;
 
 use patchdb_rt::json::Json;
+use patchdb_serve::Snapshot;
 
 fn main() -> ExitCode {
     let Some(path) = std::env::args().nth(1) else {
@@ -81,14 +83,7 @@ fn main() -> ExitCode {
     };
     // Binary snapshots dispatch on extension before any UTF-8 read.
     if path.ends_with(".snapshot") {
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("check-bench-json: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match check_snapshot(&bytes) {
+        return match check_snapshot(&path) {
             Ok(summary) => {
                 println!("check-bench-json: {path} ok ({summary})");
                 ExitCode::SUCCESS
@@ -173,69 +168,18 @@ fn main() -> ExitCode {
     }
 }
 
-/// A `patchdb-snapshot/v1` binary index (`patchdb snapshot`) —
-/// extension-dispatched: leading `PDBSNAP1` magic, the embedded schema
-/// string, exactly four length-prefixed sections with a non-empty
-/// records section, no trailing garbage, and a valid FNV-1a-64
-/// checksum over every preceding byte.
-fn check_snapshot(bytes: &[u8]) -> Result<String, String> {
-    const MAGIC: &[u8; 8] = b"PDBSNAP1";
-    const SCHEMA: &str = "patchdb-snapshot/v1";
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(format!("{} bytes is too short for a snapshot", bytes.len()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in body {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    if stored != hash {
-        return Err(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {hash:#018x}"
-        ));
-    }
-    let mut at = 0usize;
-    let mut take = |n: usize| -> Result<&[u8], String> {
-        let end = at
-            .checked_add(n)
-            .filter(|&e| e <= body.len())
-            .ok_or(format!("truncated: need {n} bytes at offset {at}"))?;
-        let out = &body[at..end];
-        at = end;
-        Ok(out)
-    };
-    if take(MAGIC.len())? != MAGIC.as_slice() {
-        return Err("bad magic (not a patchdb snapshot)".into());
-    }
-    let tag_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let tag = String::from_utf8_lossy(take(tag_len)?).into_owned();
-    if tag != SCHEMA {
-        return Err(format!("unsupported snapshot schema {tag:?}"));
-    }
-    let sections = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
-    if sections != 4 {
-        return Err(format!("expected 4 sections, found {sections}"));
-    }
-    let mut section_lens = Vec::with_capacity(4);
-    for i in 0..sections {
-        let len = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        let len = usize::try_from(len)
-            .map_err(|_| format!("section #{i} length {len} overflows"))?;
-        take(len).map_err(|e| format!("section #{i}: {e}"))?;
-        section_lens.push(len);
-    }
-    if at != body.len() {
-        return Err(format!("{} trailing bytes after the last section", body.len() - at));
-    }
-    if section_lens[0] == 0 {
-        return Err("records section is empty".into());
-    }
+/// A binary index (`patchdb snapshot`) — extension-dispatched, and
+/// decoded by the server's own [`Snapshot::decode`], so the validator
+/// accepts exactly what `serve --snapshot` boots from: magic, schema,
+/// checksum, every section and count, and the model state.
+fn check_snapshot(path: &str) -> Result<String, String> {
+    let snapshot = Snapshot::read_from(path).map_err(|e| format!("cannot read: {e}"))?;
+    let index = snapshot.decode().map_err(|e| e.to_string())?;
     Ok(format!(
-        "{SCHEMA}, {} bytes, sections {:?}",
-        bytes.len(),
-        section_lens
+        "{}, {} bytes, {} signatures",
+        Snapshot::SCHEMA,
+        snapshot.len(),
+        index.signature_count()
     ))
 }
 

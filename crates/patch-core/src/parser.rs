@@ -20,8 +20,11 @@ use crate::patch::{FileDiff, Patch};
 /// @@ -a,b +c,d @@ [section]
 /// <body lines>
 /// ```
+///
+/// Lines may end in LF or CRLF: one trailing `\r` per line is dropped
+/// when splitting, so a CRLF body parses to the same [`Patch`].
 pub(crate) fn parse_patch(text: &str) -> Result<Patch, ParsePatchError> {
-    let lines: Vec<&str> = text.split('\n').collect();
+    let lines: Vec<&str> = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l)).collect();
     let mut i = 0usize;
 
     // Commit header.
@@ -248,6 +251,7 @@ index 014b04fe4..a3692bdc6 100644
         let printed = p.to_unified_string();
         let again = Patch::parse(&printed).unwrap();
         assert_eq!(p, again);
+        assert_eq!(p, Patch::parse(&printed.replace('\n', "\r\n")).unwrap(), "CRLF");
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub enum ReloadSource {
     /// Re-read a built dataset JSON file and re-run the index pipeline
     /// (weights, forest, signatures).
     Dataset(String),
-    /// Re-read a `patchdb-snapshot/v1` file (no pipeline at all).
+    /// Re-read a `patchdb-snapshot/v2` file (no pipeline at all).
     Snapshot(String),
 }
 

@@ -130,20 +130,21 @@ impl ServeIndex {
         (&self.db, &self.weights, self.forest.as_ref(), &self.signatures)
     }
 
-    /// Persists the built index as a `patchdb-snapshot/v1` file; a
+    /// Persists the built index as a `patchdb-snapshot/v2` file; a
     /// server booted from it answers byte-identically to this one.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), Error> {
         Snapshot::encode(self).write_to(path)
     }
 
-    /// Loads an index from a `patchdb-snapshot/v1` file without running
+    /// Loads an index from a `patchdb-snapshot/v2` file without running
     /// any of the learning pipeline.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] when the file cannot be read; [`Error::Schema`]
-    /// when it is not a well-formed snapshot (wrong magic or version,
-    /// truncated, or failing its checksum).
+    /// when it is not a well-formed snapshot (wrong magic, a retired
+    /// `patchdb-snapshot/v1` or unknown schema, truncated, a count
+    /// larger than the file, or failing its checksum).
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<ServeIndex, Error> {
         Snapshot::read_from(path)?.decode()
     }

@@ -68,9 +68,12 @@
 //!
 //! The served index lives behind an [`IndexHandle`] — an atomically
 //! swappable, generation-counted pointer. A built [`ServeIndex`] can be
-//! persisted as a `patchdb-snapshot/v1` binary file ([`Snapshot`],
+//! persisted as a `patchdb-snapshot/v2` binary file ([`Snapshot`],
 //! `ServeIndex::save_snapshot` / `ServeIndex::load_snapshot`) and a
-//! server boots from it without running any of the learning pipeline.
+//! server boots from it without running any of the learning pipeline,
+//! decoding its binary records straight from the file bytes. Snapshots
+//! are caches: a file of an older layout is refused with the command
+//! that rebuilds it.
 //! `POST /admin/reload` (or SIGHUP) rebuilds the next generation from
 //! the configured [`ReloadSource`] entirely off the handle, then swaps
 //! it in: in-flight requests keep the generation they pinned at

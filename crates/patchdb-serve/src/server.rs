@@ -666,9 +666,10 @@ fn dispatch(request: &Request, gen: &Generation, ctx: &Ctx) -> (&'static str, Re
                 ctx.telemetry.uptime_secs()
             ));
             text.push_str(&format!(
-                "patchdb_build_info{{version=\"{}\",snapshot_schema=\"patchdb-snapshot/v1\",\
+                "patchdb_build_info{{version=\"{}\",snapshot_schema=\"{}\",\
                  serve_bench_schema=\"patchdb-serve/v2\"}} 1\n",
-                env!("CARGO_PKG_VERSION")
+                env!("CARGO_PKG_VERSION"),
+                crate::Snapshot::SCHEMA
             ));
             ("metrics", Response::metrics(text))
         }

@@ -1,50 +1,76 @@
-//! The `patchdb-snapshot/v1` binary index format.
+//! The `patchdb-snapshot/v2` binary index format.
 //!
 //! A snapshot persists a fully built [`ServeIndex`] — dataset, learned
 //! Table I weights, fitted random forest, and compiled vulnerability
 //! signatures — so a server can boot without running any of the
 //! learning pipeline, answering byte-identically to a fresh build.
 //!
-//! Layout (all integers little-endian, all floats as `f64::to_bits`
-//! so round-trips are bit-exact):
+//! Layout. Integers are little-endian and floats are `f64::to_bits`, so
+//! round-trips are bit-exact. `str` is a `u32` byte length plus UTF-8,
+//! `opt<T>` a `u8` 0/1 tag plus `T` when 1, and `list<T>` a `u32` count
+//! plus that many `T`.
 //!
 //! ```text
-//! magic    8 bytes  "PDBSNAP1"
-//! schema   u32 len + UTF-8 "patchdb-snapshot/v1"
-//! sections u32      always 4, in fixed order
-//!   [0] records     u64 len + canonical dataset JSON (PatchDb::to_json)
-//!   [1] weights     u64 len + u32 count + count x f64 bits
-//!   [2] forest      u64 len + u8 present + (hyper-params, trees, nodes)
-//!   [3] signatures  u64 len + u32 count + entries
-//! checksum u64      FNV-1a-64 over every preceding byte
+//! magic     8 bytes  "PDBSNAP1"
+//! schema    str      "patchdb-snapshot/v2"
+//! sections  u32      always 4, in fixed order, each a u64 length + payload
+//!   [0] records      list<natural> x 3 (nvd, wild, non_security), list<synthetic>
+//!   [1] weights      list<f64>
+//!   [2] forest       opt<n_trees u64, max_depth u64, seed u64, list<tree>>
+//!   [3] signatures   list<commit[20], cve_id opt<str>, sig_commit[20],
+//!                         vulnerable list<str>, fixed list<str>>
+//! checksum  u64      word-at-a-time checksum over every preceding byte
+//!
+//! natural    commit[20] repo:str cve_id:opt<str> message:str patch
+//!            features:60 x f64 source:u8 truth_category:opt<u8>
+//! synthetic  patch derived_from[20] is_security:u8 features:60 x f64
+//! patch      commit[20] message:str list<file>
+//! file       old_path:str new_path:str index:opt<str> list<hunk>
+//! hunk       old_start old_count new_start new_count:u64 section:str list<line>
+//! line       kind:u8 content:str
+//! tree       criterion:u8 max_depth:u64 root:u64 list<node>
+//! node       0 prob:f64 | 1 feature:u64 threshold:f64 left:u64 right:u64 prob:f64
 //! ```
 //!
-//! The records section reuses the dataset's canonical JSON codec (its
-//! shape checks, and Rust's round-trip-exact `f64` formatting) rather
-//! than inventing a second record encoding; the learned model sections
-//! are raw binary because no JSON form of them exists anywhere else.
+//! Enum tags are declaration order: `source` 0 NVD, 1 wild,
+//! 2 non-security; `truth_category` the Table V row, 0–11; `kind`
+//! 0 context, 1 added, 2 removed; `criterion` 0 Gini, 1 entropy.
 //!
-//! Every decode failure — wrong magic, wrong schema string, truncation,
-//! bad checksum, a forward-pointing tree node — reports
-//! [`Error::Schema`]; only a failed read is [`Error::Io`].
+//! Decoding reads straight out of the file bytes. Every count is
+//! checked against the bytes left in its section, at the smallest
+//! encoding of one item, before anything is allocated for it; a
+//! corrupt or hostile length is a schema error, never an allocation
+//! failure.
+//!
+//! The magic and schema string are checked before the checksum, so a
+//! file of the retired `patchdb-snapshot/v1` layout (the records as one
+//! JSON text) is named as such and asks for a rebuild with
+//! `patchdb snapshot`. Snapshots are caches, so no older layout is
+//! read. Every decode failure — wrong magic or schema, truncation, an
+//! out-of-range count or tag, bad UTF-8, bad checksum, a
+//! forward-pointing tree node — reports [`Error::Schema`]; only a
+//! failed read is [`Error::Io`].
 
 use std::path::Path;
 
-use patch_core::CommitId;
-use patchdb::{Error, PatchDb, PatchSignature};
+use patch_core::{CommitId, FileDiff, Hunk, Line, LineKind, Patch};
+use patchdb::{
+    Error, FeatureVector, PatchCategory, PatchDb, PatchRecord, PatchSignature, Source,
+    SyntheticRecord, ALL_CATEGORIES, FEATURE_DIM,
+};
 use patchdb_features::Weights;
 use patchdb_ml::{ForestState, NodeState, RandomForest, SplitCriterion, TreeState};
 
 use crate::index::{ServeIndex, SignatureEntry};
 
-/// Leading magic of every snapshot file.
-pub const MAGIC: &[u8; 8] = b"PDBSNAP1";
-/// The schema tag embedded right after the magic.
-pub const SCHEMA: &str = "patchdb-snapshot/v1";
-/// Fixed section count of the v1 layout.
+/// Leading magic of every snapshot file, whatever its schema.
+const MAGIC: &[u8; 8] = b"PDBSNAP1";
+/// The retired JSON-records layout, recognised only to name it.
+const RETIRED_SCHEMA: &str = "patchdb-snapshot/v1";
+/// Fixed section count of the layout.
 const SECTIONS: u32 = 4;
 
-/// An encoded `patchdb-snapshot/v1` document: the bytes that live on
+/// An encoded `patchdb-snapshot/v2` document: the bytes that live on
 /// disk, plus [`Snapshot::encode`]/[`Snapshot::decode`] between those
 /// bytes and a [`ServeIndex`].
 pub struct Snapshot {
@@ -52,24 +78,24 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// The schema tag embedded right after the magic: the one layout
+    /// this build writes and reads.
+    pub const SCHEMA: &'static str = "patchdb-snapshot/v2";
+
     /// Encodes a built index. Infallible: every part of a `ServeIndex`
     /// has a representation.
     pub fn encode(index: &ServeIndex) -> Snapshot {
         let (db, weights, forest, signatures) = index.parts();
         let mut w = Writer::default();
         w.bytes(MAGIC);
-        w.str32(SCHEMA);
+        w.str(Self::SCHEMA);
         w.u32(SECTIONS);
-        // Pretty JSON is the dataset's one canonical form; `to_json` is
-        // infallible today (it returns Result only for signature
-        // stability).
-        let records = db.to_json().expect("dataset serializes").into_bytes();
-        w.section(&records);
-        w.section(&encode_weights(weights));
-        w.section(&encode_forest(forest));
-        w.section(&encode_signatures(signatures));
-        let checksum = fnv1a64(&w.buf);
-        w.u64(checksum);
+        w.section(|w| db.put(w));
+        w.section(|w| w.list(weights.as_slice()));
+        w.section(|w| forest.map(RandomForest::export_state).put(w));
+        w.section(|w| w.list(signatures));
+        let sum = checksum(&w.buf);
+        w.u64(sum);
         Snapshot { bytes: w.buf }
     }
 
@@ -77,52 +103,52 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// [`Error::Schema`] on any malformation: wrong magic or schema
-    /// string, truncated sections, trailing garbage, checksum mismatch,
-    /// or model state that fails validation.
+    /// [`Error::Schema`] on any malformation: wrong magic, a retired or
+    /// unknown schema string, checksum mismatch, truncated or oversized
+    /// sections and counts, trailing garbage, or model state that fails
+    /// validation.
     pub fn decode(&self) -> Result<ServeIndex, Error> {
-        let buf = &self.bytes;
-        if buf.len() < MAGIC.len() + 8 {
-            return Err(schema(format!("{} bytes is too short for a snapshot", buf.len())));
+        let bytes = self.bytes.as_slice();
+        let mut r = Reader { buf: bytes, at: 0, end: bytes.len() };
+        if r.take(MAGIC.len())? != MAGIC.as_slice() {
+            return Err(schema("bad magic (not a patchdb snapshot)"));
         }
-        let (body, tail) = buf.split_at(buf.len() - 8);
+        match r.str()? {
+            Self::SCHEMA => {}
+            RETIRED_SCHEMA => {
+                return Err(schema(format!(
+                    "{RETIRED_SCHEMA} is no longer read; rebuild with `patchdb snapshot`"
+                )))
+            }
+            other => return Err(schema(format!("unsupported snapshot schema {other:?}"))),
+        }
+        let body_len =
+            bytes.len().checked_sub(8).filter(|&n| n >= r.at).ok_or_else(|| {
+                schema(format!("{} bytes is too short for a snapshot", bytes.len()))
+            })?;
+        let (body, tail) = bytes.split_at(body_len);
         let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        let computed = fnv1a64(body);
+        let computed = checksum(body);
         if stored != computed {
             return Err(schema(format!(
                 "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             )));
         }
-        let mut r = Reader { buf: body, at: 0 };
-        if r.take(MAGIC.len())? != MAGIC.as_slice() {
-            return Err(schema("bad magic (not a patchdb snapshot)"));
-        }
-        let tag = r.str32()?;
-        if tag != SCHEMA {
-            return Err(schema(format!("unsupported snapshot schema {tag:?}")));
-        }
+        r.end = body_len;
         let sections = r.u32()?;
         if sections != SECTIONS {
             return Err(schema(format!("expected {SECTIONS} sections, found {sections}")));
         }
-        let records = r.section()?;
-        let weights = decode_weights(&r.section()?)?;
-        let forest = decode_forest(&r.section()?)?;
-        let signatures = decode_signatures(&r.section()?)?;
-        if r.at != body.len() {
-            return Err(schema(format!(
-                "{} trailing bytes after the last section",
-                body.len() - r.at
-            )));
-        }
-        let text = std::str::from_utf8(&records)
-            .map_err(|e| schema(format!("records section is not UTF-8: {e}")))?;
-        let db = match PatchDb::from_json(text) {
-            Ok(db) => db,
-            // Inside a checksummed container, unparseable JSON is a
-            // malformed snapshot, not a malformed user input.
-            Err(e) => return Err(schema(format!("records section: {e}"))),
+        let db: PatchDb = r.section()?.whole()?;
+        let weights = Weights::from_values(r.section()?.whole()?).map_err(schema)?;
+        let forest = match r.section()?.whole::<Option<ForestState>>()? {
+            Some(state) => Some(RandomForest::from_state(state).map_err(schema)?),
+            None => None,
         };
+        let signatures: Vec<SignatureEntry> = r.section()?.whole()?;
+        if r.at != r.end {
+            return Err(schema(format!("{} trailing bytes after the last section", r.end - r.at)));
+        }
         Ok(ServeIndex::from_parts(db, weights, forest, signatures))
     }
 
@@ -152,166 +178,269 @@ fn schema(msg: impl std::fmt::Display) -> Error {
     Error::Schema(format!("snapshot: {msg}"))
 }
 
-/// FNV-1a 64-bit over `bytes` — the trailing integrity check.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The trailing integrity check, eight bytes at a time: each
+/// little-endian word is folded in by a rotate, an xor and an odd
+/// multiply. Every step is a bijection of the running state for a fixed
+/// word and of the word for a fixed state, so any one changed word
+/// always changes the result. The length seeds the state, so trailing
+/// zero bytes are not lost in the zero-padded last word.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(bytes.len() as u64, |h, w| {
+        fold(h, u64::from_le_bytes(w.try_into().expect("8 bytes")))
+    });
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = fold(h, u64::from_le_bytes(last));
+    h ^ (h >> 32)
 }
 
-// ---- section codecs ----
+// ---- value codecs ----
 
-fn encode_weights(weights: &Weights) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.u32(weights.as_slice().len() as u32);
-    for &v in weights.as_slice() {
-        w.f64(v);
-    }
-    w.buf
+/// One value's binary form inside a section.
+trait Codec: Sized {
+    /// The fewest bytes any value of the type encodes to. A count read
+    /// from the file is checked against it before anything is allocated.
+    const MIN_BYTES: usize;
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
-fn decode_weights(buf: &[u8]) -> Result<Weights, Error> {
-    let mut r = Reader { buf, at: 0 };
-    let n = r.u32()? as usize;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(r.f64()?);
+impl Codec for u64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self);
     }
-    r.done()?;
-    Weights::from_values(values).map_err(schema)
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.u64()
+    }
 }
 
-fn encode_forest(forest: Option<&RandomForest>) -> Vec<u8> {
-    let mut w = Writer::default();
-    let Some(forest) = forest else {
-        w.buf.push(0);
-        return w.buf;
+impl Codec for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let at = r.at;
+        let v = r.u64()?;
+        usize::try_from(v).map_err(|_| schema(format!("value {v} at offset {at} overflows usize")))
+    }
+}
+
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.to_bits());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.u64().map(f64::from_bits)
+    }
+}
+
+impl Codec for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.tag("bool", &[false, true])
+    }
+}
+
+impl Codec for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.str().map(str::to_owned)
+    }
+}
+
+impl Codec for CommitId {
+    const MIN_BYTES: usize = 20;
+    fn put(&self, w: &mut Writer) {
+        w.bytes(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(CommitId::from_bytes(r.take(20)?.try_into().expect("20 bytes")))
+    }
+}
+
+impl Codec for FeatureVector {
+    const MIN_BYTES: usize = FEATURE_DIM * 8;
+    fn put(&self, w: &mut Writer) {
+        self.as_slice().iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut out = [0.0; FEATURE_DIM];
+        for (v, word) in out.iter_mut().zip(r.take(Self::MIN_BYTES)?.chunks_exact(8)) {
+            *v = f64::from_bits(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        Ok(FeatureVector(out))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.tag("option", &[false, true])? {
+            false => Ok(None),
+            true => T::get(r).map(Some),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) {
+        w.list(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let n = r.count(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A fieldless enum stored as a `u8`: its position in the listed values.
+macro_rules! tag_codec {
+    ($ty:ty, $what:literal, $all:expr) => {
+        impl Codec for $ty {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, w: &mut Writer) {
+                let all: &[$ty] = &$all;
+                w.u8(all.iter().position(|v| v == self).expect("tag table is exhaustive") as u8);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+                r.tag($what, &$all)
+            }
+        }
     };
-    w.buf.push(1);
-    let state = forest.export_state();
-    w.u64(state.n_trees as u64);
-    w.u64(state.max_depth as u64);
-    w.u64(state.seed);
-    w.u32(state.trees.len() as u32);
-    for tree in &state.trees {
-        w.buf.push(match tree.criterion {
-            SplitCriterion::Gini => 0,
-            SplitCriterion::Entropy => 1,
-        });
-        w.u64(tree.max_depth as u64);
-        w.u64(tree.root as u64);
-        w.u32(tree.nodes.len() as u32);
-        for node in &tree.nodes {
-            match *node {
-                NodeState::Leaf { prob } => {
-                    w.buf.push(0);
-                    w.f64(prob);
-                }
-                NodeState::Split { feature, threshold, left, right, prob } => {
-                    w.buf.push(1);
-                    w.u64(feature as u64);
-                    w.f64(threshold);
-                    w.u64(left as u64);
-                    w.u64(right as u64);
-                    w.f64(prob);
-                }
+}
+
+tag_codec!(Source, "source", [Source::Nvd, Source::Wild, Source::NonSecurity]);
+tag_codec!(LineKind, "line kind", [LineKind::Context, LineKind::Added, LineKind::Removed]);
+tag_codec!(PatchCategory, "category", ALL_CATEGORIES);
+tag_codec!(SplitCriterion, "split criterion", [SplitCriterion::Gini, SplitCriterion::Entropy]);
+
+/// A struct stored as its fields in order, each with its own codec.
+macro_rules! struct_codec {
+    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Codec for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Codec>::MIN_BYTES)*;
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+                Ok($ty { $($field: <$fty>::get(r)?),* })
+            }
+        }
+    };
+}
+
+struct_codec!(Line { kind: LineKind, content: String });
+struct_codec!(Hunk {
+    old_start: usize,
+    old_count: usize,
+    new_start: usize,
+    new_count: usize,
+    section: String,
+    lines: Vec<Line>,
+});
+struct_codec!(FileDiff {
+    old_path: String,
+    new_path: String,
+    index: Option<String>,
+    hunks: Vec<Hunk>,
+});
+struct_codec!(Patch { commit: CommitId, message: String, files: Vec<FileDiff> });
+struct_codec!(PatchRecord {
+    commit: CommitId,
+    repo: String,
+    cve_id: Option<String>,
+    message: String,
+    patch: Patch,
+    features: FeatureVector,
+    source: Source,
+    truth_category: Option<PatchCategory>,
+});
+struct_codec!(SyntheticRecord {
+    patch: Patch,
+    derived_from: CommitId,
+    is_security: bool,
+    features: FeatureVector,
+});
+struct_codec!(PatchDb {
+    nvd: Vec<PatchRecord>,
+    wild: Vec<PatchRecord>,
+    non_security: Vec<PatchRecord>,
+    synthetic: Vec<SyntheticRecord>,
+});
+struct_codec!(TreeState {
+    criterion: SplitCriterion,
+    max_depth: usize,
+    root: usize,
+    nodes: Vec<NodeState>,
+});
+struct_codec!(ForestState {
+    n_trees: usize,
+    max_depth: usize,
+    seed: u64,
+    trees: Vec<TreeState>,
+});
+struct_codec!(PatchSignature { commit: CommitId, vulnerable: Vec<String>, fixed: Vec<String> });
+struct_codec!(SignatureEntry {
+    commit: CommitId,
+    cve_id: Option<String>,
+    signature: PatchSignature,
+});
+
+impl Codec for NodeState {
+    const MIN_BYTES: usize = 1 + 8;
+    fn put(&self, w: &mut Writer) {
+        match *self {
+            NodeState::Leaf { prob } => {
+                w.u8(0);
+                prob.put(w);
+            }
+            NodeState::Split { feature, threshold, left, right, prob } => {
+                w.u8(1);
+                feature.put(w);
+                threshold.put(w);
+                left.put(w);
+                right.put(w);
+                prob.put(w);
             }
         }
     }
-    w.buf
-}
-
-fn decode_forest(buf: &[u8]) -> Result<Option<RandomForest>, Error> {
-    let mut r = Reader { buf, at: 0 };
-    let present = r.u8()?;
-    match present {
-        0 => {
-            r.done()?;
-            return Ok(None);
-        }
-        1 => {}
-        other => return Err(schema(format!("forest presence byte {other} is not 0/1"))),
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.tag("tree node", &[false, true])? {
+            false => NodeState::Leaf { prob: r.get()? },
+            true => NodeState::Split {
+                feature: r.get()?,
+                threshold: r.get()?,
+                left: r.get()?,
+                right: r.get()?,
+                prob: r.get()?,
+            },
+        })
     }
-    let n_trees = r.u64()? as usize;
-    let max_depth = r.u64()? as usize;
-    let seed = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut trees = Vec::with_capacity(count);
-    for _ in 0..count {
-        let criterion = match r.u8()? {
-            0 => SplitCriterion::Gini,
-            1 => SplitCriterion::Entropy,
-            other => return Err(schema(format!("unknown split criterion {other}"))),
-        };
-        let tree_depth = r.u64()? as usize;
-        let root = r.u64()? as usize;
-        let node_count = r.u32()? as usize;
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            nodes.push(match r.u8()? {
-                0 => NodeState::Leaf { prob: r.f64()? },
-                1 => NodeState::Split {
-                    feature: r.u64()? as usize,
-                    threshold: r.f64()?,
-                    left: r.u64()? as usize,
-                    right: r.u64()? as usize,
-                    prob: r.f64()?,
-                },
-                other => return Err(schema(format!("unknown tree node tag {other}"))),
-            });
-        }
-        trees.push(TreeState { criterion, max_depth: tree_depth, root, nodes });
-    }
-    r.done()?;
-    RandomForest::from_state(ForestState { n_trees, max_depth, seed, trees })
-        .map(Some)
-        .map_err(schema)
-}
-
-fn encode_signatures(entries: &[SignatureEntry]) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.u32(entries.len() as u32);
-    for e in entries {
-        w.bytes(e.commit.as_bytes());
-        match &e.cve_id {
-            None => w.buf.push(0),
-            Some(cve) => {
-                w.buf.push(1);
-                w.str32(cve);
-            }
-        }
-        w.bytes(e.signature.commit.as_bytes());
-        w.str_vec(&e.signature.vulnerable);
-        w.str_vec(&e.signature.fixed);
-    }
-    w.buf
-}
-
-fn decode_signatures(buf: &[u8]) -> Result<Vec<SignatureEntry>, Error> {
-    let mut r = Reader { buf, at: 0 };
-    let count = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let commit = r.commit()?;
-        let cve_id = match r.u8()? {
-            0 => None,
-            1 => Some(r.str32()?),
-            other => return Err(schema(format!("cve presence byte {other} is not 0/1"))),
-        };
-        let sig_commit = r.commit()?;
-        let vulnerable = r.str_vec()?;
-        let fixed = r.str_vec()?;
-        entries.push(SignatureEntry {
-            commit,
-            cve_id,
-            signature: PatchSignature { commit: sig_commit, vulnerable, fixed },
-        });
-    }
-    r.done()?;
-    Ok(entries)
 }
 
 // ---- byte-level writer/reader ----
@@ -325,52 +454,56 @@ impl Writer {
     fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
+    fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
     fn u32(&mut self, v: u32) {
         self.bytes(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+    fn len32(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("snapshot counts and lengths fit in u32"));
     }
-    fn str32(&mut self, s: &str) {
-        self.u32(s.len() as u32);
+    fn list<T: Codec>(&mut self, items: &[T]) {
+        self.len32(items.len());
+        items.iter().for_each(|v| v.put(self));
+    }
+    fn str(&mut self, s: &str) {
+        self.len32(s.len());
         self.bytes(s.as_bytes());
     }
-    fn str_vec(&mut self, v: &[String]) {
-        self.u32(v.len() as u32);
-        for s in v {
-            self.str32(s);
-        }
-    }
-    /// One length-prefixed section.
-    fn section(&mut self, payload: &[u8]) {
-        self.u64(payload.len() as u64);
-        self.bytes(payload);
+    /// One section: a `u64` length, back-filled once `payload` has
+    /// written its bytes in place.
+    fn section(&mut self, payload: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.u64(0);
+        payload(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 }
 
+/// A cursor over `buf[at..end]`. Offsets stay absolute into the file,
+/// so a section's reader reports positions a hex dump can find.
 struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
+    end: usize,
 }
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                schema(format!(
-                    "truncated: need {n} bytes at offset {}, have {}",
-                    self.at,
-                    self.buf.len().saturating_sub(self.at)
-                ))
-            })?;
-        let out = &self.buf[self.at..end];
-        self.at = end;
+        let have = self.end - self.at;
+        if n > have {
+            return Err(schema(format!(
+                "truncated: need {n} bytes at offset {}, have {have}",
+                self.at
+            )));
+        }
+        let out = &self.buf[self.at..self.at + n];
+        self.at += n;
         Ok(out)
     }
     fn u8(&mut self) -> Result<u8, Error> {
@@ -382,75 +515,139 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, Error> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
-    fn f64(&mut self) -> Result<f64, Error> {
-        Ok(f64::from_bits(self.u64()?))
+    fn get<T: Codec>(&mut self) -> Result<T, Error> {
+        T::get(self)
     }
-    fn str32(&mut self) -> Result<String, Error> {
-        let n = self.u32()? as usize;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec())
-            .map_err(|e| schema(format!("string at offset {} is not UTF-8: {e}", self.at - n)))
+    /// A `u8` tag indexing `values`.
+    fn tag<T: Copy>(&mut self, what: &str, values: &[T]) -> Result<T, Error> {
+        let at = self.at;
+        let tag = self.u8()?;
+        values
+            .get(tag as usize)
+            .copied()
+            .ok_or_else(|| schema(format!("{what} tag {tag} at offset {at} is out of range")))
     }
-    fn str_vec(&mut self) -> Result<Vec<String>, Error> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(self.str32()?);
+    /// A `u32` count of items at least `min_bytes` long each, checked
+    /// against the bytes left so no allocation outgrows the file.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, Error> {
+        let at = self.at;
+        let n = self.length_field(4)?;
+        let have = self.end - self.at;
+        if n.saturating_mul(min_bytes) > have {
+            return Err(schema(format!(
+                "count {n} at offset {at} needs at least {min_bytes} bytes each, {have} left"
+            )));
         }
-        Ok(out)
+        Ok(n)
     }
-    fn commit(&mut self) -> Result<CommitId, Error> {
-        let b: [u8; 20] = self.take(20)?.try_into().expect("20 bytes");
-        Ok(CommitId::from_bytes(b))
+    fn str(&mut self) -> Result<&'a str, Error> {
+        let at = self.at;
+        let n = self.length_field(4)?;
+        std::str::from_utf8(self.take(n)?)
+            .map_err(|e| schema(format!("string at offset {at} is not UTF-8: {e}")))
     }
-    fn section(&mut self) -> Result<Vec<u8>, Error> {
-        let len = self.u64()?;
-        let len = usize::try_from(len)
-            .map_err(|_| schema(format!("section length {len} overflows")))?;
-        Ok(self.take(len)?.to_vec())
+    /// A `u64` length and that many bytes, as a reader of their own.
+    fn section(&mut self) -> Result<Reader<'a>, Error> {
+        let n = self.length_field(8)?;
+        let start = self.at;
+        self.take(n)?;
+        Ok(Reader { buf: self.buf, at: start, end: self.at })
     }
-    /// Asserts the payload was consumed exactly.
-    fn done(&self) -> Result<(), Error> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(schema(format!("{} trailing bytes in section", self.buf.len() - self.at)))
+    /// Decodes one value that must fill the reader exactly.
+    fn whole<T: Codec>(mut self) -> Result<T, Error> {
+        let value = self.get()?;
+        if self.at != self.end {
+            return Err(schema(format!(
+                "{} trailing bytes in the section ending at offset {}",
+                self.end - self.at,
+                self.end
+            )));
         }
+        Ok(value)
+    }
+    /// A little-endian count or length `width` bytes wide.
+    fn length_field(&mut self, width: usize) -> Result<usize, Error> {
+        #[cfg(test)]
+        tests::note_length_field(self.at, width);
+        let at = self.at;
+        let n = match width {
+            4 => self.u32()? as u64,
+            _ => self.u64()?,
+        };
+        usize::try_from(n).map_err(|_| schema(format!("length {n} at offset {at} overflows")))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::sync::OnceLock;
+
     use super::*;
     use patchdb::BuildOptions;
+    use patchdb_rt::check::check;
 
-    fn built_index() -> ServeIndex {
-        ServeIndex::build(PatchDb::build(&BuildOptions::tiny(5).synthesize(false)).db)
+    thread_local! {
+        static LENGTH_FIELDS: RefCell<Option<Vec<(usize, usize)>>> = const { RefCell::new(None) };
+    }
+
+    /// Records where the decoder read a count or length, while a test
+    /// is listening on this thread.
+    pub(super) fn note_length_field(at: usize, width: usize) {
+        LENGTH_FIELDS.with(|f| {
+            if let Some(fields) = f.borrow_mut().as_mut() {
+                fields.push((at, width));
+            }
+        });
+    }
+
+    /// Every `(offset, width)` at which decoding `bytes` reads a count
+    /// or length field.
+    fn length_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+        LENGTH_FIELDS.with(|f| *f.borrow_mut() = Some(Vec::new()));
+        Snapshot { bytes: bytes.to_vec() }.decode().expect("decode");
+        LENGTH_FIELDS.with(|f| f.borrow_mut().take().expect("listening"))
+    }
+
+    fn built_index() -> &'static ServeIndex {
+        static INDEX: OnceLock<ServeIndex> = OnceLock::new();
+        INDEX.get_or_init(|| ServeIndex::build(PatchDb::build(&BuildOptions::tiny(5)).db))
+    }
+
+    /// Replaces the trailing checksum so only the structural checks can
+    /// object to a mutation.
+    fn restamp(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        let sum = checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    fn decode(bytes: Vec<u8>) -> Result<ServeIndex, Error> {
+        Snapshot { bytes }.decode()
     }
 
     #[test]
     fn round_trip_preserves_every_endpoint_document() {
         let index = built_index();
-        let snap = Snapshot::encode(&index);
+        let snap = Snapshot::encode(index);
         let loaded = snap.decode().expect("decode");
-        assert_eq!(
-            index.stats_json().to_pretty_string(),
-            loaded.stats_json().to_pretty_string()
-        );
+        assert_eq!(index.stats_json().to_pretty_string(), loaded.stats_json().to_pretty_string());
         assert_eq!(index.signature_count(), loaded.signature_count());
         // Model scores must be bit-exact, not just close.
-        let rows: Vec<Vec<f64>> = index
-            .db()
-            .records()
-            .take(16)
-            .map(|r| index.weighted_features(&r.patch))
-            .collect();
+        let rows: Vec<Vec<f64>> =
+            index.db().records().take(16).map(|r| index.weighted_features(&r.patch)).collect();
         assert_eq!(index.score_rows(&rows), loaded.score_rows(&rows));
         let id = index.db().nvd[0].commit.to_string();
         assert_eq!(
             index.patch_json(&id).map(|j| j.to_pretty_string()),
             loaded.patch_json(&id).map(|j| j.to_pretty_string())
         );
+        // The whole dataset, synthetic records included, down to the
+        // exported JSON bytes; and the encoding is canonical.
+        assert!(!index.db().synthetic.is_empty());
+        assert_eq!(index.db().to_json().unwrap(), loaded.db().to_json().unwrap());
+        assert_eq!(Snapshot::encode(&loaded).bytes, snap.bytes);
     }
 
     #[test]
@@ -479,25 +676,18 @@ mod tests {
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x40;
-        let c = dir.join("corrupt.snapshot");
-        std::fs::write(&c, &corrupt).unwrap();
-        assert!(matches!(ServeIndex::load_snapshot(&c), Err(Error::Schema(_))));
+        match decode(corrupt) {
+            Err(Error::Schema(msg)) => assert!(msg.contains("checksum"), "{msg}"),
+            other => panic!("a flipped byte must fail the checksum, got {:?}", other.err()),
+        }
 
         // A wrong version string (checksum re-stamped so only the
         // version check can object).
         let mut wrong = bytes.clone();
-        let tag = SCHEMA.as_bytes();
-        let pos = wrong
-            .windows(tag.len())
-            .position(|w| w == tag)
-            .expect("schema tag present");
+        let tag = Snapshot::SCHEMA.as_bytes();
+        let pos = wrong.windows(tag.len()).position(|w| w == tag).expect("schema tag present");
         wrong[pos + tag.len() - 1] = b'9';
-        let len = wrong.len();
-        let sum = fnv1a64(&wrong[..len - 8]);
-        wrong[len - 8..].copy_from_slice(&sum.to_le_bytes());
-        let v = dir.join("wrong-version.snapshot");
-        std::fs::write(&v, &wrong).unwrap();
-        match ServeIndex::load_snapshot(&v) {
+        match decode(restamp(wrong)) {
             Err(Error::Schema(msg)) => assert!(msg.contains("unsupported"), "{msg}"),
             Err(e) => panic!("wrong version must be Error::Schema, got {e}"),
             Ok(_) => panic!("wrong version must not load"),
@@ -509,5 +699,100 @@ mod tests {
         assert!(matches!(ServeIndex::load_snapshot(&m), Err(Error::Schema(_))));
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retired_v1_layout_asks_for_a_rebuild() {
+        // A v1 header over filler: the schema check answers before the
+        // checksum (which this file does not carry) is looked at.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&(RETIRED_SCHEMA.len() as u32).to_le_bytes());
+        v1.extend_from_slice(RETIRED_SCHEMA.as_bytes());
+        v1.extend_from_slice(&[0xAB; 64]);
+        match decode(v1) {
+            Err(Error::Schema(msg)) => {
+                assert!(msg.contains("patchdb-snapshot/v1"), "{msg}");
+                assert!(msg.contains("rebuild with `patchdb snapshot`"), "{msg}");
+            }
+            other => panic!("a v1 file must be Error::Schema, got {:?}", other.err()),
+        }
+    }
+
+    /// The weights count set to `u32::MAX` once allocated 32 GiB before
+    /// reading a single weight, and aborted the process.
+    #[test]
+    fn weights_count_bomb_is_a_schema_error() {
+        let bytes = Snapshot::encode(built_index()).bytes;
+        // magic, schema, section count, then the records section.
+        let records_len_at = MAGIC.len() + 4 + Snapshot::SCHEMA.len() + 4;
+        let records_len = u64::from_le_bytes(bytes[records_len_at..][..8].try_into().unwrap());
+        let weights_count_at = records_len_at + 8 + records_len as usize + 8;
+        let mut bomb = bytes.clone();
+        bomb[weights_count_at..][..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        match decode(restamp(bomb)) {
+            Err(Error::Schema(msg)) => assert!(msg.contains("count 4294967295"), "{msg}"),
+            other => panic!("the weights-count bomb must be Error::Schema, got {:?}", other.err()),
+        }
+    }
+
+    /// Cut, flipped and oversized-length snapshots, each with the
+    /// checksum re-stamped so the structural checks are what answer:
+    /// never a panic or an abort. A cut or an oversized length is always
+    /// `Error::Schema`; a flipped byte may land where any value is
+    /// valid (inside a string or a float), and then the decoded index
+    /// must re-encode to exactly the bytes it was read from.
+    #[test]
+    fn mutated_snapshots_are_schema_errors() {
+        let bytes = Snapshot::encode(built_index()).bytes;
+        let body = bytes.len() - 8;
+        let fields = length_fields(&bytes);
+        assert!(fields.len() > 1000, "{} length fields", fields.len());
+        check("snapshot_mutations", 96, |g| match g.usize_in(0, 2) {
+            0 => {
+                let cut = g.usize_in(0, body - 1);
+                let mut cut_bytes = bytes[..cut].to_vec();
+                cut_bytes.extend_from_slice(&[0; 8]);
+                let got = decode(restamp(cut_bytes));
+                assert!(matches!(got, Err(Error::Schema(_))), "cut at {cut}: {:?}", got.err());
+            }
+            1 => {
+                let at = g.usize_in(0, body - 1);
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << g.usize_in(0, 7);
+                let flipped = restamp(flipped);
+                match decode(flipped.clone()) {
+                    Ok(index) => assert!(
+                        Snapshot::encode(&index).bytes == flipped,
+                        "flip at {at} decoded to a different index"
+                    ),
+                    Err(Error::Schema(_)) => {}
+                    Err(e) => panic!("flip at {at}: not a schema error: {e}"),
+                }
+            }
+            _ => {
+                let (at, width) = fields[g.index(fields.len())];
+                let mut bomb = bytes.clone();
+                bomb[at..at + width].fill(0xff);
+                let got = decode(restamp(bomb));
+                assert!(
+                    matches!(got, Err(Error::Schema(_))),
+                    "{width}-byte length at {at}: {:?}",
+                    got.err()
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn checksum_sees_every_byte_and_the_length() {
+        let data: Vec<u8> = (0..37u8).collect();
+        let base = checksum(&data);
+        for at in 0..data.len() {
+            let mut d = data.clone();
+            d[at] ^= 0x80;
+            assert_ne!(checksum(&d), base, "flip at {at}");
+        }
+        assert_ne!(checksum(&[0; 5]), checksum(&[0; 6]));
+        assert_ne!(checksum(&[]), checksum(&[0]));
     }
 }

@@ -199,3 +199,20 @@ fn untrusted_bodies_regression_collapsed_hunk_header() {
         assert!(Patch::parse(&text).is_err(), "{text:?}");
     }
 }
+
+/// A CRLF body is the same patch as its LF twin: every NVD patch of a
+/// tiny build, printed and re-parsed with either line ending, parses to
+/// one `Patch` and scores one weighted feature row.
+#[test]
+fn crlf_bodies_parse_and_score_like_lf() {
+    let ix = index();
+    assert!(!ix.db().nvd.is_empty());
+    for r in &ix.db().nvd {
+        let text = r.patch.to_unified_string();
+        let lf = Patch::parse(&text).expect("printed patch parses");
+        let crlf = Patch::parse(&text.replace('\n', "\r\n")).expect("CRLF patch parses");
+        assert_eq!(lf, crlf, "{}", r.commit);
+        assert_eq!(lf, r.patch, "{}: print/parse round trip", r.commit);
+        assert_eq!(ix.weighted_features(&lf), ix.weighted_features(&crlf), "{}", r.commit);
+    }
+}

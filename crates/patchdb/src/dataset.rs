@@ -184,10 +184,23 @@ impl PatchDb {
         if id.len() < 4 {
             return None;
         }
-        let mut hits = self.records().filter(|r| r.commit.to_string().starts_with(id));
+        let mut hits = self.records().filter(|r| hex_starts_with(&r.commit, id.as_bytes()));
         let first = hits.next()?;
         hits.next().is_none().then_some(first)
     }
+}
+
+/// Whether the lowercase hex form of `commit` starts with `prefix`,
+/// compared nibble by nibble without rendering the hex.
+fn hex_starts_with(commit: &CommitId, prefix: &[u8]) -> bool {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = commit.as_bytes();
+    prefix.len() <= 2 * bytes.len()
+        && prefix.iter().enumerate().all(|(i, &c)| {
+            let byte = bytes[i / 2];
+            let nibble = if i % 2 == 0 { byte >> 4 } else { byte & 0xf };
+            HEX[nibble as usize] == c
+        })
 }
 
 patchdb_rt::impl_json_unit_enum!(Source { Nvd, Wild, NonSecurity });
@@ -277,6 +290,37 @@ mod tests {
         assert!(only.find_patch(&full[..8]).is_some());
         assert!(only.find_patch(&full[..3]).is_none(), "prefix too short");
         assert!(only.find_patch("ffff").is_none(), "no match");
+    }
+
+    /// The nibble matcher against the rule it replaced — render the hex,
+    /// then `starts_with` — over every record of a tiny build, with
+    /// prefixes of every length from 3 to 40 in lowercase, uppercase,
+    /// and with a non-hex last character.
+    #[test]
+    fn find_patch_matches_the_rendered_hex_rule() {
+        let db = PatchDb::build(&crate::BuildOptions::tiny(5).synthesize(false)).db;
+        let rendered: Vec<String> = db.records().map(|r| r.commit.to_string()).collect();
+        let old_rule = |id: &str| {
+            if id.len() < 4 {
+                return None;
+            }
+            let mut hits = db.records().zip(&rendered).filter(|(_, hex)| hex.starts_with(id));
+            let (first, _) = hits.next()?;
+            hits.next().is_none().then_some(first.commit)
+        };
+        let mut resolved = 0;
+        for (i, hex) in rendered.iter().enumerate() {
+            let prefix = &hex[..3 + i % 38];
+            let mut non_hex = prefix[..prefix.len() - 1].to_owned();
+            non_hex.push('g');
+            for id in [prefix.to_owned(), prefix.to_uppercase(), non_hex, hex[..4].to_owned()] {
+                let got = db.find_patch(&id).map(|r| r.commit);
+                assert_eq!(got, old_rule(&id), "prefix {id:?}");
+                resolved += got.is_some() as usize;
+            }
+        }
+        assert!(resolved > rendered.len() / 2, "{resolved} of {} resolved", rendered.len());
+        assert!(db.find_patch(&format!("{}0", rendered[0])).is_none(), "41 chars");
     }
 
     #[test]

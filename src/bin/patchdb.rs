@@ -24,7 +24,7 @@ commands:
   analyze   most discriminative Table I features
   scan      vulnerability-signature scan of a C file
   serve     long-lived HTTP query server over a dataset or snapshot
-  snapshot  compile a dataset into a binary patchdb-snapshot/v1 file
+  snapshot  compile a dataset into a binary patchdb-snapshot/v2 file
   help      show usage for a command
 
 `patchdb help <command>` prints per-command flags; `--version` prints
@@ -81,9 +81,11 @@ walks them at --hz, and the aggregate lands as folded stacks —
             "usage: patchdb snapshot <FILE> [--out PATH]
 
 Builds the full serve index (weights, forest, signatures) once and
-writes it as a binary patchdb-snapshot/v1 file. `patchdb serve
+writes it as a binary patchdb-snapshot/v2 file. `patchdb serve
 --snapshot PATH` boots from it without re-running any of the pipeline,
-answering byte-identically to a fresh build.
+answering byte-identically to a fresh build. A snapshot is a cache of
+the dataset: rerun this command after an upgrade that changes the
+layout (a patchdb-snapshot/v1 file is refused).
 
   <FILE>      dataset JSON from `patchdb build --out`
   --out PATH  snapshot output path (default patchdb.snapshot)"
@@ -100,10 +102,11 @@ answering byte-identically to a fresh build.
 
   <FILE>              dataset JSON to index and serve (optional when
                       --snapshot is given)
-  --snapshot PATH     boot from a patchdb-snapshot/v1 file written by
+  --snapshot PATH     boot from a patchdb-snapshot/v2 file written by
                       `patchdb snapshot` — skips the learning pipeline
                       entirely; responses are byte-identical to a fresh
-                      build of the same dataset
+                      build of the same dataset. A v1 file is refused:
+                      rebuild it with `patchdb snapshot`
   --addr HOST:PORT    bind address (default 127.0.0.1:7979; port 0 = ephemeral)
   --threads N         worker pool size (default 0 = auto)
   --batch-window-ms N identify micro-batch window (default 2)
@@ -648,7 +651,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 }
 
 /// `patchdb snapshot`: build the serve index once and persist it as a
-/// binary patchdb-snapshot/v1 file for instant `serve --snapshot` boots.
+/// binary patchdb-snapshot/v2 file for instant `serve --snapshot` boots.
 fn cmd_snapshot(args: &[String]) -> CliResult {
     let mut path: Option<&String> = None;
     let mut out = "patchdb.snapshot".to_owned();

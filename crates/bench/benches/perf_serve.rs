@@ -8,8 +8,8 @@
 //! `patchdb-serve/v2`) at the repo root.
 //!
 //! Every response body is checked against a reference reply computed
-//! once from a single-worker server: transport mode, worker count, and
-//! batch composition must never change bytes.
+//! once from a single-worker server: neither transport mode nor worker
+//! count may change bytes.
 //!
 //! For the non-pipelined modes each configuration also scrapes the
 //! server's own `/metrics` windowed quantiles (`serve.identify.total_ns`,
@@ -365,7 +365,6 @@ fn main() {
                 .addr("127.0.0.1:0")
                 .threads(workers)
                 .max_inflight(1024)
-                .batch_window_ms(0)
                 .flight(false)
                 .sampler(false)
                 .tracing(false);
@@ -465,7 +464,6 @@ fn main() {
         .addr("127.0.0.1:0")
         .threads(8)
         .max_inflight(1024)
-        .batch_window_ms(0)
         .flight(false)
         .sampler(false)
         .tracing(false);
@@ -579,7 +577,6 @@ fn main() {
         &ServeConfig::default()
             .addr("127.0.0.1:0")
             .threads(4)
-            .batch_window_ms(0)
             .flight(false)
             .sampler(false)
             .reload_from(ReloadSource::Snapshot(snap_path.display().to_string())),

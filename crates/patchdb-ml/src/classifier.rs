@@ -22,13 +22,9 @@ pub trait Classifier: Send {
 
     /// Positive-class probabilities for a batch of rows, in row order.
     ///
-    /// The default is a serial map over [`Classifier::predict_proba`];
-    /// models whose per-row inference is expensive enough to amortize a
-    /// fan-out (the forest) override it. Implementations must return
-    /// exactly `rows.len()` values and be row-order deterministic, so a
-    /// batch scored through any override equals the rows scored one by
-    /// one — the batching server relies on this to keep responses
-    /// independent of how requests happened to be batched together.
+    /// The default is a serial map over [`Classifier::predict_proba`].
+    /// An override must return exactly `rows.len()` values, each equal
+    /// to the row scored on its own.
     fn predict_proba_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         rows.iter().map(|r| self.predict_proba(r)).collect()
     }

@@ -125,19 +125,6 @@ impl Classifier for RandomForest {
         sum / self.trees.len() as f64
     }
 
-    /// Fans batch inference out across rows with `rt::par` when the batch
-    /// is large enough to pay for the spawns. Per-row scoring is a pure
-    /// function of the fitted trees, so the parallel path returns exactly
-    /// the serial result in the same order.
-    fn predict_proba_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        let threads = patchdb_rt::par::configured_threads(8);
-        if threads > 1 && rows.len() >= 64 {
-            patchdb_rt::par::map_chunked(rows, threads, |r| self.predict_proba(r))
-        } else {
-            rows.iter().map(|r| self.predict_proba(r)).collect()
-        }
-    }
-
     fn name(&self) -> &'static str {
         "random-forest"
     }
@@ -203,12 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_predict_matches_per_row_on_both_paths() {
+    fn batch_predict_matches_per_row() {
         let d = two_moons(300);
         let mut rf = RandomForest::new(8, 6, 21);
         rf.fit(&d);
         let rows: Vec<Vec<f64>> = d.rows().to_vec();
-        // 300 rows crosses the fan-out threshold; 8 rows stays serial.
+        // The trait's default batch path: a prefix of the rows scores
+        // exactly as that prefix of the full batch.
         let batched = rf.predict_proba_batch(&rows);
         assert_eq!(batched.len(), rows.len());
         for (row, &p) in rows.iter().zip(&batched) {

@@ -15,10 +15,17 @@
 //! time is not.
 
 use std::panic;
+use std::sync::OnceLock;
 
 /// A worker count: available parallelism capped at `cap`, at least 1.
+///
+/// `available_parallelism` reads cgroup files on Linux, so it is asked
+/// once per process and cached.
 pub fn suggested_threads(cap: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get()).min(cap).max(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    let available =
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    available.min(cap).max(1)
 }
 
 /// The worker count parallel call sites should use: the `PATCHDB_THREADS`
@@ -34,7 +41,8 @@ pub fn suggested_threads(cap: usize) -> usize {
 /// per process.
 ///
 /// `0` is clamped to `1` (the smallest legal worker count); anything
-/// unparsable falls back to [`suggested_threads`].
+/// unparsable falls back to [`suggested_threads`]. The variable is read
+/// on every call, so a process may change it at runtime.
 pub fn configured_threads(cap: usize) -> usize {
     static WARN_ONCE: std::sync::Once = std::sync::Once::new();
     let (threads, warning) =

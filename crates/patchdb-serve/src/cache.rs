@@ -2,8 +2,7 @@
 //!
 //! Identify is a pure function of the request body: the same diff bytes
 //! always parse to the same patch, extract the same feature row, and
-//! score identically through the fitted forest (batch composition never
-//! leaks into scores — pinned by `batch::tests`). That purity makes the
+//! score identically through the fitted forest. That purity makes the
 //! response cacheable by construction: a hit returns byte-identical
 //! output to the full pipeline, so the cache is a throughput lever with
 //! no observable effect besides latency.
@@ -44,8 +43,8 @@ struct Inner {
     bytes: usize,
 }
 
-/// Bounded body-bytes → score map shared by the workers (lookup) and
-/// the batcher (insert after scoring).
+/// Bounded body-bytes → score map shared by the workers (lookup, and
+/// insert after scoring a miss).
 pub(crate) struct IdentifyCache {
     inner: Mutex<Inner>,
     max_entries: usize,

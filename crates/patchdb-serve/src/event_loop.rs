@@ -14,9 +14,8 @@
 //!
 //! Pipelining: requests on one connection are assigned ascending
 //! sequence numbers at admission; completions may arrive out of order
-//! (workers race, identify detours through the batcher) and park in a
-//! per-connection `BTreeMap` until their turn, so response *bytes* are
-//! always written in request order. Each response goes out with one
+//! (workers race) and park in a per-connection `BTreeMap` until their
+//! turn, so response *bytes* are always written in request order. Each response goes out with one
 //! `write_vectored` of `[head, body]`; unread remainders wait in the
 //! connection's outbox for `POLLOUT`.
 //!
@@ -86,7 +85,7 @@ pub(crate) struct Completion {
     pub close_after: bool,
 }
 
-/// The mailbox + waker pair workers and the batcher complete through.
+/// The mailbox + waker pair workers complete through.
 pub(crate) struct LoopShared {
     mailbox: Mutex<Vec<Completion>>,
     waker: net::Waker,

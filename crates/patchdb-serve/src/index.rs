@@ -165,12 +165,12 @@ impl ServeIndex {
         apply_weights(&extract(patch, None), &self.weights).as_slice().to_vec()
     }
 
-    /// Scores a batch of weighted feature rows with the pre-fit forest,
-    /// in row order. Row-order deterministic, so scores are independent
-    /// of how requests were batched together.
+    /// Scores weighted feature rows with the pre-fit forest, in row
+    /// order. Each row is scored on its own, so a row's score never
+    /// depends on which rows share the call.
     pub fn score_rows(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         match &self.forest {
-            Some(f) => f.predict_proba_batch(rows),
+            Some(f) => rows.iter().map(|r| f.predict_proba(r)).collect(),
             None => vec![0.5; rows.len()],
         }
     }

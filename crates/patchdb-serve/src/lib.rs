@@ -43,14 +43,13 @@
 //! queue (or the `--max-conns` cap) is full the request is answered
 //! `503` + `Retry-After` immediately instead of queueing unboundedly.
 //! A fixed worker pool drains the queue under per-request deadlines;
-//! `/v1/identify` requests are micro-batched through the forest by a
-//! dedicated batcher thread with a configurable batch window, and the
-//! batcher completes them straight back to the loop so workers never
-//! park on the batch window. Connections are HTTP/1.1 keep-alive by
-//! default (idle-timeout wheel, optional per-connection request cap)
-//! and may pipeline: responses park per-connection until their turn,
-//! so bytes always leave in request order. Shutdown is graceful:
-//! accepted work drains, then every thread joins.
+//! each worker runs its request's endpoint to the end — an identify
+//! miss is scored through the forest on that worker as a batch of one —
+//! and completes straight back to the loop. Connections are HTTP/1.1
+//! keep-alive by default (idle-timeout wheel, optional per-connection
+//! request cap) and may pipeline: responses park per-connection until
+//! their turn, so bytes always leave in request order. Shutdown is
+//! graceful: accepted work drains, then every thread joins.
 //!
 //! Every connection carries a request ID and a six-stage clock
 //! (accept → queue → parse → batch → compute → write); finished records
@@ -60,9 +59,9 @@
 //! off by default).
 //!
 //! Responses are deterministic: the same request against the same
-//! dataset yields byte-identical bodies at any worker count or batch
-//! composition (`tests/serve.rs` pins threads 1 vs 8), whether the
-//! index was pipeline-built or booted from a binary snapshot.
+//! dataset yields byte-identical bodies at any worker count
+//! (`tests/serve.rs` pins threads 1 vs 8), whether the index was
+//! pipeline-built or booted from a binary snapshot.
 //!
 //! ## Index lifecycle
 //!
@@ -100,7 +99,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod cache;
 pub mod client;
 mod event_loop;

@@ -4,10 +4,9 @@
 //! The event loop (see [`crate::event_loop`]) owns every socket and
 //! frames complete requests; workers only ever see [`Work`] items that
 //! already carry a parsed request, run the endpoint, and complete back
-//! into the loop's mailbox. `/v1/identify` completes asynchronously
-//! through the micro-batcher, so a worker is never parked on the batch
-//! window — on a small core count that detachment is what lets the
-//! keep-alive path saturate the scorer instead of the worker pool.
+//! into the loop's mailbox. Every endpoint, `/v1/identify` included,
+//! finishes on the worker that popped it: an identify miss is parsed,
+//! extracted and scored through the forest as a batch of one right here.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,7 +22,6 @@ use patchdb_rt::obs;
 use patchdb_rt::par;
 use patchdb_rt::queue::BoundedQueue;
 
-use crate::batch::{identify_response, Batcher, IdentifyTicket};
 use crate::cache::cache_key;
 use crate::event_loop::{Completion, EventLoop, LoopShared};
 use crate::handle::{reload, Generation, IndexHandle, ReloadSource};
@@ -39,7 +37,6 @@ use crate::telemetry::{elapsed_ns, RequestRecord, Telemetry};
 /// let config = ServeConfig::default()
 ///     .addr("127.0.0.1:0")
 ///     .threads(4)
-///     .batch_window_ms(2)
 ///     .max_inflight(64)
 ///     .keep_alive(true)
 ///     .max_conns(4096);
@@ -53,8 +50,6 @@ pub struct ServeConfig {
     /// Worker-pool size; `0` defers to `PATCHDB_THREADS` / available
     /// parallelism via `par::configured_threads`.
     pub threads: usize,
-    /// How long `/v1/identify` waits for a batch to fill before scoring.
-    pub batch_window_ms: u64,
     /// Bound on framed-but-unfinished requests in the admission queue.
     /// Admissions beyond it are answered `503` + `Retry-After`.
     pub max_inflight: usize,
@@ -126,7 +121,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7979".into(),
             threads: 0,
-            batch_window_ms: 2,
             max_inflight: 128,
             deadline_ms: 10_000,
             access_log: None,
@@ -159,12 +153,6 @@ impl ServeConfig {
     /// Sets the worker-pool size (`0` = auto).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the identify batch window in milliseconds.
-    pub fn batch_window_ms(mut self, ms: u64) -> Self {
-        self.batch_window_ms = ms;
         self
     }
 
@@ -317,7 +305,6 @@ struct Ctx {
     /// The live handle — used only by `/admin/reload`; request serving
     /// goes through the generation pinned on each [`Work`].
     handle: IndexHandle,
-    batcher: Batcher,
     shared: Arc<LoopShared>,
     telemetry: Arc<Telemetry>,
     /// Where `/admin/reload` rebuilds from (`None` = reload disabled).
@@ -333,14 +320,12 @@ pub struct Server {
     shared: Arc<LoopShared>,
     event_loop: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    batcher: Batcher,
-    batcher_thread: Option<JoinHandle<()>>,
     worker_count: usize,
 }
 
 impl Server {
-    /// Binds, spawns the event-loop thread, the worker pool, and the
-    /// batcher, and starts answering. Also enables `rt::obs` so the
+    /// Binds, spawns the event-loop thread and the worker pool, and
+    /// starts answering. Also enables `rt::obs` so the
     /// `/metrics` endpoint has counters to export.
     ///
     /// Accepts anything that converts into an [`IndexHandle`]: a bare
@@ -394,12 +379,9 @@ impl Server {
             patchdb_rt::net::install_sighup_handler(waker.raw_write_fd());
         }
         let shared = Arc::new(LoopShared::new(waker));
-        let (batcher, batcher_thread) =
-            Batcher::start(Duration::from_millis(config.batch_window_ms), Arc::clone(&shared));
 
         let ctx = Arc::new(Ctx {
             handle: handle.clone(),
-            batcher: batcher.clone(),
             shared: Arc::clone(&shared),
             telemetry: Arc::clone(&telemetry),
             reload: reload_source,
@@ -449,8 +431,6 @@ impl Server {
             shared,
             event_loop: Some(loop_thread),
             workers,
-            batcher,
-            batcher_thread: Some(batcher_thread),
             worker_count,
         })
     }
@@ -467,8 +447,7 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, answer everything already
     /// admitted (pipelined requests included), then join the event
-    /// loop, the workers, and the batcher. Returns once every thread
-    /// has exited.
+    /// loop and the workers. Returns once every thread has exited.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -498,10 +477,6 @@ impl Server {
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        self.batcher.shutdown();
-        if let Some(b) = self.batcher_thread.take() {
-            let _ = b.join();
         }
     }
 }
@@ -565,8 +540,7 @@ fn reply(work: Work, endpoint: &'static str, response: Response, ctx: &Ctx) {
 }
 
 /// Worker entry for one framed request: closes out the queue stage,
-/// runs the endpoint, and completes back to the loop. `/v1/identify`
-/// detaches into the batcher instead of blocking here.
+/// runs the endpoint, and completes back to the loop.
 fn handle_work(mut work: Work, ctx: &Ctx) {
     obs::gauge_add("serve.queue_depth", -1);
     obs::flight::record(obs::flight::FlightKind::Queue, "serve.queue.pop", work.rec.id);
@@ -577,55 +551,9 @@ fn handle_work(mut work: Work, ctx: &Ctx) {
         return;
     }
 
-    // `/v1/identify` (POST) is the asynchronous path: feature
-    // extraction happens here, scoring and completion happen on the
-    // batcher thread so this worker is free immediately.
     if work.request.path == "/v1/identify" && work.request.method == "POST" {
-        let started = Instant::now();
-        // Content-addressed fast path: a previously scored body answers
-        // from the cache without parsing, feature extraction, or a trip
-        // through the batcher — identify is pure in the body bytes, so
-        // the response is byte-identical to the full pipeline's.
-        let key = cache_key(&work.request.body);
-        if let Some(score) = work.index_gen.cache.lookup(key, &work.request.body) {
-            work.rec.compute_ns = elapsed_ns(started);
-            work.rec.cache = Some(true);
-            obs::counter_add("serve.identify.requests", 1);
-            obs::counter_add("serve.identify.cache_hits", 1);
-            obs::hist_record("serve.identify.ns", elapsed_ns(started));
-            reply(work, "identify", identify_response(score), ctx);
-            return;
-        }
-        work.rec.cache = Some(false);
-        match parse_patch_body(&work.request) {
-            Err(response) => {
-                work.rec.compute_ns = elapsed_ns(started);
-                reply(work, "identify", response, ctx);
-            }
-            Ok(patch) => {
-                let row = work.index_gen.index.weighted_features(&patch);
-                let body = std::mem::take(&mut work.request.body);
-                work.rec.compute_ns = elapsed_ns(started);
-                obs::counter_add("serve.identify.requests", 1);
-                let index_gen = Arc::clone(&work.index_gen);
-                ctx.batcher.submit_detached(
-                    row,
-                    IdentifyTicket {
-                        slot: work.slot,
-                        generation: work.generation,
-                        seq: work.seq,
-                        started: work.started,
-                        dispatch_started: started,
-                        submitted: Instant::now(),
-                        close_after: work.close_after,
-                        rec: work.rec,
-                        cache_key: key,
-                        body,
-                        index_gen,
-                    },
-                );
-            }
-        }
+        let response = identify(&mut work);
+        reply(work, "identify", response, ctx);
         return;
     }
 
@@ -636,6 +564,58 @@ fn handle_work(mut work: Work, ctx: &Ctx) {
     obs::counter_add(&format!("serve.{endpoint}.requests"), 1);
     obs::hist_record(&format!("serve.{endpoint}.ns"), dispatch_ns);
     reply(work, endpoint, response, ctx);
+}
+
+/// The identify response document for one score — the single rendering
+/// point shared by the cache-hit and scoring paths, so the two cannot
+/// drift byte-wise.
+fn identify_response(score: f64) -> Response {
+    Response::json(
+        200,
+        &Json::Obj(vec![
+            ("score".into(), Json::Num(score)),
+            ("security".into(), Json::Bool(score >= 0.5)),
+        ]),
+    )
+}
+
+/// `POST /v1/identify` against the generation the request pinned at
+/// admission. A body scored before answers from that generation's
+/// cache without parsing — identify is pure in the body bytes, so the
+/// response is byte-identical to the full pipeline's. A miss is parsed,
+/// extracted, and scored through the forest as a batch of one, and its
+/// score lands in the same generation's cache. The record's `compute`
+/// stage covers lookup, parse, and extraction; its `batch` stage times
+/// the forest pass.
+fn identify(work: &mut Work) -> Response {
+    let started = Instant::now();
+    let gen = &work.index_gen;
+    let key = cache_key(&work.request.body);
+    if let Some(score) = gen.cache.lookup(key, &work.request.body) {
+        work.rec.compute_ns = elapsed_ns(started);
+        work.rec.cache = Some(true);
+        obs::counter_add("serve.identify.requests", 1);
+        obs::counter_add("serve.identify.cache_hits", 1);
+        obs::hist_record("serve.identify.ns", elapsed_ns(started));
+        return identify_response(score);
+    }
+    work.rec.cache = Some(false);
+    let patch = match parse_patch_body(&work.request) {
+        Ok(patch) => patch,
+        Err(response) => {
+            work.rec.compute_ns = elapsed_ns(started);
+            return response;
+        }
+    };
+    let row = gen.index.weighted_features(&patch);
+    work.rec.compute_ns = elapsed_ns(started);
+    obs::counter_add("serve.identify.requests", 1);
+    let scoring = Instant::now();
+    let score = gen.index.score_rows(std::slice::from_ref(&row))[0];
+    work.rec.batch_ns = elapsed_ns(scoring);
+    gen.cache.insert(key, std::mem::take(&mut work.request.body), score);
+    obs::hist_record("serve.identify.ns", elapsed_ns(started));
+    identify_response(score)
 }
 
 /// Routes one (non-identify) request against the generation it pinned
@@ -879,4 +859,143 @@ fn scan(request: &Request, gen: &Generation) -> Response {
             ("matches".into(), Json::Arr(matches)),
         ]),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::ServeIndex;
+    use patchdb::{BuildOptions, PatchDb};
+
+    fn tiny_db(seed: u64) -> PatchDb {
+        PatchDb::build(&BuildOptions::tiny(seed).synthesize(false)).db
+    }
+
+    /// A worker context over `handle` whose completions land in a
+    /// mailbox no event loop drains, so tests read them back directly.
+    fn ctx(handle: &IndexHandle) -> Ctx {
+        let (waker, _rx) = Waker::new().unwrap();
+        Ctx {
+            handle: handle.clone(),
+            shared: Arc::new(LoopShared::new(waker)),
+            telemetry: Arc::new(Telemetry::new(&ServeConfig::default()).unwrap()),
+            reload: None,
+        }
+    }
+
+    /// An admitted `POST /v1/identify` of `body` on loop slot `slot`,
+    /// pinned to `index_gen`.
+    fn identify_work(slot: usize, body: &str, index_gen: &Arc<Generation>) -> Work {
+        let now = Instant::now();
+        Work {
+            request: Request {
+                method: "POST".into(),
+                path: "/v1/identify".into(),
+                body: body.as_bytes().to_vec(),
+            },
+            slot,
+            generation: 1,
+            seq: 0,
+            started: now,
+            deadline: now + Duration::from_secs(60),
+            close_after: false,
+            enqueued: now,
+            rec: RequestRecord::admitted(slot as u64, 0),
+            index_gen: Arc::clone(index_gen),
+        }
+    }
+
+    /// Runs one request through the worker path and returns its
+    /// completion.
+    fn serve_one(work: Work, ctx: &Ctx) -> Completion {
+        handle_work(work, ctx);
+        let mut completions = ctx.shared.take_for_test();
+        assert_eq!(completions.len(), 1, "one request, one completion");
+        completions.pop().unwrap()
+    }
+
+    /// Diff bodies of the first `n` security patches of `db`.
+    fn diff_bodies(db: &PatchDb, n: usize) -> Vec<String> {
+        db.security_patches()
+            .take(n)
+            .map(|r| format!("commit {}\n{}", r.commit, r.patch.to_unified_string()))
+            .collect()
+    }
+
+    /// The score the pinned index gives `body` when called directly.
+    fn direct_score(index_gen: &Generation, body: &str) -> f64 {
+        let patch = Patch::parse(body).unwrap();
+        let row = index_gen.index.weighted_features(&patch);
+        index_gen.index.score_rows(std::slice::from_ref(&row))[0]
+    }
+
+    #[test]
+    fn identify_scores_equal_direct_score_rows() {
+        let db = tiny_db(3);
+        let handle = IndexHandle::from(ServeIndex::build(db.clone()));
+        let pinned = handle.load();
+        let ctx = ctx(&handle);
+        let bodies = diff_bodies(&db, 8);
+        let rows: Vec<Vec<f64>> = bodies
+            .iter()
+            .map(|b| pinned.index.weighted_features(&Patch::parse(b).unwrap()))
+            .collect();
+        let direct = pinned.index.score_rows(&rows);
+        for (slot, (body, score)) in bodies.iter().zip(&direct).enumerate() {
+            let completion = serve_one(identify_work(slot, body, &pinned), &ctx);
+            assert_eq!(completion.slot, slot);
+            assert_eq!(completion.body, identify_response(*score).body, "slot {slot}");
+            assert_eq!(completion.rec.cache, Some(false));
+            assert!(completion.rec.batch_ns > 0, "the forest pass is the batch stage");
+            let head = String::from_utf8(completion.head).unwrap();
+            assert!(head.contains("Connection: keep-alive"), "{head}");
+        }
+    }
+
+    #[test]
+    fn identify_miss_fills_the_pinned_cache() {
+        obs::set_enabled(true);
+        let db = tiny_db(3);
+        let handle = IndexHandle::from(ServeIndex::build(db.clone()));
+        let pinned = handle.load();
+        let ctx = ctx(&handle);
+        let body = diff_bodies(&db, 1).pop().unwrap();
+        let want = direct_score(&pinned, &body);
+
+        let miss = serve_one(identify_work(0, &body, &pinned), &ctx);
+        assert_eq!(miss.rec.cache, Some(false));
+        let key = cache_key(body.as_bytes());
+        assert_eq!(pinned.cache.lookup(key, body.as_bytes()), Some(want));
+
+        let hits_before = obs::counter_value("serve.identify.cache_hits");
+        let hit = serve_one(identify_work(1, &body, &pinned), &ctx);
+        assert_eq!(hit.rec.cache, Some(true));
+        assert_eq!(hit.rec.batch_ns, 0, "a cache hit never reaches the forest");
+        assert_eq!(hit.body, miss.body, "a hit answers the miss's bytes");
+        assert!(obs::counter_value("serve.identify.cache_hits") > hits_before);
+    }
+
+    #[test]
+    fn identify_scores_through_the_pinned_generation() {
+        let db = tiny_db(3);
+        let handle = IndexHandle::from(ServeIndex::build(db.clone()));
+        let pinned = handle.load();
+        let ctx = ctx(&handle);
+        // Swap in a different index (different dataset → different model)
+        // after the request was admitted against generation 1, and probe
+        // with a body the two models score differently.
+        handle.swap(ServeIndex::build(tiny_db(7)));
+        let current = handle.load();
+        let body = diff_bodies(&db, 32)
+            .into_iter()
+            .find(|b| direct_score(&pinned, b) != direct_score(&current, b))
+            .expect("the swapped-in model scores some body differently");
+        let want = direct_score(&pinned, &body);
+
+        let completion = serve_one(identify_work(0, &body, &pinned), &ctx);
+        assert_eq!(completion.body, identify_response(want).body);
+        let key = cache_key(body.as_bytes());
+        assert_eq!(pinned.cache.lookup(key, body.as_bytes()), Some(want));
+        assert_eq!(current.cache.lookup(key, body.as_bytes()), None);
+    }
 }

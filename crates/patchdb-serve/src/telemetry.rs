@@ -6,12 +6,12 @@
 //! [`RequestRecord`] that accumulates where the request spent its life:
 //! `accept` (accept to event-loop registration, charged to a
 //! connection's first request), `queue` (admission queue wait), `parse`
-//! (first byte to complete frame in the event loop), `batch` (in the
-//! identify micro-batcher), `compute` (endpoint work minus batch wait),
-//! and `write` (first write attempt to last byte out). The six stages
-//! are disjoint sub-intervals of the request's lifetime, so their sum
-//! never exceeds `total_ns` — the invariant the access-log validator in
-//! `check_bench_json` enforces.
+//! (first byte to complete frame in the event loop), `batch` (the
+//! identify forest pass, a batch of one), `compute` (the rest of the
+//! endpoint work), and `write` (first write attempt to last byte out).
+//! The six stages are disjoint sub-intervals of the request's lifetime,
+//! so their sum never exceeds `total_ns` — the invariant the access-log
+//! validator in `check_bench_json` enforces.
 //!
 //! Recording is strictly observational: response bytes are identical
 //! with telemetry on or off (`tests/serve.rs` pins the access-log
@@ -65,9 +65,9 @@ pub(crate) struct RequestRecord {
     pub queue_ns: u64,
     /// Socket read + HTTP parse.
     pub parse_ns: u64,
-    /// Blocked on the identify micro-batcher (zero for other endpoints).
+    /// The identify forest pass on a cache miss (zero otherwise).
     pub batch_ns: u64,
-    /// Endpoint work, batch wait excluded.
+    /// Endpoint work, the forest pass excluded.
     pub compute_ns: u64,
     /// Response write + flush.
     pub write_ns: u64,
@@ -218,8 +218,8 @@ impl AccessSink {
     }
 }
 
-/// Per-server telemetry state, shared by the event loop, the batcher,
-/// and every worker.
+/// Per-server telemetry state, shared by the event loop and every
+/// worker.
 pub(crate) struct Telemetry {
     started: Instant,
     next_id: AtomicU64,

@@ -35,7 +35,7 @@ impl fmt::Display for Error {
         match self {
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::Parse(e) => write!(f, "invalid JSON: {e}"),
-            Error::Schema(msg) => write!(f, "dataset shape mismatch: {msg}"),
+            Error::Schema(msg) => write!(f, "schema mismatch: {msg}"),
             Error::Serve(msg) => write!(f, "serve error: {msg}"),
             Error::Usage(msg) => write!(f, "{msg}"),
         }
@@ -101,7 +101,7 @@ mod tests {
     fn displays_prefix_the_failing_layer() {
         let io = Error::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
         assert!(io.to_string().contains("i/o error"));
-        assert!(Error::Schema("nvd missing".into()).to_string().contains("shape mismatch"));
+        assert_eq!(Error::Schema("nvd missing".into()).to_string(), "schema mismatch: nvd missing");
         assert!(Error::serve("pool died").to_string().contains("serve error"));
         // Usage messages print bare: the CLI prepends its own context.
         assert_eq!(Error::usage("unknown flag --x").to_string(), "unknown flag --x");

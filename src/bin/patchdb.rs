@@ -92,8 +92,7 @@ layout (a patchdb-snapshot/v1 file is refused).
         }
         "serve" => {
             "usage: patchdb serve [<FILE>] [--snapshot PATH]
-                     [--addr HOST:PORT] [--threads N]
-                     [--batch-window-ms N] [--max-inflight N]
+                     [--addr HOST:PORT] [--threads N] [--max-inflight N]
                      [--access-log PATH|-] [--slow-ms N]
                      [--keep-alive on|off] [--idle-timeout-ms N]
                      [--max-requests-per-conn N] [--max-conns N]
@@ -109,7 +108,6 @@ layout (a patchdb-snapshot/v1 file is refused).
                       rebuild it with `patchdb snapshot`
   --addr HOST:PORT    bind address (default 127.0.0.1:7979; port 0 = ephemeral)
   --threads N         worker pool size (default 0 = auto)
-  --batch-window-ms N identify micro-batch window (default 2)
   --max-inflight N    admission bound; beyond it requests get 503 (default 128)
   --access-log PATH|- JSON-lines access log, one line per request with its
                       request id and stage breakdown (- = stdout; default off)
@@ -529,12 +527,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "--threads" => {
                 config =
                     config.threads(parse_num(value_after(&mut it, "--threads")?, "--threads")?);
-            }
-            "--batch-window-ms" => {
-                config = config.batch_window_ms(parse_num(
-                    value_after(&mut it, "--batch-window-ms")?,
-                    "--batch-window-ms",
-                )?);
             }
             "--max-inflight" => {
                 config = config.max_inflight(parse_num(

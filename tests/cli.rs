@@ -99,6 +99,11 @@ fn cli_rejects_bad_usage() {
     assert_eq!(code, 2, "{text}");
     assert!(text.contains("unknown flag --shards"), "{text}");
 
+    // So is the removed `--batch-window-ms` flag.
+    let (code, text) = run_coded(&["serve", "/no/such/db.json", "--batch-window-ms", "2"]);
+    assert_eq!(code, 2, "{text}");
+    assert!(text.contains("unknown flag --batch-window-ms"), "{text}");
+
     // Runtime failures (the command was well-formed) exit 1.
     let (code, text) = run_coded(&["stats", "/no/such/file.json"]);
     assert_eq!(code, 1, "{text}");

@@ -362,7 +362,7 @@ fn debug_requests_expose_ids_and_stages() {
         );
         assert_eq!(request.get("status").and_then(Json::as_f64), Some(200.0));
     }
-    // The identify request banked real batcher wait.
+    // The identify request banked its forest pass as the batch stage.
     let identify = requests.last().unwrap();
     assert_eq!(identify.get("endpoint").and_then(Json::as_str), Some("identify"));
     assert!(identify.get("batch_ns").and_then(Json::as_f64).unwrap() > 0.0);
@@ -919,11 +919,6 @@ fn identify_cache_and_batch_gauges_are_exported() {
     let bytes = gauge_in(&metrics, "serve.identify.cache_bytes")
         .expect("cache_bytes gauge after an identify");
     assert!(bytes >= 1, "cache_bytes = {bytes} after a cached identify");
-    // The batcher zeroes its depth after every take; the gauge must
-    // exist (the identify above passed through the batch queue).
-    let depth = gauge_in(&metrics, "serve.batch.queue_depth")
-        .expect("batch queue_depth gauge after an identify");
-    assert!(depth >= 0, "queue_depth = {depth}");
     server.shutdown();
 }
 

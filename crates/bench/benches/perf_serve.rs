@@ -20,12 +20,12 @@
 //! observes. (Under pipelining the client can only time whole batches,
 //! so the per-request comparison is skipped.)
 //!
-//! After the worker/mode matrix, three observability pricing rows rerun
-//! the 8-worker keep-alive point with the flight recorder on, with
-//! span mirroring on under a live 97 Hz background sampler, and with
-//! request tracing on (per-request trace records, SLO accounting, and
-//! the per-second time-series sampler; the matrix itself runs with all
-//! three off). Each toggle is flipped live on one
+//! After the worker/mode matrix, two observability pricing rows rerun
+//! the 8-worker keep-alive point with span mirroring on under a live
+//! 97 Hz background sampler, and with request tracing on (per-request
+//! trace records, SLO accounting, and the per-second time-series
+//! sampler; the matrix itself runs with both off). Each toggle is
+//! flipped live on one
 //! server across adjacent short off/on drive pairs, and the reported
 //! overhead is the median of the per-pair throughput ratios — adjacent
 //! pairs cancel machine drift, the median discards load bursts — with
@@ -365,7 +365,6 @@ fn main() {
                 .addr("127.0.0.1:0")
                 .threads(workers)
                 .max_inflight(1024)
-                .flight(false)
                 .sampler(false)
                 .tracing(false);
             let server = Server::start(index, &config).expect("server binds on loopback");
@@ -443,11 +442,11 @@ fn main() {
         }
     }
 
-    // Observability pricing: the 8-worker keep-alive point with the
-    // flight recorder on, then with span mirroring on under a live
-    // 97 Hz background sampler. The introspection runtime must pay its
-    // own way: the acceptance bar is <= 5% throughput overhead for
-    // either piece.
+    // Observability pricing: the 8-worker keep-alive point with span
+    // mirroring on under a live 97 Hz background sampler, then with
+    // request tracing on. The introspection runtime must pay its own
+    // way: the acceptance bar is <= 5% throughput overhead for either
+    // piece.
     //
     // Methodology. This machine's throughput swings by double-digit
     // percent between back-to-back runs, so comparing two separately
@@ -464,14 +463,13 @@ fn main() {
         .addr("127.0.0.1:0")
         .threads(8)
         .max_inflight(1024)
-        .flight(false)
         .sampler(false)
         .tracing(false);
     let server = Server::start(index, &config).expect("server binds on loopback");
     let addr = server.addr();
     let _ = client::request(addr, "POST", "/v1/identify", bodies[0].as_bytes());
     let _ = drive_keepalive(addr, &bodies, &expected, total); // warm the caches
-    for obs_mode in ["flight", "sampler97", "tracing"] {
+    for obs_mode in ["sampler97", "tracing"] {
         let mut ratios = Vec::new();
         let mut latencies = Vec::new();
         let mut on_rps = Vec::new();
@@ -479,12 +477,11 @@ fn main() {
         let (mut ok, mut errors, mut connections, mut samples) = (0usize, 0usize, 0usize, 0u64);
         for _ in 0..pairs {
             let off = drive_keepalive(addr, &bodies, &expected, total);
-            // The bench drives the server in-process, so toggling the
-            // recorder / starting a background sampler here instruments
+            // The bench drives the server in-process, so toggling
+            // tracing / starting a background sampler here instruments
             // the live worker and loop threads exactly as `patchdb
             // serve` with the toggles on (or under `/debug/profile`)
             // would behave.
-            obs::flight::set_enabled(obs_mode == "flight");
             patchdb_serve::set_tracing(obs_mode == "tracing");
             let sampler = (obs_mode == "sampler97").then(|| {
                 obs::sampler::set_mirroring(true);
@@ -492,7 +489,6 @@ fn main() {
             });
             let on = drive_keepalive(addr, &bodies, &expected, total);
             samples += sampler.map(|s| s.stop().samples).unwrap_or(0);
-            obs::flight::set_enabled(false);
             obs::sampler::set_mirroring(false);
             patchdb_serve::set_tracing(false);
             let off_tput = off.ok as f64 / off.elapsed.max(1e-9);
@@ -577,7 +573,6 @@ fn main() {
         &ServeConfig::default()
             .addr("127.0.0.1:0")
             .threads(4)
-            .flight(false)
             .sampler(false)
             .reload_from(ReloadSource::Snapshot(snap_path.display().to_string())),
     )

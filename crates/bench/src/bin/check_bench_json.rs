@@ -60,12 +60,11 @@
 //!   (0, 100), a `budget_remaining_pct` in [0, 100], and per-window
 //!   entries with positive `window_s`, non-negative good/bad counts,
 //!   and a non-negative `burn_rate`.
-//! * Chrome trace-event documents (`patchdb trace --perfetto`,
-//!   `GET /debug/flight`) — dispatched on a top-level `traceEvents`
-//!   array rather than a schema tag: every event carries
-//!   `name`/`ph`/`ts`/`pid`/`tid`, and per tid the `B`/`E` events
-//!   balance, nest, and carry non-decreasing timestamps — the document
-//!   opens clean in Perfetto.
+//! * Chrome trace-event documents (`patchdb build --perfetto`) —
+//!   dispatched on a top-level `traceEvents` array rather than a schema
+//!   tag: every event carries `name`/`ph`/`ts`/`pid`/`tid`, and per tid
+//!   the `B`/`E` events balance, nest, and carry non-decreasing
+//!   timestamps — the document opens clean in Perfetto.
 //!
 //! A file without a `schema` tag falls back to the bench checks (the
 //! pre-tag BENCH_nls.json format). Exits non-zero with a diagnostic on

@@ -20,13 +20,11 @@
 //!   `crossbeam::scope`.
 //! * [`obs`] — spans, counters, gauges, histograms (cumulative and
 //!   rolling-window), one per-second slot ring ([`obs::SecondRing`])
-//!   and an event ring buffer behind three env switches
-//!   (`PATCHDB_TRACE`, `PATCHDB_FLIGHT`, `PATCHDB_SAMPLER`; near-zero
-//!   cost when off), replacing `tracing`/`metrics` —
-//!   plus the introspection runtime on top: a per-thread flight
-//!   recorder with a panic-hook dump ([`obs::flight`]), a seqlock
-//!   span-path sampling profiler emitting folded stacks
-//!   ([`obs::sampler`]), and Chrome/Perfetto trace-event exporters
+//!   and an event ring buffer behind two env switches
+//!   (`PATCHDB_TRACE`, `PATCHDB_SAMPLER`; near-zero cost when off),
+//!   replacing `tracing`/`metrics` — plus the introspection runtime on
+//!   top: a seqlock span-path sampling profiler emitting folded stacks
+//!   ([`obs::sampler`]) and a Chrome/Perfetto trace-event exporter
 //!   ([`obs::export`]), replacing `pprof`/`tracing-chrome`.
 //! * [`queue`] — a bounded MPMC hand-off with non-blocking producers
 //!   (explicit backpressure) and gracefully draining consumers, the

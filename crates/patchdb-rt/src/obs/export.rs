@@ -1,127 +1,36 @@
-//! Exporters that render observability data as Chrome trace-event JSON
-//! — the `{"traceEvents": [...]}` format `chrome://tracing` and
-//! Perfetto open directly.
+//! Renders a span tree as Chrome trace-event JSON — the
+//! `{"traceEvents": [...]}` format `chrome://tracing` and Perfetto open
+//! directly; `patchdb build --perfetto` emits it after a traced build.
 //!
-//! Two sources, one target:
-//!
-//! * **Flight journals** ([`flight_to_chrome`]) carry real timestamps
-//!   and thread ids, so span enter/exit events become `ph:"B"`/`"E"`
-//!   duration pairs on their real thread tracks, and counter/tick/queue
-//!   events become `ph:"C"` counter tracks. Because each per-thread
-//!   ring overwrites its oldest entries independently, the exporter
-//!   *sanitizes* the stream per tid: an exit whose enter was
-//!   overwritten is dropped, and an enter still open at the end of the
-//!   window is closed at the last timestamp — so B/E events always
-//!   balance and nest, which the `check_bench_json` trace-event arm
-//!   enforces.
-//! * **Span trees** ([`trace_report_to_chrome`]) carry durations only
-//!   (a [`super::TraceReport`] deliberately holds no wall-clock
-//!   timestamps), so the exporter synthesizes a timeline: roots are
-//!   laid end to end and children packed sequentially from their
-//!   parent's start, on the reserved track [`SPAN_TREE_TID`]. Shapes
-//!   and relative widths are faithful; absolute positions are not
-//!   wall-clock.
-//!
-//! [`merged_chrome`] joins both into one document — `patchdb trace
-//! --perfetto` emits it after a traced build.
+//! A [`super::TraceReport`] carries durations only (it deliberately
+//! holds no wall-clock timestamps), so [`trace_report_to_chrome`]
+//! synthesizes a timeline: roots are laid end to end and children packed
+//! sequentially from their parent's start, as nested `ph:"B"`/`"E"`
+//! pairs on the one track [`SPAN_TREE_TID`]. Shapes and relative widths
+//! are faithful; absolute positions are not wall-clock.
 
-use super::flight::{FlightKind, FlightSnapshot};
 use super::{SpanReport, TraceReport};
 use crate::json::Json;
 
-/// The `tid` synthesized span-tree tracks render on — far above any id
-/// the flight recorder assigns, so the two sources never interleave on
-/// one track.
+/// The `tid` of the synthesized span-tree track. The timeline is not
+/// one real thread's, so it renders on a fixed id far above any real
+/// thread number rather than on the exporting thread's.
 pub const SPAN_TREE_TID: u64 = 1_000_000;
 
-fn event(
-    ph: &str,
-    name: &str,
-    ts_us: f64,
-    tid: u64,
-    args: Option<(String, Json)>,
-) -> Json {
-    let mut fields = vec![
+fn event(ph: &str, name: &str, ts_us: f64) -> Json {
+    Json::Obj(vec![
         ("name".to_owned(), Json::Str(name.to_owned())),
         ("ph".to_owned(), Json::Str(ph.to_owned())),
         ("ts".to_owned(), Json::Num(ts_us)),
         ("pid".to_owned(), Json::Num(f64::from(std::process::id()))),
-        ("tid".to_owned(), Json::Num(tid as f64)),
-    ];
-    if let Some((key, value)) = args {
-        fields.push(("args".to_owned(), Json::Obj(vec![(key, value)])));
-    }
-    Json::Obj(fields)
-}
-
-/// Wraps rendered events in the trace-event document shape.
-pub fn chrome_document(events: Vec<Json>) -> Json {
-    Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(events)),
-        ("displayTimeUnit".into(), Json::Str("ms".into())),
+        ("tid".to_owned(), Json::Num(SPAN_TREE_TID as f64)),
     ])
-}
-
-/// Renders a merged flight snapshot as trace events. Span enter/exit
-/// pairs become `B`/`E` on the recording thread's track; counter, tick
-/// and queue events become `C` counter samples. See the module docs for
-/// the per-tid sanitization that keeps `B`/`E` balanced under ring
-/// overwrite.
-pub fn flight_to_events(snap: &FlightSnapshot) -> Vec<Json> {
-    use std::collections::BTreeMap;
-    let mut events = Vec::with_capacity(snap.events.len());
-    // Open-span stacks per tid, for balance under ring overwrite.
-    let mut open: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-    let mut last_ts: BTreeMap<u64, f64> = BTreeMap::new();
-    for e in &snap.events {
-        let ts = e.ts_us as f64;
-        last_ts.insert(e.tid, ts);
-        match e.kind {
-            FlightKind::SpanEnter => {
-                open.entry(e.tid).or_default().push(e.name.to_string());
-                events.push(event("B", &e.name, ts, e.tid, None));
-            }
-            FlightKind::SpanExit => {
-                // Only close what this window saw open: an exit whose
-                // enter was overwritten (or never recorded) is dropped.
-                let stack = open.entry(e.tid).or_default();
-                if stack.last().map(String::as_str) == Some(e.name.as_ref()) {
-                    stack.pop();
-                    events.push(event("E", &e.name, ts, e.tid, None));
-                }
-            }
-            FlightKind::Counter | FlightKind::Tick | FlightKind::Queue
-            | FlightKind::Mark => {
-                events.push(event(
-                    "C",
-                    &e.name,
-                    ts,
-                    e.tid,
-                    Some(("value".to_owned(), Json::Num(e.value as f64))),
-                ));
-            }
-        }
-    }
-    // Close anything still open at the end of the window, innermost
-    // first, at the thread's last seen timestamp.
-    for (tid, stack) in open {
-        let ts = last_ts.get(&tid).copied().unwrap_or(0.0);
-        for name in stack.into_iter().rev() {
-            events.push(event("E", &name, ts, tid, None));
-        }
-    }
-    events
-}
-
-/// [`flight_to_events`] wrapped as a full trace-event document.
-pub fn flight_to_chrome(snap: &FlightSnapshot) -> Json {
-    chrome_document(flight_to_events(snap))
 }
 
 /// Emits one span and its children as nested `B`/`E` pairs starting at
 /// `start_us`; returns the span's synthesized end.
 fn emit_span(span: &SpanReport, start_us: f64, events: &mut Vec<Json>) -> f64 {
-    events.push(event("B", &span.name, start_us, SPAN_TREE_TID, None));
+    events.push(event("B", &span.name, start_us));
     let mut cursor = start_us;
     for child in &span.children {
         cursor = emit_span(child, cursor, events);
@@ -130,48 +39,27 @@ fn emit_span(span: &SpanReport, start_us: f64, events: &mut Vec<Json>) -> f64 {
     // time); a parent still open at snapshot time reports ns == 0, so
     // its children's extent is the only width it has.
     let end = (start_us + span.ns as f64 / 1_000.0).max(cursor);
-    events.push(event("E", &span.name, end, SPAN_TREE_TID, None));
+    events.push(event("E", &span.name, end));
     end
 }
 
-/// Renders a span forest as trace events on [`SPAN_TREE_TID`] with a
-/// synthesized sequential timeline (see the module docs).
-pub fn trace_report_to_events(report: &TraceReport) -> Vec<Json> {
+/// Renders a span forest as a trace-event document on [`SPAN_TREE_TID`]
+/// with a synthesized sequential timeline (see the module docs).
+pub fn trace_report_to_chrome(report: &TraceReport) -> Json {
     let mut events = Vec::new();
     let mut cursor = 0.0;
     for root in &report.spans {
         cursor = emit_span(root, cursor, &mut events);
     }
-    events
-}
-
-/// [`trace_report_to_events`] wrapped as a full trace-event document.
-pub fn trace_report_to_chrome(report: &TraceReport) -> Json {
-    chrome_document(trace_report_to_events(report))
-}
-
-/// One document holding both sources: the flight journal on its real
-/// thread tracks plus the span tree on [`SPAN_TREE_TID`].
-pub fn merged_chrome(report: &TraceReport, snap: &FlightSnapshot) -> Json {
-    let mut events = flight_to_events(snap);
-    events.extend(trace_report_to_events(report));
-    chrome_document(events)
+    Json::Obj(vec![
+        ("traceEvents".into(), Json::Arr(events)),
+        ("displayTimeUnit".into(), Json::Str("ms".into())),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::flight::FlightEvent;
-
-    fn flight_event(
-        seq: u64,
-        ts_us: u64,
-        tid: u64,
-        kind: FlightKind,
-        name: &str,
-    ) -> FlightEvent {
-        FlightEvent { seq, ts_us, tid, kind, name: name.to_owned().into(), value: 1 }
-    }
 
     /// Walks the events of one tid asserting B/E balance, nesting, and
     /// non-decreasing ts; returns the number of B/E pairs seen.
@@ -198,38 +86,6 @@ mod tests {
         }
         assert!(stack.is_empty(), "unbalanced B on tid {tid}: {stack:?}");
         pairs
-    }
-
-    #[test]
-    fn flight_spans_balance_even_when_the_enter_was_overwritten() {
-        let snap = FlightSnapshot {
-            events: vec![
-                // tid 0: a well-formed pair, plus an orphan exit whose
-                // enter the ring overwrote, plus an enter never closed.
-                flight_event(0, 10, 0, FlightKind::SpanEnter, "a"),
-                flight_event(1, 20, 0, FlightKind::SpanExit, "a"),
-                flight_event(2, 30, 0, FlightKind::SpanExit, "lost"),
-                flight_event(3, 40, 0, FlightKind::SpanEnter, "open"),
-                // tid 1: counters only.
-                flight_event(4, 15, 1, FlightKind::Counter, "c"),
-                flight_event(5, 25, 1, FlightKind::Tick, "loop.tick"),
-            ],
-            dropped: 1,
-            total: 7,
-        };
-        let doc = flight_to_chrome(&snap);
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(assert_balanced(events, 0), 2, "pair `a` + synthesized close of `open`");
-        assert_balanced(events, 1);
-        let orphan = events.iter().any(|e| {
-            e.get("name").and_then(Json::as_str) == Some("lost")
-        });
-        assert!(!orphan, "orphan exit leaked into the export");
-        let counters = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .count();
-        assert_eq!(counters, 2);
     }
 
     #[test]
@@ -285,29 +141,8 @@ mod tests {
             counters: vec![],
             histograms: vec![],
         };
-        let events = trace_report_to_events(&report);
-        assert_balanced(&events, SPAN_TREE_TID);
-    }
-
-    #[test]
-    fn merged_document_keeps_sources_on_disjoint_tracks() {
-        let report = TraceReport {
-            spans: vec![SpanReport { name: "b".into(), ns: 1_000, children: vec![] }],
-            counters: vec![],
-            histograms: vec![],
-        };
-        let snap = FlightSnapshot {
-            events: vec![
-                flight_event(0, 5, 3, FlightKind::SpanEnter, "s"),
-                flight_event(1, 9, 3, FlightKind::SpanExit, "s"),
-            ],
-            dropped: 0,
-            total: 2,
-        };
-        let doc = merged_chrome(&report, &snap);
+        let doc = trace_report_to_chrome(&report);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_balanced(events, 3);
         assert_balanced(events, SPAN_TREE_TID);
-        assert!(doc.get("displayTimeUnit").is_some());
     }
 }

@@ -1,8 +1,8 @@
 //! Zero-dependency observability: hierarchical spans, named counters,
 //! gauges, fixed-bucket histograms, rolling-window histograms and an
-//! event ring buffer, behind three env switches — `PATCHDB_TRACE` (the
-//! registry), `PATCHDB_FLIGHT` (the [`flight`] recorder) and
-//! `PATCHDB_SAMPLER` (the [`sampler`] mirror), each a [`Switch`].
+//! event ring buffer, behind two env switches — `PATCHDB_TRACE` (the
+//! registry) and `PATCHDB_SAMPLER` (the [`sampler`] mirror), each a
+//! [`Switch`].
 //!
 //! The registry is process-global and disabled by default; every probe
 //! site guards itself with [`enabled`], a relaxed atomic load, so the
@@ -11,18 +11,14 @@
 //! `patchdb-nls`), keeping the disabled machine code identical to the
 //! uninstrumented loop.
 //!
-//! Three introspection subsystems build on the registry (see DESIGN.md
+//! Two introspection subsystems build on the registry (see DESIGN.md
 //! §8 for the full architecture):
 //!
-//! * [`flight`] — an always-available, fixed-memory, per-thread event
-//!   journal (span enter/exit, counter deltas, loop ticks, queue
-//!   transitions) with a merged chronological drain and a panic-hook
-//!   dump: the postmortem "black box".
 //! * [`sampler`] — a span-path sampling profiler: threads mirror their
 //!   open span path into seqlock slots, a sampler thread aggregates
 //!   path → sample-count, rendered as folded stacks for `flamegraph.pl`.
-//! * [`export`] — renders span trees and flight journals as Chrome
-//!   trace-event JSON for `chrome://tracing` / Perfetto.
+//! * [`export`] — renders span trees as Chrome trace-event JSON for
+//!   `chrome://tracing` / Perfetto.
 //!
 //! Two families of metrics coexist:
 //!
@@ -71,7 +67,6 @@
 //! ```
 
 pub mod export;
-pub mod flight;
 pub mod ring;
 pub mod sampler;
 pub mod tsdb;
@@ -188,9 +183,6 @@ thread_local! {
 #[must_use = "a span measures nothing unless the guard lives to the end of the scope"]
 pub struct SpanGuard {
     active: Option<(u64, usize, Instant)>,
-    /// The span name, kept only when the flight recorder was on at
-    /// creation so the exit event can carry it.
-    flight_name: Option<String>,
     /// Whether this span pushed a frame into the sampler mirror (and so
     /// must pop one on drop).
     mirrored: bool,
@@ -201,20 +193,13 @@ pub struct SpanGuard {
 /// stack become roots). Returns a guard that records the elapsed
 /// monotonic time when dropped.
 ///
-/// When the [`flight`] recorder is on, enter/exit land in the thread's
-/// journal; when [`sampler`] mirroring is on, the span appears in
-/// sampled profiles.
+/// When [`sampler`] mirroring is on, the span appears in sampled
+/// profiles.
 pub fn span(name: impl Into<String>) -> SpanGuard {
     if !enabled() {
-        return SpanGuard { active: None, flight_name: None, mirrored: false };
+        return SpanGuard { active: None, mirrored: false };
     }
     let name = name.into();
-    let flight_name = if flight::enabled() {
-        flight::record_dyn(flight::FlightKind::SpanEnter, &name, 0);
-        Some(name.clone())
-    } else {
-        None
-    };
     let mirrored = sampler::push_frame(&name);
     let idx;
     let generation;
@@ -232,16 +217,13 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
         }
     }
     SPAN_STACK.with(|s| s.borrow_mut().push((generation, idx)));
-    SpanGuard { active: Some((generation, idx, Instant::now())), flight_name, mirrored }
+    SpanGuard { active: Some((generation, idx, Instant::now())), mirrored }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some((generation, idx, start)) = self.active.take() else { return };
         let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if let Some(name) = self.flight_name.take() {
-            flight::record_dyn(flight::FlightKind::SpanExit, &name, ns);
-        }
         if self.mirrored {
             sampler::pop_frame();
         }
@@ -264,26 +246,6 @@ impl Drop for SpanGuard {
 /// when tracing is off. Saturating, commutative — the final value is
 /// independent of the order concurrent adds land in.
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    {
-        let mut reg = registry().lock().unwrap();
-        let slot = reg.counters.entry(name.to_owned()).or_insert(0);
-        *slot = slot.saturating_add(delta);
-    }
-    // Counter deltas are part of the black-box timeline: the flight
-    // journal records them after the registry lock is released.
-    flight::record_dyn(flight::FlightKind::Counter, name, delta);
-}
-
-/// [`counter_add`] without the flight-journal echo: for counters bumped
-/// on every iteration of a hot serialized loop (the serve event loop's
-/// wakeup-cause tallies), where one journal entry per bump would both
-/// crowd the 2048-event ring out of useful history and put allocation
-/// plus a sequence-stamp on the loop's critical path. The loop's
-/// `tick` flight events carry the per-iteration story instead.
-pub fn counter_add_quiet(name: &str, delta: u64) {
     if !enabled() {
         return;
     }
@@ -345,23 +307,12 @@ pub fn gauge_value(name: &str) -> i64 {
     registry().lock().unwrap().gauges.get(name).copied().unwrap_or(0)
 }
 
-fn process_epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
 /// Whole seconds elapsed on the monotonic clock since the first metrics
 /// operation of the process — the time base every registry-level
 /// rolling window records against.
 pub fn process_second() -> u64 {
-    process_epoch().elapsed().as_secs()
-}
-
-/// Microseconds elapsed on the same monotonic epoch as
-/// [`process_second`] — the time base of [`flight`] journal timestamps
-/// and trace-event exports.
-pub fn process_micros() -> u64 {
-    process_epoch().elapsed().as_micros().min(u64::MAX as u128) as u64
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_secs()
 }
 
 /// Records one value into the named rolling-window histogram (a ring of

@@ -1,5 +1,5 @@
 //! A fixed-capacity, overwrite-oldest ring buffer for structured event
-//! records — the "flight recorder" behind `GET /debug/requests`.
+//! records — the request log behind `GET /debug/requests`.
 //!
 //! Unlike counters and histograms, which aggregate, the ring keeps the
 //! *individual* most-recent events (request records, slow exemplars) so

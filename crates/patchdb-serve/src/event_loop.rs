@@ -252,10 +252,6 @@ pub(crate) struct EventLoop {
     open: usize,
     wheel: TimerWheel,
     draining: Option<Instant>,
-    /// Fds dispatched since the last coalesced `loop.tick` flight event.
-    tick_accum: u64,
-    /// Next instant a coalesced `loop.tick` flight event may be emitted.
-    next_tick_emit: Option<Instant>,
     /// The live index handle; every admitted request pins the current
     /// generation here.
     handle: IndexHandle,
@@ -300,8 +296,6 @@ impl EventLoop {
             open: 0,
             wheel: TimerWheel::new(Instant::now()),
             draining: None,
-            tick_accum: 0,
-            next_tick_emit: None,
             handle,
             reload: config.reload_source(),
             last_sampled_s: u64::MAX,
@@ -317,8 +311,7 @@ impl EventLoop {
     /// counters (`serve.loop.wake.{waker,listener,readable,writable,
     /// timer}`) say *why* it woke, `serve.loop.dispatched_fds` sizes
     /// each tick, and `serve.loop.lag_ns` measures how long a ready fd
-    /// waited behind its siblings before its handler ran. A `loop.tick`
-    /// flight event journals every iteration.
+    /// waited behind its siblings before its handler ran.
     pub fn run(mut self) {
         let mut read_buf = vec![0u8; 64 * 1024];
         let mut pollfds: Vec<PollFd> = Vec::new();
@@ -387,7 +380,7 @@ impl EventLoop {
                 continue;
             }
             if pollfds[0].readable() {
-                obs::counter_add_quiet("serve.loop.wake.waker", 1);
+                obs::counter_add("serve.loop.wake.waker", 1);
                 self.wake_rx.drain();
             }
             // Completions are drained unconditionally — a waker byte can
@@ -411,7 +404,7 @@ impl EventLoop {
                 self.sighup_reload();
             }
             if accepting && pollfds[base - 1].readable() {
-                obs::counter_add_quiet("serve.loop.wake.listener", 1);
+                obs::counter_add("serve.loop.wake.listener", 1);
                 self.accept_ready();
             }
             let mut dispatched: u64 = 0;
@@ -462,34 +455,19 @@ impl EventLoop {
                 }
             }
             if readable > 0 {
-                obs::counter_add_quiet("serve.loop.wake.readable", readable);
+                obs::counter_add("serve.loop.wake.readable", readable);
             }
             if writable > 0 {
-                obs::counter_add_quiet("serve.loop.wake.writable", writable);
+                obs::counter_add("serve.loop.wake.writable", writable);
             }
             if lag.count() > 0 {
                 obs::hist_merge("serve.loop.lag_ns", &lag);
             }
             obs::hist_record("serve.loop.dispatched_fds", dispatched);
             let now = Instant::now();
-            // The journaled tick is a liveness heartbeat, not a
-            // per-iteration log: at most one `loop.tick` event per
-            // millisecond, carrying the fds dispatched since the last
-            // one. Journaling every iteration at six-figure tick rates
-            // crowded the ring down to tens of milliseconds of history
-            // and put a clock read plus ring push on every spin of the
-            // loop's critical path; coalesced, the same ring holds
-            // seconds of loop liveness. (`serve.loop.dispatched_fds`
-            // above still sizes individual iterations.)
-            self.tick_accum += dispatched;
-            if self.next_tick_emit.map_or(true, |t| now >= t) {
-                obs::flight::record(obs::flight::FlightKind::Tick, "loop.tick", self.tick_accum);
-                self.tick_accum = 0;
-                self.next_tick_emit = Some(now + Duration::from_millis(1));
-            }
             let due = self.wheel.take_due(now);
             if !due.is_empty() {
-                obs::counter_add_quiet("serve.loop.wake.timer", due.len() as u64);
+                obs::counter_add("serve.loop.wake.timer", due.len() as u64);
             }
             for (slot, generation) in due {
                 if self.generation_of(slot) == Some(generation) {
@@ -787,7 +765,6 @@ impl EventLoop {
                     }
                     obs::gauge_add("serve.inflight", 1);
                     obs::gauge_add("serve.queue_depth", 1);
-                    let rec_id = rec.id;
                     // Pin the index generation at admission: this
                     // request answers from this exact index/cache no
                     // matter when a swap lands.
@@ -834,11 +811,6 @@ impl EventLoop {
                         });
                         return self.generation_of(slot) == Some(generation);
                     }
-                    obs::flight::record(
-                        obs::flight::FlightKind::Queue,
-                        "serve.queue.push",
-                        rec_id,
-                    );
                 }
                 Err(frame_error) => {
                     // Malformed/oversized framing: answer and close. The

@@ -17,8 +17,8 @@
 //! Swaps are driven by `POST /admin/reload` and SIGHUP (see
 //! `event_loop`), surfaced as the `serve.index.generation` gauge, the
 //! `serve.index.swaps` counter, `serve.index.swap_ns` /
-//! `serve.index.reload_ns` histograms, a generation stamp in
-//! `/healthz`, and a flight-recorder event per swap.
+//! `serve.index.reload_ns` histograms, and a generation stamp in
+//! `/healthz`.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -88,7 +88,6 @@ impl IndexHandle {
         // occupancy gauges its predecessor left behind.
         obs::gauge_set("serve.identify.cache_entries", 0);
         obs::gauge_set("serve.identify.cache_bytes", 0);
-        obs::flight::record(obs::flight::FlightKind::Counter, "serve.index.swap", number);
         // Stamp the swap into the time-series store immediately — an
         // idle server's next per-second sample could be up to a second
         // away, and swap-vs-latency correlation is the point of the

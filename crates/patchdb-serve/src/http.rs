@@ -431,6 +431,7 @@ pub(crate) fn render_head(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patchdb_rt::check::{check, Gen};
 
     /// Feeds the whole input at once and pulls one request.
     fn parse(text: &str) -> Result<Option<ParsedRequest>, FrameError> {
@@ -688,5 +689,122 @@ mod tests {
         );
         let ok = Response::text(200, "ok\n").with_trace("t-9");
         assert_eq!(ok.body, b"ok\n", "success bodies never grow a trace id");
+    }
+
+    /// One generated request: its wire bytes and what the parser must
+    /// make of them. Mixes LF and CRLF framing, bodies with and without
+    /// `Content-Length`, and now and then an oversized header block or
+    /// declared body.
+    fn gen_request(g: &mut Gen) -> (Vec<u8>, Result<ParsedRequest, FrameError>) {
+        let eol = *g.pick(&["\r\n", "\n"]);
+        let method = *g.pick(&["GET", "POST", "HEAD"]);
+        let path = format!("/{}", g.string_from(0, 12, "abz09/?=&-"));
+        let http10 = g.bool();
+        let mut head = format!("{method} {path} HTTP/1.{}{eol}", if http10 { 0 } else { 1 });
+        let keep_alive = match g.usize_in(0, 2) {
+            0 => !http10,
+            1 => {
+                head.push_str(&format!("Connection: close{eol}"));
+                false
+            }
+            _ => {
+                head.push_str(&format!("Connection: keep-alive{eol}"));
+                true
+            }
+        };
+        let trace = g.bool().then(|| g.string_from(1, 16, "abc123-_.:"));
+        if let Some(t) = &trace {
+            head.push_str(&format!("X-Patchdb-Trace-Id: {t}{eol}"));
+        }
+        // 0 = well-formed, 1 = oversized header block, 2 = oversized body.
+        let oversize = g.weighted(&[14, 1, 1]);
+        let body = if oversize == 0 && g.bool() {
+            // Bodies may hold what looks like a header terminator.
+            let body = g.string_from(0, 40, "ab\r\n{}");
+            head.push_str(&format!("Content-Length: {}{eol}", body.len()));
+            body
+        } else {
+            String::new()
+        };
+        let expected = match oversize {
+            0 => Ok(ParsedRequest {
+                request: Request { method: method.into(), path, body: body.clone().into() },
+                keep_alive,
+                trace,
+            }),
+            1 => {
+                while head.len() <= MAX_HEADER_BYTES {
+                    head.push_str(&format!("X-Pad: {}{eol}", "a".repeat(200)));
+                }
+                Err(FrameError::HeaderTooLarge)
+            }
+            _ => {
+                head.push_str(&format!("Content-Length: {}{eol}", MAX_BODY_BYTES + 1));
+                Err(FrameError::BodyTooLarge)
+            }
+        };
+        head.push_str(eol);
+        head.push_str(&body);
+        (head.into_bytes(), expected)
+    }
+
+    type Outcomes = (Vec<Result<ParsedRequest, FrameError>>, bool);
+
+    /// Feeds `stream` cut at the (sorted) offsets in `cuts`, draining
+    /// every request each feed completes; returns what came out and the
+    /// final `has_partial()`.
+    fn drive(stream: &[u8], cuts: &[usize]) -> Outcomes {
+        let mut p = RequestParser::default();
+        let mut out = Vec::new();
+        let mut start = 0;
+        for &end in cuts.iter().chain([stream.len()].iter()) {
+            p.feed(&stream[start..end]);
+            start = end;
+            loop {
+                match p.next_request() {
+                    Ok(Some(r)) => out.push(Ok(r)),
+                    Ok(None) => break,
+                    Err(e) => {
+                        out.push(Err(e));
+                        break;
+                    }
+                }
+            }
+        }
+        (out, p.has_partial())
+    }
+
+    /// How the framer splits a stream must never change what it frames:
+    /// a pipelined stream of 1–4 requests (plus, now and then, the cut
+    /// start of one more) fed whole, at generated cut points, and one
+    /// byte at a time yields the same requests or `FrameError`s and the
+    /// same final `has_partial()` — and fed whole, exactly the requests
+    /// generated, up to the first framing error.
+    #[test]
+    fn framing_is_independent_of_how_the_stream_is_cut() {
+        check("http_framing_cuts", 128, |g| {
+            let mut stream = Vec::new();
+            let mut expected = Vec::new();
+            for _ in 0..g.usize_in(1, 4) {
+                let (wire, want) = gen_request(g);
+                stream.extend_from_slice(&wire);
+                if expected.last().is_none_or(Result::is_ok) {
+                    expected.push(want);
+                }
+            }
+            let tail = b"POST /tail HTTP/1.1\r\nContent-Length: 5\r\n\r\nab";
+            let tail_len = if g.bool() { g.usize_in(1, tail.len()) } else { 0 };
+            stream.extend_from_slice(&tail[..tail_len]);
+            let errored = expected.last().is_some_and(Result::is_err);
+
+            let whole = drive(&stream, &[]);
+            assert_eq!(whole, (expected, !errored && tail_len > 0), "whole feed");
+
+            let mut cuts = g.vec_with(1, 8, |g| g.usize_in(0, stream.len()));
+            cuts.sort_unstable();
+            assert_eq!(drive(&stream, &cuts), whole, "cut at {cuts:?}");
+            let trickle: Vec<usize> = (1..stream.len()).collect();
+            assert_eq!(drive(&stream, &trickle), whole, "1-byte trickle");
+        });
     }
 }

@@ -24,7 +24,6 @@
 //! | `/metrics`           | GET    | counters, gauges, cumulative + windowed latency |
 //! | `/debug/requests`    | GET    | last N requests, each with its stage breakdown  |
 //! | `/debug/slow`        | GET    | slow-request exemplars above `--slow-ms`        |
-//! | `/debug/flight`      | GET    | recent flight-recorder journal as a Chrome trace|
 //! | `/debug/profile`     | GET    | sampling profile (`?seconds=&hz=`), folded stacks|
 //! | `/debug/trace/<id>`  | GET    | one request by trace id: stages, cache          |
 //! | `/debug/timeseries`  | GET    | per-second metric history (`?metric=&secs=`)    |
@@ -119,11 +118,10 @@ pub use snapshot::Snapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-global gate over the tracing/tsdb/SLO layer (default on).
-/// Mirrors the PR 8 pattern for the flight recorder and sampler: a
-/// relaxed atomic read on the hot path, flippable live so a bench can
-/// price the layer with paired off/on drives on one server. Gates only
-/// *observation* — trace-ring pushes, registry sampling, SLO
-/// accounting. Response bytes never change; the `X-Patchdb-*`
+/// Like the sampler's mirroring switch: a relaxed atomic read on the
+/// hot path, flippable live so a bench can price the layer with paired
+/// off/on drives on one server. Gates only *observation* — trace-ring
+/// pushes, registry sampling, SLO accounting. Response bytes never change; the `X-Patchdb-*`
 /// correlation headers are always emitted.
 static TRACING: AtomicBool = AtomicBool::new(true);
 

@@ -85,11 +85,6 @@ pub struct ServeConfig {
     /// is opened, under the log lock so no line is ever split. `0` (the
     /// default) disables rotation; stdout (`"-"`) never rotates.
     pub access_log_max_mb: u64,
-    /// Whether the always-on flight recorder journals structured events
-    /// (span enter/exit, loop ticks, queue transitions) into per-thread
-    /// rings for `GET /debug/flight` and the panic-hook dump. Purely
-    /// observational — response bytes are identical either way.
-    pub flight: bool,
     /// Whether threads mirror their span path into the sampler's seqlock
     /// slots, enabling `GET /debug/profile`. Purely observational.
     pub sampler: bool,
@@ -131,7 +126,6 @@ impl Default for ServeConfig {
             max_requests_per_conn: 0,
             max_conns: 10_240,
             access_log_max_mb: 0,
-            flight: true,
             sampler: true,
             snapshot: None,
             reload: None,
@@ -213,12 +207,6 @@ impl ServeConfig {
     /// Sets the access-log rotation cap in MiB (`0` = no rotation).
     pub fn access_log_max_mb(mut self, mb: u64) -> Self {
         self.access_log_max_mb = mb;
-        self
-    }
-
-    /// Enables or disables the flight recorder.
-    pub fn flight(mut self, enabled: bool) -> Self {
-        self.flight = enabled;
         self
     }
 
@@ -343,19 +331,13 @@ impl Server {
         // Best effort: a large connection cap needs file descriptors.
         let _ = patchdb_rt::net::raise_nofile_limit(config.max_conns as u64 + 64);
         obs::set_enabled(true);
-        // The introspection runtime: the flight recorder journals the
-        // event loop and workers (and dumps a black box on panic), the
-        // sampler mirrors span paths for `/debug/profile`. Both are
-        // observational only — toggling them never changes response
-        // bytes (pinned by `tests/serve.rs`).
-        obs::flight::set_enabled(config.flight);
-        if config.flight {
-            obs::flight::install_panic_hook();
-        }
+        // The sampler mirrors span paths for `/debug/profile`. It is
+        // observational only — toggling it never changes response bytes
+        // (pinned by `tests/serve.rs`).
         obs::sampler::set_mirroring(config.sampler);
-        // The correlation-and-objectives layer (PR 10): same contract as
-        // the recorder and sampler — flipping it never changes response
-        // bytes, only what gets observed.
+        // The correlation-and-objectives layer: same contract as the
+        // sampler — flipping it never changes response bytes, only what
+        // gets observed.
         crate::set_tracing(config.tracing);
         obs::tsdb::set_retention_s(config.tsdb_retention_s);
         let telemetry = Arc::new(Telemetry::new(config)?);
@@ -543,7 +525,6 @@ fn reply(work: Work, endpoint: &'static str, response: Response, ctx: &Ctx) {
 /// runs the endpoint, and completes back to the loop.
 fn handle_work(mut work: Work, ctx: &Ctx) {
     obs::gauge_add("serve.queue_depth", -1);
-    obs::flight::record(obs::flight::FlightKind::Queue, "serve.queue.pop", work.rec.id);
     work.rec.queue_ns = elapsed_ns(work.enqueued);
     if Instant::now() >= work.deadline {
         obs::counter_add("serve.deadline_expired", 1);
@@ -670,18 +651,11 @@ fn dispatch(request: &Request, gen: &Generation, ctx: &Ctx) -> (&'static str, Re
             }
         }
         _ if get && (path == "/debug/requests" || path.starts_with("/debug/requests?")) => {
-            let n = debug_request_limit(path);
+            let n = query_param(path, "n").unwrap_or(64) as usize;
             ("debug_requests", Response::json(200, &ctx.telemetry.debug_requests_json(n)))
         }
         "/debug/slow" if get => {
             ("debug_slow", Response::json(200, &ctx.telemetry.debug_slow_json()))
-        }
-        _ if get && (path == "/debug/flight" || path.starts_with("/debug/flight?")) => {
-            // The recent flight journal as Chrome trace-event JSON —
-            // `?ms=N` restricts to the trailing N milliseconds.
-            let window_us = query_param(path, "ms").map(|ms| ms.saturating_mul(1_000));
-            let snap = obs::flight::snapshot(window_us);
-            ("debug_flight", Response::json(200, &obs::export::flight_to_chrome(&snap)))
         }
         _ if get && (path == "/debug/profile" || path.starts_with("/debug/profile?")) => {
             // Inline sampling profile: blocks this one worker for
@@ -716,7 +690,7 @@ fn dispatch(request: &Request, gen: &Generation, ctx: &Ctx) -> (&'static str, Re
         ),
         "/healthz" | "/metrics" | "/v1/stats" | "/v1/identify" | "/v1/classify"
         | "/v1/scan" | "/admin/reload" | "/debug/requests" | "/debug/slow"
-        | "/debug/flight" | "/debug/profile" | "/debug/timeseries" | "/debug/slo" => {
+        | "/debug/profile" | "/debug/timeseries" | "/debug/slo" => {
             ("other", Response::error(405, "method_not_allowed", "method not allowed"))
         }
         _ if path.starts_with("/debug/trace/") => {
@@ -802,20 +776,6 @@ fn query_param_str(path: &str, key: &str) -> Option<String> {
         .split('&')
         .find_map(|pair| pair.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')))
         .map(str::to_owned)
-}
-
-/// How many records `/debug/requests` should return: the `n` query
-/// parameter, else 64.
-fn debug_request_limit(path: &str) -> usize {
-    const DEFAULT: usize = 64;
-    let Some((_, query)) = path.split_once('?') else {
-        return DEFAULT;
-    };
-    query
-        .split('&')
-        .find_map(|pair| pair.strip_prefix("n="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT)
 }
 
 /// Parses the request body as a unified diff, or explains why not.

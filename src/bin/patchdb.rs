@@ -44,10 +44,8 @@ fn usage_for(command: &str) -> Option<&'static str> {
   --out FILE       write the built dataset as JSON
   --trace          record spans/counters, write TRACE_build.json
   --trace-out FILE trace output path (default TRACE_build.json)
-  --perfetto       also journal the build through the flight recorder and
-                   write the merged span tree + journal as Chrome
-                   trace-event JSON (open in Perfetto / chrome://tracing);
-                   implies --trace
+  --perfetto       also write the span tree as Chrome trace-event JSON
+                   (open in Perfetto / chrome://tracing); implies --trace
   --perfetto-out FILE
                    perfetto output path (default TRACE_build.perfetto.json)
 
@@ -114,8 +112,6 @@ layout (a patchdb-snapshot/v1 file is refused).
   --access-log-max-mb N
                       rotate the access log (PATH -> PATH.1) when the file
                       would cross N MiB; lines are never split (default 0 = off)
-  --flight on|off     per-thread flight recorder: /debug/flight + the
-                      panic-hook FLIGHT_<pid>.json dump (default on)
   --sampler on|off    span-path mirroring for /debug/profile (default on)
   --slow-ms N         keep requests at least this slow as /debug/slow
                       exemplars (default 100)
@@ -143,7 +139,7 @@ layout (a patchdb-snapshot/v1 file is refused).
 
 endpoints: POST /v1/identify /v1/classify /v1/scan /admin/reload,
            GET /v1/stats /v1/patch/<id> /healthz /metrics
-           GET /debug/requests /debug/slow /debug/flight?ms=N
+           GET /debug/requests /debug/slow
            GET /debug/profile?seconds=N&hz=N
            GET /debug/trace/<id> /debug/timeseries?metric=M&secs=N
            GET /debug/slo
@@ -266,12 +262,6 @@ fn cmd_build(args: &[String], force_trace: bool) -> CliResult {
     if trace {
         obs::set_enabled(true); // same effect as PATCHDB_TRACE=1
     }
-    if perfetto {
-        // Journal span enter/exit and counter deltas with real
-        // timestamps and thread ids alongside the duration-only span
-        // tree, so the export has true thread tracks.
-        obs::flight::set_enabled(true);
-    }
 
     let options = if tiny {
         BuildOptions::tiny(seed)
@@ -306,15 +296,10 @@ fn cmd_build(args: &[String], force_trace: bool) -> CliResult {
         std::fs::write(&trace_out, &json)?;
         eprintln!("\nwrote trace ({} bytes) to {trace_out}", json.len());
         if perfetto {
-            let snap = obs::flight::snapshot(None);
-            let doc = obs::export::merged_chrome(&telemetry.trace, &snap);
+            let doc = obs::export::trace_report_to_chrome(&telemetry.trace);
             let json = doc.to_compact_string() + "\n";
             std::fs::write(&perfetto_out, &json)?;
-            eprintln!(
-                "wrote perfetto trace ({} bytes, {} journal events) to {perfetto_out}",
-                json.len(),
-                snap.events.len()
-            );
+            eprintln!("wrote perfetto trace ({} bytes) to {perfetto_out}", json.len());
         }
         print_stage_summary(telemetry);
     }
@@ -542,9 +527,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
                     value_after(&mut it, "--access-log-max-mb")?,
                     "--access-log-max-mb",
                 )?);
-            }
-            "--flight" => {
-                config = config.flight(parse_on_off(value_after(&mut it, "--flight")?, "--flight")?);
             }
             "--sampler" => {
                 config =

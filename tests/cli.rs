@@ -104,6 +104,11 @@ fn cli_rejects_bad_usage() {
     assert_eq!(code, 2, "{text}");
     assert!(text.contains("unknown flag --batch-window-ms"), "{text}");
 
+    // And the removed `--flight` flag.
+    let (code, text) = run_coded(&["serve", "/no/such/db.json", "--flight", "on"]);
+    assert_eq!(code, 2, "{text}");
+    assert!(text.contains("unknown flag --flight"), "{text}");
+
     // Runtime failures (the command was well-formed) exit 1.
     let (code, text) = run_coded(&["stats", "/no/such/file.json"]);
     assert_eq!(code, 1, "{text}");

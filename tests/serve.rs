@@ -869,7 +869,7 @@ fn head_mirrors_get_headers_with_an_empty_body() {
     }
 
     // Live endpoints change length between exchanges; assert the shape.
-    for path in ["/metrics", "/debug/requests", "/debug/flight"] {
+    for path in ["/metrics", "/debug/requests"] {
         let (status, headers, body) = raw_close(addr, "HEAD", path);
         assert!(status.starts_with("HTTP/1.1 200"), "HEAD {path}: {status}");
         assert!(body.is_empty(), "HEAD {path} carried a body");
@@ -880,10 +880,13 @@ fn head_mirrors_get_headers_with_an_empty_body() {
     // Content types: Prometheus exposition for /metrics, JSON for debug.
     let (_, metrics_headers, _) = raw_close(addr, "GET", "/metrics");
     assert_eq!(header(&metrics_headers, "content-type"), "text/plain; version=0.0.4");
-    for path in ["/debug/requests", "/debug/slow", "/debug/flight"] {
+    for path in ["/debug/requests", "/debug/slow"] {
         let (_, headers, _) = raw_close(addr, "GET", path);
         assert_eq!(header(&headers, "content-type"), "application/json", "{path}");
     }
+    // `/debug/flight` is not served.
+    let (status, _, _) = raw_close(addr, "GET", "/debug/flight");
+    assert!(status.starts_with("HTTP/1.1 404"), "GET /debug/flight: {status}");
 
     // HEAD routes like GET, so a POST-only endpoint answers 405.
     let (status, _, _) = raw_close(addr, "HEAD", "/v1/identify");
@@ -922,57 +925,19 @@ fn identify_cache_and_batch_gauges_are_exported() {
     server.shutdown();
 }
 
-/// The flight/sampler toggles are process-global; tests that flip or
-/// depend on them serialize here so a `flight(false)` server starting
-/// mid-test cannot blind another test's journal.
+/// The sampler/tracing toggles are process-global; tests that flip or
+/// depend on them serialize here so a `sampler(false)` or
+/// `tracing(false)` server starting mid-test cannot blind another test.
 fn obs_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
 }
 
 #[test]
-fn debug_flight_and_profile_round_trip() {
+fn debug_profile_round_trip() {
     let _guard = obs_lock().lock().unwrap();
-    let server = start(ephemeral().threads(2)); // recorder + sampler on by default
+    let server = start(ephemeral().threads(2)); // sampler on by default
     let addr = server.addr();
-    let record = shared_db().nvd.first().expect("tiny build has NVD records");
-    let body = diff_body(record);
-    for _ in 0..4 {
-        assert_eq!(
-            client::request(addr, "POST", "/v1/identify", body.as_bytes())
-                .unwrap()
-                .status,
-            200
-        );
-    }
-
-    // The journal renders as a Chrome trace-event document and saw this
-    // server's queue transitions and loop ticks.
-    let flight = client::request(addr, "GET", "/debug/flight", b"").unwrap();
-    assert_eq!(flight.status, 200);
-    let json = Json::parse(&flight.body_text()).expect("/debug/flight is JSON");
-    let events = json.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
-    assert!(!events.is_empty(), "flight journal empty after traffic");
-    for event in events {
-        assert!(event.get("name").and_then(Json::as_str).is_some());
-        assert!(event.get("ph").and_then(Json::as_str).is_some());
-        assert!(event.get("ts").and_then(Json::as_f64).is_some());
-        assert!(event.get("tid").and_then(Json::as_f64).is_some());
-    }
-    let names: Vec<&str> =
-        events.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
-    for expected in ["serve.queue.push", "serve.queue.pop", "loop.tick"] {
-        assert!(names.contains(&expected), "no {expected} event in {names:?}");
-    }
-    // A windowed view still parses (it may be empty if the machine
-    // stalls, so only the shape is asserted).
-    let windowed = client::request(addr, "GET", "/debug/flight?ms=60000", b"").unwrap();
-    assert_eq!(windowed.status, 200);
-    Json::parse(&windowed.body_text())
-        .expect("windowed /debug/flight is JSON")
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("windowed traceEvents");
 
     // An on-demand profile: blocks one worker for a second, samples the
     // rest of the pool serving this very request.
@@ -998,7 +963,6 @@ fn debug_flight_and_profile_round_trip() {
     }
     assert!(pjson.get("self_top").and_then(Json::as_arr).is_some());
 
-    assert_eq!(client::request(addr, "POST", "/debug/flight", b"").unwrap().status, 405);
     assert_eq!(client::request(addr, "POST", "/debug/profile", b"").unwrap().status, 405);
     server.shutdown();
 }
@@ -1006,10 +970,6 @@ fn debug_flight_and_profile_round_trip() {
 #[test]
 fn observability_toggles_never_change_response_bytes() {
     let _guard = obs_lock().lock().unwrap();
-    // Start the dark server first: the toggles are process-global, so
-    // the `on` server's start leaves both enabled while traffic runs.
-    let off = start(ephemeral().threads(4).flight(false).sampler(false));
-    let on = start(ephemeral().threads(4));
     let db = shared_db();
 
     let mut requests: Vec<(&str, String, Vec<u8>)> =
@@ -1019,14 +979,19 @@ fn observability_toggles_never_change_response_bytes() {
         requests.push(("POST", "/v1/classify".into(), diff_body(record).into_bytes()));
         requests.push(("GET", format!("/v1/patch/{}", record.commit), Vec::new()));
     }
+    // The toggles are process-global, so the dark server answers every
+    // request before the `on` server's start turns both back on.
+    let off = start(ephemeral().threads(4).sampler(false).tracing(false));
     let expected: Vec<_> = requests
         .iter()
         .map(|(m, p, b)| client::request(off.addr(), m, p, b).unwrap())
         .collect();
+    off.shutdown();
 
     // Drive the instrumented server while a live profile scrape walks
-    // its stacks: recorder, mirroring, and sampling may observe, never
+    // its stacks: tracing, mirroring, and sampling may observe, never
     // steer.
+    let on = start(ephemeral().threads(4));
     let on_addr = on.addr();
     let profiler = std::thread::spawn(move || {
         client::request_timeout(
@@ -1043,13 +1008,12 @@ fn observability_toggles_never_change_response_bytes() {
             assert_eq!(
                 (got.status, &got.body),
                 (want.status, &want.body),
-                "{method} {path} differs with recorder+sampler live (pass {pass})"
+                "{method} {path} differs with tracing+sampler live (pass {pass})"
             );
         }
     }
     let profile = profiler.join().unwrap().expect("profile scrape");
     assert_eq!(profile.status, 200);
-    off.shutdown();
     on.shutdown();
 }
 

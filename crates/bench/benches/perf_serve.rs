@@ -21,11 +21,11 @@
 //! so the per-request comparison is skipped.)
 //!
 //! After the worker/mode matrix, two observability pricing rows rerun
-//! the 8-worker keep-alive point with span mirroring on under a live
-//! 97 Hz background sampler, and with request tracing on (per-request
-//! trace records, SLO accounting, and the per-second time-series
-//! sampler; the matrix itself runs with both off). Each toggle is
-//! flipped live on one
+//! the 8-worker keep-alive point under a live 97 Hz profile session
+//! (which turns span mirroring on for its lifetime), and with request
+//! tracing on (per-request trace records, SLO accounting, and the
+//! per-second time-series sampler; the matrix itself runs with no
+//! session and tracing off). Each is switched live on one
 //! server across adjacent short off/on drive pairs, and the reported
 //! overhead is the median of the per-pair throughput ratios — adjacent
 //! pairs cancel machine drift, the median discards load bursts — with
@@ -365,7 +365,6 @@ fn main() {
                 .addr("127.0.0.1:0")
                 .threads(workers)
                 .max_inflight(1024)
-                .sampler(false)
                 .tracing(false);
             let server = Server::start(index, &config).expect("server binds on loopback");
             let addr = server.addr();
@@ -442,17 +441,16 @@ fn main() {
         }
     }
 
-    // Observability pricing: the 8-worker keep-alive point with span
-    // mirroring on under a live 97 Hz background sampler, then with
-    // request tracing on. The introspection runtime must pay its own
-    // way: the acceptance bar is <= 5% throughput overhead for either
-    // piece.
+    // Observability pricing: the 8-worker keep-alive point under a live
+    // 97 Hz profile session, then with request tracing on. The
+    // introspection runtime must pay its own way: the acceptance bar is
+    // <= 5% throughput overhead for either piece.
     //
     // Methodology. This machine's throughput swings by double-digit
     // percent between back-to-back runs, so comparing two separately
     // booted servers cannot resolve a 5% bar — best-of-N over separate
-    // servers was tried and still read noise. Both toggles are
-    // process-global and flip live, so instead ONE server is driven in
+    // servers was tried and still read noise. Both are process-global
+    // and switch live, so instead ONE server is driven in
     // adjacent short off/on drive pairs: drift on the scale of seconds
     // cancels within each ~100 ms pair, and the median of the per-pair
     // throughput ratios discards the bursts that hit a single drive.
@@ -463,7 +461,6 @@ fn main() {
         .addr("127.0.0.1:0")
         .threads(8)
         .max_inflight(1024)
-        .sampler(false)
         .tracing(false);
     let server = Server::start(index, &config).expect("server binds on loopback");
     let addr = server.addr();
@@ -480,16 +477,13 @@ fn main() {
             // The bench drives the server in-process, so toggling
             // tracing / starting a background sampler here instruments
             // the live worker and loop threads exactly as `patchdb
-            // serve` with the toggles on (or under `/debug/profile`)
-            // would behave.
+            // serve` with tracing on (or under `/debug/profile`) would
+            // behave.
             patchdb_serve::set_tracing(obs_mode == "tracing");
-            let sampler = (obs_mode == "sampler97").then(|| {
-                obs::sampler::set_mirroring(true);
-                obs::sampler::BackgroundSampler::start(97)
-            });
+            let sampler = (obs_mode == "sampler97")
+                .then(|| obs::sampler::BackgroundSampler::start(97));
             let on = drive_keepalive(addr, &bodies, &expected, total);
             samples += sampler.map(|s| s.stop().samples).unwrap_or(0);
-            obs::sampler::set_mirroring(false);
             patchdb_serve::set_tracing(false);
             let off_tput = off.ok as f64 / off.elapsed.max(1e-9);
             let on_tput = on.ok as f64 / on.elapsed.max(1e-9);
@@ -573,7 +567,6 @@ fn main() {
         &ServeConfig::default()
             .addr("127.0.0.1:0")
             .threads(4)
-            .sampler(false)
             .reload_from(ReloadSource::Snapshot(snap_path.display().to_string())),
     )
     .expect("lifecycle server binds");

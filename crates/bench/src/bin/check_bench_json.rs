@@ -2,10 +2,9 @@
 //! validator that parses a report with `patchdb_rt::json`, dispatches on
 //! its top-level `schema` tag, and schema-checks it.
 //!
-//! * `patchdb-bench-nls/v1` (BENCH_nls.json) — non-empty `results`
-//!   array, each entry carrying `name`/`median_ns`.
-//! * `patchdb-bench-nls/v2` — the v1 checks plus the `index` block: a
-//!   non-empty `modes` array whose entries carry a string `mode`/`shape`
+//! * `patchdb-bench-nls/v2` (BENCH_nls.json) — a non-empty `results`
+//!   array, each entry carrying `name`/`median_ns`, plus the `index`
+//!   block: a non-empty `modes` array whose entries carry a string `mode`/`shape`
 //!   and positive `build_median_ns`/`query_median_ns`/`speedup_vs_seed`,
 //!   at least one mode entry at the largest standard shape (the last
 //!   `sizes` pair) and one at the report's `xl_shape`, and headlines
@@ -15,12 +14,11 @@
 //!   an object with `name`/`ns`/`children`), durations are non-negative,
 //!   counter names are unique with non-negative integer values, and each
 //!   histogram's `count` equals the sum of its buckets.
-//! * `patchdb-serve/v1` (BENCH_serve.json) — non-empty `results` array,
-//!   each entry with a positive integer `workers`, non-negative
+//! * `patchdb-serve/v2` (BENCH_serve.json) — a non-empty `results`
+//!   array, each entry with a positive integer `workers`, non-negative
 //!   `requests`/`errors`/`throughput_rps`, latency quantiles with
-//!   `p50_ns <= p99_ns`, and (when present) server-side windowed
-//!   quantiles with `server_p50_ns <= server_p99_ns`.
-//! * `patchdb-serve/v2` — the v1 per-row checks plus a transport `mode`
+//!   `p50_ns <= p99_ns`, (when present) server-side windowed quantiles
+//!   with `server_p50_ns <= server_p99_ns`, a transport `mode`
 //!   per row (`close` | `keepalive` | `pipelined`), a positive
 //!   concurrent-connection count, and at least one `close` and one
 //!   `keepalive` row so the keep-alive speedup is always computable.
@@ -66,9 +64,11 @@
 //!   the `B`/`E` events balance, nest, and carry non-decreasing
 //!   timestamps — the document opens clean in Perfetto.
 //!
-//! A file without a `schema` tag falls back to the bench checks (the
-//! pre-tag BENCH_nls.json format). Exits non-zero with a diagnostic on
-//! any violation.
+//! Retired report formats no producer writes any more —
+//! `patchdb-serve/v1`, `patchdb-bench-nls/v1`, and the untagged
+//! pre-schema bench report — are refused with the command that
+//! regenerates them, as a `patchdb-snapshot/v1` file is. Exits non-zero
+//! with a diagnostic on any violation.
 
 use std::process::ExitCode;
 
@@ -139,23 +139,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let schema = json.get("schema").and_then(Json::as_str).unwrap_or("");
-    let outcome = match schema {
-        "patchdb-trace/v1" => check_trace(&json),
-        "patchdb-serve/v1" => check_serve(&json),
-        "patchdb-serve/v2" => check_serve_v2(&json),
-        "patchdb-profile/v1" => check_profile(&json),
-        "patchdb-trace-request/v2" => check_trace_request(&json),
-        "patchdb-timeseries/v1" => check_timeseries(&json),
-        "patchdb-slo/v1" => check_slo(&json),
-        // Chrome trace-event documents carry no schema tag; dispatch on
-        // their defining member.
-        "" if json.get("traceEvents").is_some() => check_trace_events(&json),
-        "patchdb-bench-nls/v1" | "" => check_bench(&json),
-        "patchdb-bench-nls/v2" => check_bench_v2(&json),
-        other => Err(format!("unknown schema tag {other:?}")),
-    };
-    match outcome {
+    match check_document(&json) {
         Ok(summary) => {
             println!("check-bench-json: {path} ok ({summary})");
             ExitCode::SUCCESS
@@ -164,6 +148,32 @@ fn main() -> ExitCode {
             eprintln!("check-bench-json: {path}: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Checks a JSON report by its `schema` tag.
+fn check_document(json: &Json) -> Result<String, String> {
+    let retired = |what: &str, bench: &str| {
+        Err(format!(
+            "{what} is no longer read; regenerate with \
+             `cargo bench -p patchdb-bench --bench {bench}`"
+        ))
+    };
+    match json.get("schema").and_then(Json::as_str).unwrap_or("") {
+        "patchdb-trace/v1" => check_trace(json),
+        "patchdb-serve/v2" => check_serve_v2(json),
+        "patchdb-profile/v1" => check_profile(json),
+        "patchdb-trace-request/v2" => check_trace_request(json),
+        "patchdb-timeseries/v1" => check_timeseries(json),
+        "patchdb-slo/v1" => check_slo(json),
+        "patchdb-bench-nls/v2" => check_bench_v2(json),
+        // Chrome trace-event documents carry no schema tag; dispatch on
+        // their defining member.
+        "" if json.get("traceEvents").is_some() => check_trace_events(json),
+        "patchdb-serve/v1" => retired("patchdb-serve/v1", "perf_serve"),
+        "patchdb-bench-nls/v1" => retired("patchdb-bench-nls/v1", "perf_nls_scale"),
+        "" => retired("an untagged bench report", "perf_nls_scale"),
+        other => Err(format!("unknown schema tag {other:?}")),
     }
 }
 
@@ -182,6 +192,8 @@ fn check_snapshot(path: &str) -> Result<String, String> {
     ))
 }
 
+/// The `results` rows every bench report carries; the base of
+/// [`check_bench_v2`].
 fn check_bench(json: &Json) -> Result<String, String> {
     let results = json
         .get("results")
@@ -198,7 +210,7 @@ fn check_bench(json: &Json) -> Result<String, String> {
     Ok(format!("{} results", results.len()))
 }
 
-/// The v2 bench report: everything v1 requires, plus the `index` block
+/// The v2 bench report: the [`check_bench`] rows, plus the `index` block
 /// recording the per-mode build/query medians and seed-relative query
 /// speedups at the largest standard shape and the XL size class, with
 /// the two headline speedups cross-checked against those rows.
@@ -272,6 +284,7 @@ fn check_bench_v2(json: &Json) -> Result<String, String> {
     ))
 }
 
+/// The per-row checks of a serve report; the base of [`check_serve_v2`].
 fn check_serve(json: &Json) -> Result<String, String> {
     let results = json
         .get("results")
@@ -299,8 +312,8 @@ fn check_serve(json: &Json) -> Result<String, String> {
         if num("p50_ns")? > num("p99_ns")? {
             return Err(format!("{at}: p50_ns exceeds p99_ns"));
         }
-        // Server-side windowed quantiles are newer than the schema tag;
-        // validate them when a result carries them.
+        // Server-side windowed quantiles are optional per row; validate
+        // them when a result carries them.
         if r.get("server_p50_ns").is_some() || r.get("server_p99_ns").is_some() {
             for field in ["server_p50_ns", "server_p99_ns"] {
                 if num(field)? < 0.0 {
@@ -315,7 +328,7 @@ fn check_serve(json: &Json) -> Result<String, String> {
     Ok(format!("{} serve configurations", results.len()))
 }
 
-/// The v2 serve report: every v1 per-row check, plus the transport mode
+/// The v2 serve report: every [`check_serve`] row check, plus the transport mode
 /// and connection count each row was driven with, and enough mode
 /// coverage (≥1 `close`, ≥1 `keepalive` row) that the keep-alive
 /// speedup the report exists to document is actually computable.
@@ -785,5 +798,40 @@ mod tests {
         assert!(err.contains("`xl_speedup` = 800"), "{err}");
         let err = check_bench_v2(&nls_report(723.9, 723.9)).expect_err("headline off the rows");
         assert!(err.contains("`index_speedup_largest`"), "{err}");
+    }
+
+    #[test]
+    fn retired_report_formats_are_refused() {
+        let rows = r#""results": [{"name": "nls-init/50x2000", "median_ns": 1,
+            "workers": 1, "mode": "close", "connections": 1, "requests": 1,
+            "errors": 0, "throughput_rps": 1, "p50_ns": 1, "p99_ns": 1}]"#;
+        for (schema, bench) in [
+            (r#""schema": "patchdb-serve/v1","#, "perf_serve"),
+            (r#""schema": "patchdb-bench-nls/v1","#, "perf_nls_scale"),
+            ("", "perf_nls_scale"),
+        ] {
+            let doc = Json::parse(&format!("{{{schema} {rows}}}")).expect("test report parses");
+            let err = check_document(&doc).expect_err("a retired format passed");
+            assert!(err.contains("is no longer read"), "{err}");
+            assert!(err.contains(&format!("--bench {bench}")), "{err}");
+        }
+
+        check_document(&nls_report(119.5, 723.9)).expect("a v2 bench report passes");
+        let serve = Json::parse(
+            r#"{"schema": "patchdb-serve/v2", "results": [
+                {"workers": 1, "mode": "close", "connections": 1, "requests": 9,
+                 "errors": 0, "throughput_rps": 9, "p50_ns": 1, "p99_ns": 2},
+                {"workers": 1, "mode": "keepalive", "connections": 1, "requests": 9,
+                 "errors": 0, "throughput_rps": 9, "p50_ns": 1, "p99_ns": 2}]}"#,
+        )
+        .expect("test report parses");
+        check_document(&serve).expect("a v2 serve report passes");
+        let chrome = Json::parse(
+            r#"{"traceEvents": [
+                {"name": "build", "ph": "B", "ts": 0, "pid": 1, "tid": 1},
+                {"name": "build", "ph": "E", "ts": 5, "pid": 1, "tid": 1}]}"#,
+        )
+        .expect("test trace parses");
+        check_document(&chrome).expect("an untagged Chrome trace passes");
     }
 }

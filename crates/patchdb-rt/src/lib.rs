@@ -20,11 +20,11 @@
 //!   `crossbeam::scope`.
 //! * [`obs`] — spans, counters, gauges, histograms (cumulative and
 //!   rolling-window), one per-second slot ring ([`obs::SecondRing`])
-//!   and an event ring buffer behind two env switches
-//!   (`PATCHDB_TRACE`, `PATCHDB_SAMPLER`; near-zero cost when off),
-//!   replacing `tracing`/`metrics` — plus the introspection runtime on
-//!   top: a seqlock span-path sampling profiler emitting folded stacks
-//!   ([`obs::sampler`]) and a Chrome/Perfetto trace-event exporter
+//!   and an event ring buffer behind one env switch (`PATCHDB_TRACE`;
+//!   near-zero cost when off), replacing `tracing`/`metrics` — plus the
+//!   introspection runtime on top: a seqlock span-path sampling profiler
+//!   emitting folded stacks, whose mirror runs only while a sampler does
+//!   ([`obs::sampler`]), and a Chrome/Perfetto trace-event exporter
 //!   ([`obs::export`]), replacing `pprof`/`tracing-chrome`.
 //! * [`queue`] — a bounded MPMC hand-off with non-blocking producers
 //!   (explicit backpressure) and gracefully draining consumers, the

@@ -1,8 +1,6 @@
 //! Zero-dependency observability: hierarchical spans, named counters,
 //! gauges, fixed-bucket histograms, rolling-window histograms and an
-//! event ring buffer, behind two env switches — `PATCHDB_TRACE` (the
-//! registry) and `PATCHDB_SAMPLER` (the [`sampler`] mirror), each a
-//! [`Switch`].
+//! event ring buffer, behind one env switch, `PATCHDB_TRACE`.
 //!
 //! The registry is process-global and disabled by default; every probe
 //! site guards itself with [`enabled`], a relaxed atomic load, so the
@@ -14,9 +12,10 @@
 //! Two introspection subsystems build on the registry (see DESIGN.md
 //! §8 for the full architecture):
 //!
-//! * [`sampler`] — a span-path sampling profiler: threads mirror their
-//!   open span path into seqlock slots, a sampler thread aggregates
-//!   path → sample-count, rendered as folded stacks for `flamegraph.pl`.
+//! * [`sampler`] — a span-path sampling profiler: while a sampler runs,
+//!   threads mirror their open span path into seqlock slots and the
+//!   sampler aggregates path → sample-count, rendered as folded stacks
+//!   for `flamegraph.pl`.
 //! * [`export`] — renders span trees as Chrome trace-event JSON for
 //!   `chrome://tracing` / Perfetto.
 //!
@@ -98,55 +97,31 @@ pub const METRIC_WINDOWS_S: [u64; 3] = [1, 10, 60];
 /// enough to answer every window in [`METRIC_WINDOWS_S`].
 pub const WINDOW_SLOTS: usize = 64;
 
-/// A process-global on/off switch seeded from an environment variable:
-/// the first [`on`](Self::on) reads it (any value other than empty or
-/// `"0"` is on), later reads are one relaxed atomic load, and
-/// [`set`](Self::set) overrides it for probes that run after the store.
-pub struct Switch {
-    /// 0 = uninitialized (consult `env`), 1 = off, 2 = on.
-    state: AtomicU8,
-    env: &'static str,
-}
+/// The tracing state: 0 = `PATCHDB_TRACE` not read yet, 1 = off, 2 = on.
+static TRACE: AtomicU8 = AtomicU8::new(0);
 
-impl Switch {
-    /// A switch that consults `env` on its first read.
-    pub const fn new(env: &'static str) -> Switch {
-        Switch { state: AtomicU8::new(0), env }
-    }
-
-    /// Whether the switch is on.
-    #[inline]
-    pub fn on(&self) -> bool {
-        match self.state.load(Ordering::Relaxed) {
-            0 => self.init_from_env(),
-            s => s == 2,
-        }
-    }
-
-    #[cold]
-    fn init_from_env(&self) -> bool {
-        let on = std::env::var(self.env).map(|v| !v.is_empty() && v != "0").unwrap_or(false);
-        self.set(on);
-        on
-    }
-
-    /// Turns the switch on or off, overriding the environment.
-    pub fn set(&self, on: bool) {
-        self.state.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    }
-}
-
-static TRACE: Switch = Switch::new("PATCHDB_TRACE");
-
-/// Whether tracing is on (the `PATCHDB_TRACE` [`Switch`]).
+/// Whether tracing is on. The first call reads `PATCHDB_TRACE` (any value
+/// other than empty or `"0"` is on); later calls are one relaxed atomic
+/// load.
 #[inline]
 pub fn enabled() -> bool {
-    TRACE.on()
+    match TRACE.load(Ordering::Relaxed) {
+        0 => enabled_from_env(),
+        s => s == 2,
+    }
 }
 
-/// Programmatic override of the `PATCHDB_TRACE` toggle.
+#[cold]
+fn enabled_from_env() -> bool {
+    let on = std::env::var("PATCHDB_TRACE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
+    set_enabled(on);
+    on
+}
+
+/// Turns tracing on or off, overriding `PATCHDB_TRACE` for probes that
+/// run after the store.
 pub fn set_enabled(on: bool) {
-    TRACE.set(on);
+    TRACE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
 struct SpanNode {
@@ -193,8 +168,7 @@ pub struct SpanGuard {
 /// stack become roots). Returns a guard that records the elapsed
 /// monotonic time when dropped.
 ///
-/// When [`sampler`] mirroring is on, the span appears in sampled
-/// profiles.
+/// While a [`sampler`] runs, the span appears in its profile.
 pub fn span(name: impl Into<String>) -> SpanGuard {
     if !enabled() {
         return SpanGuard { active: None, mirrored: false };
@@ -587,42 +561,6 @@ impl TraceReport {
         dfs(&self.spans, name)
     }
 
-    /// Renders counters and histograms as a plain-text metrics exposition
-    /// (one metric per line, names ascending — the `GET /metrics` format
-    /// of `patchdb-serve`):
-    ///
-    /// ```text
-    /// patchdb_counter{name="serve.identify.requests"} 12
-    /// patchdb_hist_count{name="serve.identify.ns"} 12
-    /// patchdb_hist_sum{name="serve.identify.ns"} 84213
-    /// patchdb_hist_max{name="serve.identify.ns"} 16383
-    /// patchdb_hist_p50{name="serve.identify.ns"} 4095
-    /// patchdb_hist_p99{name="serve.identify.ns"} 16383
-    /// ```
-    ///
-    /// Spans are omitted: they describe one bounded computation, not a
-    /// long-running process, and `TRACE_build.json` already carries them.
-    pub fn to_metrics_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            out.push_str(&format!("patchdb_counter{{name=\"{name}\"}} {value}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!("patchdb_hist_count{{name=\"{name}\"}} {}\n", h.count()));
-            out.push_str(&format!("patchdb_hist_sum{{name=\"{name}\"}} {}\n", h.sum()));
-            out.push_str(&format!("patchdb_hist_max{{name=\"{name}\"}} {}\n", h.max()));
-            out.push_str(&format!(
-                "patchdb_hist_p50{{name=\"{name}\"}} {}\n",
-                h.quantile(0.50)
-            ));
-            out.push_str(&format!(
-                "patchdb_hist_p99{{name=\"{name}\"}} {}\n",
-                h.quantile(0.99)
-            ));
-        }
-        out
-    }
-
     /// Serializes as `{"spans": [...], "counters": {...},
     /// "histograms": {...}}` with deterministic key order (spans in
     /// creation order, metric names ascending).
@@ -684,9 +622,8 @@ impl MetricsSnapshot {
 
     /// Renders every metric family as a plain-text exposition — the
     /// `GET /metrics` format of `patchdb-serve`. Section headers are
-    /// comment lines; metric lines keep the `patchdb_*{name="..."}`
-    /// shape of [`TraceReport::to_metrics_text`] so existing scrapers
-    /// keep parsing, with gauges and windowed quantiles added:
+    /// comment lines; every metric line has the `patchdb_*{name="..."}`
+    /// shape, names ascending within a family:
     ///
     /// ```text
     /// # counters (cumulative since start)
@@ -969,27 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_text_lists_counters_and_quantiles() {
-        let _g = guard();
-        set_enabled(true);
-        reset();
-        counter_add("serve.requests", 3);
-        for v in [10, 20, 30] {
-            hist_record("serve.ns", v);
-        }
-        let r = report();
-        set_enabled(false);
-        let text = r.to_metrics_text();
-        assert!(text.contains("patchdb_counter{name=\"serve.requests\"} 3"), "{text}");
-        assert!(text.contains("patchdb_hist_count{name=\"serve.ns\"} 3"), "{text}");
-        assert!(text.contains("patchdb_hist_sum{name=\"serve.ns\"} 60"), "{text}");
-        assert!(text.contains("patchdb_hist_max{name=\"serve.ns\"} 30"), "{text}");
-        assert!(text.contains("patchdb_hist_p99{name=\"serve.ns\"}"), "{text}");
-        // One line per metric, nothing else.
-        assert!(text.lines().all(|l| l.starts_with("patchdb_")), "{text}");
-    }
-
-    #[test]
     fn gauges_set_add_and_read_back() {
         let _g = guard();
         set_enabled(true);
@@ -1014,7 +930,9 @@ mod tests {
             let _s = span("not-in-snapshot");
             counter_add("s.count", 3);
             gauge_set("s.gauge", -2);
-            hist_record("s.hist", 9);
+            for v in [10, 20, 30] {
+                hist_record("s.hist", v);
+            }
             window_record("s.window", 9);
         }
         let snap = metrics_snapshot();
@@ -1030,6 +948,10 @@ mod tests {
         assert!(text.contains("# gauges"), "{text}");
         assert!(text.contains("patchdb_gauge{name=\"s.gauge\"} -2"), "{text}");
         assert!(text.contains("patchdb_counter{name=\"s.count\"} 3"), "{text}");
+        assert!(text.contains("patchdb_hist_count{name=\"s.hist\"} 3"), "{text}");
+        assert!(text.contains("patchdb_hist_sum{name=\"s.hist\"} 60"), "{text}");
+        assert!(text.contains("patchdb_hist_max{name=\"s.hist\"} 30"), "{text}");
+        assert!(text.contains("patchdb_hist_p99{name=\"s.hist\"}"), "{text}");
         assert!(
             text.contains("patchdb_window_count{name=\"s.window\",window_s=\"60\"} 1"),
             "{text}"

@@ -41,12 +41,19 @@
 //! occurrence of each name per call site in the common case), and the
 //! sampler resolves ids back to names at aggregation time.
 //!
-//! Mirroring has its own toggle ([`set_mirroring`] / `PATCHDB_SAMPLER`)
-//! so the per-span cost can be priced independently of the span
-//! registry; the sampler itself runs either inline ([`profile_for`],
-//! behind `GET /debug/profile`) or continuously
-//! ([`BackgroundSampler`]). Sampling observes and never steers:
-//! toggling it cannot change output bytes.
+//! ## Sessions
+//!
+//! Mirroring runs only while someone reads the slots: each sampler —
+//! inline ([`profile_for`], behind `GET /debug/profile`) or continuous
+//! ([`BackgroundSampler`]) — holds one *session* for exactly its
+//! lifetime, and [`mirroring`] is "at least one session open". With no
+//! profiler running, a [`frame`] costs one relaxed load. A frame pushed
+//! in a session is popped by its own guard even if every session has
+//! ended since, so paths stay balanced across the switch; a frame
+//! opened before the first session is simply absent from the samples,
+//! which therefore show a contiguous inner run of each thread's path.
+//! Sampling observes and never steers: a session cannot change output
+//! bytes.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -54,7 +61,6 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Or
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use super::Switch;
 use crate::json::Json;
 
 /// Deepest span path a slot can mirror; deeper paths are truncated to
@@ -64,17 +70,32 @@ pub const MAX_DEPTH: usize = 32;
 /// The stack name reported for a sampled thread with no open frames.
 pub const IDLE_FRAME: &str = "(idle)";
 
-static SWITCH: Switch = Switch::new("PATCHDB_SAMPLER");
+/// Open sampling sessions. The count guards no other data — a writer
+/// that sees a change late only mirrors a frame more or less — so every
+/// access is `Relaxed`.
+static SESSIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// Whether span-path mirroring is on (the `PATCHDB_SAMPLER` [`Switch`]).
+/// Whether span-path mirroring is on: some sampler is running.
 #[inline]
 pub fn mirroring() -> bool {
-    SWITCH.on()
+    SESSIONS.load(Ordering::Relaxed) > 0
 }
 
-/// Programmatic override of the `PATCHDB_SAMPLER` toggle.
-pub fn set_mirroring(on: bool) {
-    SWITCH.set(on);
+/// One open sampling session: mirroring stays on while it lives, and its
+/// drop (on return, stop or unwind alike) releases exactly one count.
+struct Session(());
+
+impl Session {
+    fn open() -> Session {
+        SESSIONS.fetch_add(1, Ordering::Relaxed);
+        Session(())
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        SESSIONS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// The name-interning table: names in, dense `u32` ids out.
@@ -196,7 +217,8 @@ pub fn push_frame(name: &str) -> bool {
 }
 
 /// Pops the innermost mirrored frame (the balance of a successful
-/// [`push_frame`]).
+/// [`push_frame`]). Never gated on [`mirroring`]: a frame pushed in a
+/// session that has since ended must still come off.
 pub fn pop_frame() {
     PATH.with(|p| {
         let mut path = p.borrow_mut();
@@ -215,8 +237,8 @@ pub struct FrameGuard {
     pushed: bool,
 }
 
-/// Opens a mirrored frame named `name`. A no-op guard when mirroring is
-/// off.
+/// Opens a mirrored frame named `name`. A no-op guard when no sampler
+/// is running.
 pub fn frame(name: &str) -> FrameGuard {
     FrameGuard { pushed: push_frame(name) }
 }
@@ -336,6 +358,7 @@ fn clamp_hz(hz: u64) -> u64 {
 /// (clamped to `1..=1000`), blocking the calling thread. This is the
 /// `GET /debug/profile?seconds=&hz=` path.
 pub fn profile_for(duration: Duration, hz: u64) -> Profile {
+    let _session = Session::open();
     let hz = clamp_hz(hz);
     let period = Duration::from_nanos(1_000_000_000 / hz);
     let started = Instant::now();
@@ -360,11 +383,13 @@ pub struct BackgroundSampler {
     handle: Option<std::thread::JoinHandle<(BTreeMap<Vec<u32>, u64>, u64)>>,
     hz: u64,
     started: Instant,
+    _session: Session,
 }
 
 impl BackgroundSampler {
     /// Spawns the sampler thread at `hz` (clamped to `1..=1000`).
     pub fn start(hz: u64) -> BackgroundSampler {
+        let session = Session::open();
         let hz = clamp_hz(hz);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -381,7 +406,13 @@ impl BackgroundSampler {
                 (agg, samples)
             })
             .expect("spawn sampler thread");
-        BackgroundSampler { stop, handle: Some(handle), hz, started: Instant::now() }
+        BackgroundSampler {
+            stop,
+            handle: Some(handle),
+            hz,
+            started: Instant::now(),
+            _session: session,
+        }
     }
 
     /// Stops the sampler thread and returns what it aggregated.
@@ -410,7 +441,7 @@ impl Drop for BackgroundSampler {
 mod tests {
     use super::*;
 
-    /// Serializes tests that toggle the process-global mirroring state.
+    /// Serializes tests that open sessions: the count is process-global.
     static LOCK: Mutex<()> = Mutex::new(());
 
     fn guard() -> std::sync::MutexGuard<'static, ()> {
@@ -420,23 +451,23 @@ mod tests {
     #[test]
     fn frames_mirror_and_resolve_in_stack_order() {
         let _g = guard();
-        set_mirroring(true);
+        let session = Session::open();
         let observed = {
             let _outer = frame("outer");
             let _inner = frame("inner");
             // Read back this thread's own slot the way the sampler would.
             SLOT.with(|s| s.read()).expect("uncontended slot read")
         };
-        set_mirroring(false);
+        drop(session);
         assert_eq!(resolve(&observed), "outer;inner");
         // Guards popped their frames on drop.
         PATH.with(|p| assert!(p.borrow().is_empty()));
     }
 
     #[test]
-    fn mirroring_off_pushes_nothing() {
+    fn no_session_pushes_nothing() {
         let _g = guard();
-        set_mirroring(false);
+        assert!(!mirroring());
         let guard = frame("ghost");
         assert!(!guard.pushed);
         PATH.with(|p| assert!(p.borrow().is_empty()));
@@ -480,14 +511,14 @@ mod tests {
     #[test]
     fn background_sampler_catches_a_busy_thread() {
         let _g = guard();
-        set_mirroring(true);
         let sampler = BackgroundSampler::start(500);
+        assert!(mirroring(), "a running sampler mirrors");
         {
             let _f = frame("sampler.target");
             std::thread::sleep(Duration::from_millis(60));
         }
         let profile = sampler.stop();
-        set_mirroring(false);
+        assert!(!mirroring(), "a stopped sampler left mirroring on");
         assert!(profile.samples > 0, "sampler took no samples");
         assert!(
             profile.stacks.keys().any(|s| s.contains("sampler.target")),
@@ -504,5 +535,136 @@ mod tests {
         slot.write(&[1, 2]);
         slot.seq.store(slot.seq.load(Ordering::Relaxed) + 1, Ordering::Release);
         assert!(slot.read().is_none(), "reader accepted an in-progress write");
+    }
+
+    /// Opens `chain` as nested frames, outermost first, yielding at
+    /// random between each open and close.
+    fn nest(chain: &[String], rng: &mut crate::rng::Xoshiro256pp) {
+        let Some((name, rest)) = chain.split_first() else { return };
+        let _frame = frame(name);
+        if rng.gen_bool(0.5) {
+            std::thread::yield_now();
+        }
+        nest(rest, rng);
+        if rng.gen_bool(0.5) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spins until `done` returns true.
+    fn await_until(done: impl Fn() -> bool) {
+        while !done() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Sets the flag when dropped, so a failed assertion still releases
+    /// the writers the enclosing scope is about to join.
+    struct SetOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Writers nest a fixed chain of frames while sessions overlap: a
+    /// 1000 Hz background sampler outside, short inline profiles inside.
+    /// Frames opened before, inside and after the sessions must leave
+    /// every path balanced, samples must only show contiguous in-order
+    /// runs of a writer's chain, and mirroring must last exactly as long
+    /// as some session is open.
+    #[test]
+    fn overlapping_sessions_keep_paths_balanced_and_contiguous() {
+        use crate::check::Checker;
+        use crate::rng::Xoshiro256pp;
+
+        const WRITERS: usize = 3;
+        const DEPTH: usize = 5;
+        let _g = guard();
+        let chains: Vec<Vec<String>> = (0..WRITERS)
+            .map(|w| (0..DEPTH).map(|d| format!("race.w{w}.f{d}")).collect())
+            .collect();
+        Checker::new("sampler_session_race").cases(8).regression_dir(None).run(|g| {
+            let seeds: Vec<u64> = (0..WRITERS).map(|_| g.u64()).collect();
+            let inner_ms: Vec<u64> = g.vec_with(1, 4, |g| g.u64_in(2, 12));
+            assert!(!mirroring(), "a session outlived its sampler");
+            let rounds: Vec<AtomicUsize> = (0..WRITERS).map(|_| AtomicUsize::new(0)).collect();
+            let stop = AtomicBool::new(false);
+            let mut profiles = Vec::new();
+            let leftover: Vec<usize> = std::thread::scope(|scope| {
+                let writers: Vec<_> = chains
+                    .iter()
+                    .zip(&seeds)
+                    .zip(&rounds)
+                    .map(|((chain, &seed), done)| {
+                        let stop = &stop;
+                        scope.spawn(move || {
+                            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                            while !stop.load(Ordering::Relaxed) {
+                                nest(chain, &mut rng);
+                                done.fetch_add(1, Ordering::Relaxed);
+                            }
+                            PATH.with(|p| p.borrow().len())
+                        })
+                    })
+                    .collect();
+                let release = SetOnDrop(&stop);
+                let all_past = |marks: &[usize]| {
+                    rounds.iter().zip(marks).all(|(r, &m)| r.load(Ordering::Relaxed) > m)
+                };
+                // Every writer is already nesting when the first session
+                // opens.
+                await_until(|| all_past(&[0; WRITERS]));
+
+                let outer = BackgroundSampler::start(1000);
+                assert!(mirroring(), "a running background sampler must mirror");
+                // Opened inside the outer session, closed after it ends.
+                let straddle = frame("race.main");
+                assert!(straddle.pushed);
+                for &ms in &inner_ms {
+                    profiles.push(profile_for(Duration::from_millis(ms), 1000));
+                    assert!(
+                        mirroring(),
+                        "an inner session's end turned mirroring off under a live outer one"
+                    );
+                }
+                profiles.push(outer.stop());
+                assert!(!mirroring(), "mirroring outlived the last session");
+                drop(straddle);
+                PATH.with(|p| {
+                    assert!(p.borrow().is_empty(), "a frame pushed in a session never popped")
+                });
+
+                // Every writer runs whole chains after the last session.
+                let marks: Vec<usize> = rounds.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+                await_until(|| all_past(&marks));
+                drop(release);
+                writers.into_iter().map(|w| w.join().expect("writer panicked")).collect()
+            });
+            assert_eq!(leftover, vec![0; WRITERS], "writers ended with frames still open");
+
+            let mut race_paths = 0;
+            for profile in &profiles {
+                for stack in profile.stacks.keys().filter(|s| s.contains("race.w")) {
+                    race_paths += 1;
+                    let frames: Vec<(usize, usize)> = stack
+                        .split(';')
+                        .map(|f| {
+                            let (w, d) = f
+                                .strip_prefix("race.w")
+                                .and_then(|f| f.split_once(".f"))
+                                .unwrap_or_else(|| panic!("foreign frame {f:?} in {stack:?}"));
+                            (w.parse().unwrap(), d.parse().unwrap())
+                        })
+                        .collect();
+                    let contiguous = frames
+                        .windows(2)
+                        .all(|p| p[1].0 == p[0].0 && p[1].1 == p[0].1 + 1);
+                    assert!(contiguous, "sampled path {stack:?} is not a run of one chain");
+                }
+            }
+            assert!(race_paths > 0, "no session ever sampled a writer: {profiles:?}");
+        });
     }
 }

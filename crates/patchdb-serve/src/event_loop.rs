@@ -546,7 +546,7 @@ impl EventLoop {
                         // Connection-level shed: answer 503 and close
                         // without reading a byte.
                         obs::counter_add("serve.rejected_503", 1);
-                        self.shed(slot, accepted, "shed");
+                        self.shed(slot, accepted);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -592,22 +592,40 @@ impl EventLoop {
         slot
     }
 
-    /// Queues a local 503 for `slot` and marks it close-after. Used for
-    /// both connection-capacity and admission-queue shedding.
-    fn shed(&mut self, slot: usize, started: Instant, endpoint: &'static str) {
+    /// Answers a connection over the cap `503` without reading a byte.
+    fn shed(&mut self, slot: usize, started: Instant) {
         let conn = self.conns[slot].as_mut().expect("live slot");
         let seq = conn.next_seq;
         conn.next_seq += 1;
         conn.pending += 1;
-        conn.close_after = Some(seq);
-        let generation = conn.generation;
         obs::gauge_add("serve.inflight", 1);
         let mut rec = RequestRecord::admitted(self.telemetry.next_id(), 0);
-        rec.endpoint = endpoint;
-        rec.status = 503;
-        let response = Response::overloaded(1);
+        rec.endpoint = "shed";
+        self.answer_local(slot, seq, started, rec, Response::overloaded(1));
+    }
+
+    /// Answers request `seq` on `slot` from the loop itself and closes
+    /// the connection after it, exactly as if a worker had sent the
+    /// completion: status counter, client trace echo, head. Then tries to
+    /// flush. Returns whether the connection is still open.
+    fn answer_local(
+        &mut self,
+        slot: usize,
+        seq: u64,
+        started: Instant,
+        mut rec: RequestRecord,
+        mut response: Response,
+    ) -> bool {
+        let conn = self.conns[slot].as_mut().expect("live slot");
+        conn.close_after = Some(seq);
+        let generation = conn.generation;
+        rec.status = response.status;
+        if rec.trace_supplied {
+            response = response.with_trace(&rec.trace);
+        }
         let head = render_head(&response, false, Some((rec.id, &rec.trace)));
-        self.deliver_local(Completion {
+        obs::counter_add(&crate::server::status_counter(rec.status), 1);
+        self.park(Completion {
             slot,
             generation,
             seq,
@@ -617,14 +635,7 @@ impl EventLoop {
             rec,
             close_after: true,
         });
-    }
-
-    /// Inserts a loop-built completion exactly as if a worker had sent
-    /// it (status counter included; `rec.status` must be set), then
-    /// tries to flush.
-    fn deliver_local(&mut self, completion: Completion) {
-        obs::counter_add(&crate::server::status_counter(completion.rec.status), 1);
-        self.park(completion);
+        self.generation_of(slot) == Some(generation)
     }
 
     fn drain_completions(&mut self) {
@@ -789,27 +800,9 @@ impl EventLoop {
                         obs::gauge_add("serve.queue_depth", -1);
                         obs::counter_add("serve.rejected_503", 1);
                         let mut work = refused.into_inner();
-                        let conn = self.conns[slot].as_mut().expect("live slot");
-                        conn.close_after = Some(seq);
                         work.rec.endpoint = "shed";
-                        work.rec.status = 503;
-                        let mut response = Response::overloaded(1);
-                        if work.rec.trace_supplied {
-                            response = response.with_trace(&work.rec.trace);
-                        }
-                        let head =
-                            render_head(&response, false, Some((work.rec.id, &work.rec.trace)));
-                        self.deliver_local(Completion {
-                            slot,
-                            generation,
-                            seq,
-                            started: work.started,
-                            head,
-                            body: response.body,
-                            rec: work.rec,
-                            close_after: true,
-                        });
-                        return self.generation_of(slot) == Some(generation);
+                        let response = Response::overloaded(1);
+                        return self.answer_local(slot, seq, work.started, work.rec, response);
                     }
                 }
                 Err(frame_error) => {
@@ -822,26 +815,11 @@ impl EventLoop {
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     conn.pending += 1;
-                    conn.close_after = Some(seq);
-                    let generation = conn.generation;
                     let mut rec = RequestRecord::admitted(self.telemetry.next_id(), accept_ns);
                     rec.endpoint = "parse";
                     rec.parse_ns = elapsed_ns(started).saturating_sub(accept_ns);
-                    let response = frame_error.response();
-                    rec.status = response.status;
                     obs::gauge_add("serve.inflight", 1);
-                    let head = render_head(&response, false, Some((rec.id, &rec.trace)));
-                    self.deliver_local(Completion {
-                        slot,
-                        generation,
-                        seq,
-                        started,
-                        head,
-                        body: response.body,
-                        rec,
-                        close_after: true,
-                    });
-                    return self.generation_of(slot) == Some(generation);
+                    return self.answer_local(slot, seq, started, rec, frame_error.response());
                 }
             }
         }

@@ -117,12 +117,12 @@ pub use snapshot::Snapshot;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-global gate over the tracing/tsdb/SLO layer (default on).
-/// Like the sampler's mirroring switch: a relaxed atomic read on the
-/// hot path, flippable live so a bench can price the layer with paired
-/// off/on drives on one server. Gates only *observation* — trace-ring
-/// pushes, registry sampling, SLO accounting. Response bytes never change; the `X-Patchdb-*`
-/// correlation headers are always emitted.
+/// Process-global gate over the tracing/tsdb/SLO layer (default on): a
+/// relaxed atomic read on the hot path, flippable live so a bench can
+/// price the layer with paired off/on drives on one server. Gates only
+/// *observation* — trace-ring pushes, registry sampling, SLO accounting.
+/// Response bytes never change; the `X-Patchdb-*` correlation headers
+/// are always emitted.
 static TRACING: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables the tracing/tsdb/SLO observation layer.

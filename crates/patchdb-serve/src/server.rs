@@ -85,9 +85,6 @@ pub struct ServeConfig {
     /// is opened, under the log lock so no line is ever split. `0` (the
     /// default) disables rotation; stdout (`"-"`) never rotates.
     pub access_log_max_mb: u64,
-    /// Whether threads mirror their span path into the sampler's seqlock
-    /// slots, enabling `GET /debug/profile`. Purely observational.
-    pub sampler: bool,
     /// The snapshot file this server booted from, if any. Doubles as
     /// the default reload source when `reload` is unset.
     pub snapshot: Option<String>,
@@ -126,7 +123,6 @@ impl Default for ServeConfig {
             max_requests_per_conn: 0,
             max_conns: 10_240,
             access_log_max_mb: 0,
-            sampler: true,
             snapshot: None,
             reload: None,
             tracing: true,
@@ -207,12 +203,6 @@ impl ServeConfig {
     /// Sets the access-log rotation cap in MiB (`0` = no rotation).
     pub fn access_log_max_mb(mut self, mb: u64) -> Self {
         self.access_log_max_mb = mb;
-        self
-    }
-
-    /// Enables or disables span-path mirroring for the sampler.
-    pub fn sampler(mut self, enabled: bool) -> Self {
-        self.sampler = enabled;
         self
     }
 
@@ -331,13 +321,9 @@ impl Server {
         // Best effort: a large connection cap needs file descriptors.
         let _ = patchdb_rt::net::raise_nofile_limit(config.max_conns as u64 + 64);
         obs::set_enabled(true);
-        // The sampler mirrors span paths for `/debug/profile`. It is
-        // observational only — toggling it never changes response bytes
-        // (pinned by `tests/serve.rs`).
-        obs::sampler::set_mirroring(config.sampler);
-        // The correlation-and-objectives layer: same contract as the
-        // sampler — flipping it never changes response bytes, only what
-        // gets observed.
+        // The correlation-and-objectives layer is observational only:
+        // flipping it never changes response bytes, only what gets
+        // observed (pinned by `tests/serve.rs`).
         crate::set_tracing(config.tracing);
         obs::tsdb::set_retention_s(config.tsdb_retention_s);
         let telemetry = Arc::new(Telemetry::new(config)?);
@@ -376,9 +362,8 @@ impl Server {
                     .name(format!("patchdb-serve-worker-{i}"))
                     .spawn(move || loop {
                         // The wait/work split is the profiler's idle
-                        // signal: `sampler::frame` costs one interned-id
-                        // push per call (no registry growth), cheap
-                        // enough for the hot path.
+                        // signal: `sampler::frame` grows no registry and
+                        // costs one relaxed load unless a profile runs.
                         let popped = {
                             let _wait = obs::sampler::frame("serve.worker.wait");
                             queue.pop()

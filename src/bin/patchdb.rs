@@ -112,7 +112,6 @@ layout (a patchdb-snapshot/v1 file is refused).
   --access-log-max-mb N
                       rotate the access log (PATH -> PATH.1) when the file
                       would cross N MiB; lines are never split (default 0 = off)
-  --sampler on|off    span-path mirroring for /debug/profile (default on)
   --slow-ms N         keep requests at least this slow as /debug/slow
                       exemplars (default 100)
   --keep-alive on|off HTTP/1.1 keep-alive; off forces Connection: close on
@@ -337,7 +336,6 @@ fn cmd_profile(args: &[String]) -> CliResult {
 
     // Spans must exist for the mirror to have paths to publish.
     obs::set_enabled(true);
-    obs::sampler::set_mirroring(true);
     let sampler = obs::sampler::BackgroundSampler::start(hz);
     eprintln!(
         "profiling build at {hz} Hz (seed {seed}, ~{} commits)...",
@@ -345,7 +343,6 @@ fn cmd_profile(args: &[String]) -> CliResult {
     );
     let report = PatchDb::build(&options);
     let profile = sampler.stop();
-    obs::sampler::set_mirroring(false);
     eprintln!("{}", report.db.stats());
 
     std::fs::write(&profile_out, profile.folded())?;
@@ -527,10 +524,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
                     value_after(&mut it, "--access-log-max-mb")?,
                     "--access-log-max-mb",
                 )?);
-            }
-            "--sampler" => {
-                config =
-                    config.sampler(parse_on_off(value_after(&mut it, "--sampler")?, "--sampler")?);
             }
             "--slow-ms" => {
                 config =

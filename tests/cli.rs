@@ -94,20 +94,17 @@ fn cli_rejects_bad_usage() {
     assert_eq!(code, 2, "{text}");
     assert!(text.contains("usage: patchdb serve"), "{text}");
 
-    // The removed `--shards` flag is rejected, not silently accepted.
-    let (code, text) = run_coded(&["serve", "/no/such/db.json", "--shards", "2"]);
-    assert_eq!(code, 2, "{text}");
-    assert!(text.contains("unknown flag --shards"), "{text}");
-
-    // So is the removed `--batch-window-ms` flag.
-    let (code, text) = run_coded(&["serve", "/no/such/db.json", "--batch-window-ms", "2"]);
-    assert_eq!(code, 2, "{text}");
-    assert!(text.contains("unknown flag --batch-window-ms"), "{text}");
-
-    // And the removed `--flight` flag.
-    let (code, text) = run_coded(&["serve", "/no/such/db.json", "--flight", "on"]);
-    assert_eq!(code, 2, "{text}");
-    assert!(text.contains("unknown flag --flight"), "{text}");
+    // Removed serve flags are rejected, not silently accepted.
+    for (flag, value) in [
+        ("--shards", "2"),
+        ("--batch-window-ms", "2"),
+        ("--flight", "on"),
+        ("--sampler", "on"),
+    ] {
+        let (code, text) = run_coded(&["serve", "/no/such/db.json", flag, value]);
+        assert_eq!(code, 2, "{flag}: {text}");
+        assert!(text.contains(&format!("unknown flag {flag}")), "{text}");
+    }
 
     // Runtime failures (the command was well-formed) exit 1.
     let (code, text) = run_coded(&["stats", "/no/such/file.json"]);

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use patchdb::prelude::*;
 use patchdb_rt::json::Json;
+use patchdb_rt::obs::sampler;
 use patchdb_serve::client::{self, Client};
 use patchdb_serve::{ReloadSource, ServeConfig, ServeIndex, Server};
 
@@ -117,6 +118,9 @@ fn stall(addr: std::net::SocketAddr) -> TcpStream {
 
 #[test]
 fn connection_cap_sheds_with_503() {
+    // Bumps `serve.rejected_503`, which the admission-shed test reads
+    // exactly.
+    let _guard = obs_lock().lock().unwrap();
     let server = start(ephemeral().threads(1).max_conns(2).deadline_ms(30_000));
     let addr = server.addr();
 
@@ -925,45 +929,153 @@ fn identify_cache_and_batch_gauges_are_exported() {
     server.shutdown();
 }
 
-/// The sampler/tracing toggles are process-global; tests that flip or
-/// depend on them serialize here so a `sampler(false)` or
-/// `tracing(false)` server starting mid-test cannot blind another test.
+/// Process-global observability state — the tracing toggle, profile
+/// sessions (which turn span mirroring on for every server in the
+/// process) and counters a test reads exactly — is serialized here, so
+/// a `tracing(false)` server or a live profile starting mid-test cannot
+/// blind or skew another test.
 fn obs_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
 }
 
+/// Waits up to ten seconds for a profile session to open; returns
+/// whether one did.
+fn await_mirroring() -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !sampler::mirroring() {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// Starts a `/debug/profile` scrape of `seconds` on its own thread.
+fn profile_in_background(
+    addr: std::net::SocketAddr,
+    seconds: u64,
+    hz: u64,
+) -> std::thread::JoinHandle<std::io::Result<client::HttpReply>> {
+    std::thread::spawn(move || {
+        client::request_timeout(
+            addr,
+            "GET",
+            &format!("/debug/profile?seconds={seconds}&hz={hz}"),
+            b"",
+            Duration::from_secs(15),
+        )
+    })
+}
+
 #[test]
 fn debug_profile_round_trip() {
-    let _guard = obs_lock().lock().unwrap();
-    let server = start(ephemeral().threads(2)); // sampler on by default
-    let addr = server.addr();
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    // An on-demand profile: blocks one worker for a second, samples the
-    // rest of the pool serving this very request.
-    let profile = client::request_timeout(
-        addr,
-        "GET",
-        "/debug/profile?seconds=1&hz=50",
-        b"",
-        Duration::from_secs(15),
-    )
-    .unwrap();
+    let _guard = obs_lock().lock().unwrap();
+    let server = start(ephemeral().threads(2));
+    let addr = server.addr();
+    let body = diff_body(shared_db().nvd.first().expect("tiny build has NVD records"));
+
+    // Mirroring belongs to a running profile, not to the server.
+    assert_eq!(client::request(addr, "POST", "/v1/identify", body.as_bytes()).unwrap().status, 200);
+    assert!(!sampler::mirroring(), "a server with no profile running mirrors span paths");
+
+    // An on-demand profile blocks one worker for a second while a client
+    // keeps the loop and the other worker busy with identify requests.
+    let done = AtomicBool::new(false);
+    let (mirrored, profile, served) = std::thread::scope(|scope| {
+        let load = scope.spawn(|| {
+            let mut ka = Client::connect(addr, Duration::from_secs(10)).unwrap();
+            let mut served = 0;
+            while !done.load(Ordering::Relaxed) {
+                assert_eq!(ka.send("POST", "/v1/identify", body.as_bytes()).unwrap().status, 200);
+                served += 1;
+            }
+            served
+        });
+        let profiler = profile_in_background(addr, 1, 200);
+        let mirrored = await_mirroring();
+        let profile = profiler.join();
+        done.store(true, Ordering::Relaxed);
+        let served = load.join();
+        (mirrored, profile.unwrap().unwrap(), served.unwrap())
+    });
+    assert!(mirrored, "a running /debug/profile never turned mirroring on");
+    assert!(!sampler::mirroring(), "mirroring outlived the /debug/profile scrape");
+    assert!(served > 0, "no identify request was answered during the profile");
     assert_eq!(profile.status, 200);
     let pjson = Json::parse(&profile.body_text()).expect("/debug/profile is JSON");
     assert_eq!(pjson.get("schema").and_then(Json::as_str), Some("patchdb-profile/v1"));
-    assert_eq!(pjson.get("hz").and_then(Json::as_f64), Some(50.0));
+    assert_eq!(pjson.get("hz").and_then(Json::as_f64), Some(200.0));
     let samples = pjson.get("samples").and_then(Json::as_f64).expect("samples");
-    assert!(samples >= 5.0, "a 1 s profile at 50 Hz took {samples} samples");
+    assert!(samples >= 5.0, "a 1 s profile at 200 Hz took {samples} samples");
     let folded = pjson.get("folded").and_then(Json::as_str).expect("folded");
+    let mut frames = std::collections::BTreeSet::new();
     for line in folded.lines() {
         let (path, count) = line.rsplit_once(' ').expect("folded line shape");
         assert!(!path.is_empty());
         assert!(count.parse::<u64>().unwrap() > 0);
+        frames.extend(path.split(';'));
+    }
+    // A session that never mirrored would read as all `(idle)`.
+    for frame in ["loop.poll", "serve.worker"] {
+        assert!(frames.contains(frame), "no {frame} in a profile under load:\n{folded}");
     }
     assert!(pjson.get("self_top").and_then(Json::as_arr).is_some());
 
     assert_eq!(client::request(addr, "POST", "/debug/profile", b"").unwrap().status, 405);
+    server.shutdown();
+}
+
+#[test]
+fn full_admission_queue_sheds_with_503_and_the_trace_id() {
+    // Reads `serve.rejected_503` exactly (the connection-cap test bumps
+    // it too) and runs a profile session.
+    let _guard = obs_lock().lock().unwrap();
+    let server = start(ephemeral().threads(1).max_inflight(1).deadline_ms(30_000));
+    let addr = server.addr();
+    let metrics = client::request(addr, "GET", "/metrics", b"").unwrap().body_text();
+    let rejected = counter_in(&metrics, "serve.rejected_503");
+
+    // The profile holds the only worker (its session opens once the
+    // worker has popped it, leaving the queue empty)...
+    let profiler = profile_in_background(addr, 1, 97);
+    assert!(await_mirroring(), "the profile never started");
+    // ...one request fills the one-slot queue (the loop admits it as
+    // soon as the bytes land; give it a moment)...
+    let mut queued = TcpStream::connect(addr).unwrap();
+    queued.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+
+    // ...and a keep-alive request behind it is refused at admission.
+    let mut shed = TcpStream::connect(addr).unwrap();
+    shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    shed.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Patchdb-Trace-Id: it-shed-1\r\n\r\n")
+        .unwrap();
+    let mut raw = Vec::new();
+    shed.read_to_end(&mut raw).expect("the shed connection is closed after its answer");
+    let text = String::from_utf8_lossy(&raw);
+    let (head, body) = text.split_once("\r\n\r\n").expect("a framed response");
+    assert!(head.starts_with("HTTP/1.1 503"), "expected 503, got: {text}");
+    for line in ["Retry-After: 1", "Connection: close", "X-Patchdb-Trace-Id: it-shed-1"] {
+        assert!(head.lines().any(|l| l == line), "no `{line}` in: {head}");
+    }
+    let envelope = Json::parse(body).expect("error envelope");
+    let error = envelope.get("error").expect("error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("overloaded"));
+    assert_eq!(error.get("trace_id").and_then(Json::as_str), Some("it-shed-1"));
+
+    // The held and queued requests are still answered.
+    assert_eq!(profiler.join().unwrap().expect("profile scrape").status, 200);
+    queued.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut raw = Vec::new();
+    queued.read_to_end(&mut raw).expect("the queued request is answered");
+    assert!(raw.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&raw));
+
+    let metrics = client::request(addr, "GET", "/metrics", b"").unwrap().body_text();
+    assert_eq!(counter_in(&metrics, "serve.rejected_503"), rejected + 1);
     server.shutdown();
 }
 
@@ -979,13 +1091,15 @@ fn observability_toggles_never_change_response_bytes() {
         requests.push(("POST", "/v1/classify".into(), diff_body(record).into_bytes()));
         requests.push(("GET", format!("/v1/patch/{}", record.commit), Vec::new()));
     }
-    // The toggles are process-global, so the dark server answers every
-    // request before the `on` server's start turns both back on.
-    let off = start(ephemeral().threads(4).sampler(false).tracing(false));
+    // The tracing toggle is process-global, so the dark server (tracing
+    // off, no profile session) answers every request before the lit
+    // server's start turns tracing back on.
+    let off = start(ephemeral().threads(4).tracing(false));
     let expected: Vec<_> = requests
         .iter()
         .map(|(m, p, b)| client::request(off.addr(), m, p, b).unwrap())
         .collect();
+    assert!(!sampler::mirroring(), "the dark server ran under a profile session");
     off.shutdown();
 
     // Drive the instrumented server while a live profile scrape walks
@@ -993,22 +1107,15 @@ fn observability_toggles_never_change_response_bytes() {
     // steer.
     let on = start(ephemeral().threads(4));
     let on_addr = on.addr();
-    let profiler = std::thread::spawn(move || {
-        client::request_timeout(
-            on_addr,
-            "GET",
-            "/debug/profile?seconds=1&hz=97",
-            b"",
-            Duration::from_secs(15),
-        )
-    });
+    let profiler = profile_in_background(on_addr, 1, 97);
+    assert!(await_mirroring(), "the lit server's profile never started");
     for pass in 0..2 {
         for ((method, path, body), want) in requests.iter().zip(&expected) {
             let got = client::request(on_addr, method, path, body).unwrap();
             assert_eq!(
                 (got.status, &got.body),
                 (want.status, &want.body),
-                "{method} {path} differs with tracing+sampler live (pass {pass})"
+                "{method} {path} differs with tracing and a profile live (pass {pass})"
             );
         }
     }

@@ -5,24 +5,13 @@
 use crate::keywords::keyword_of;
 use crate::token::{Span, Token, TokenKind};
 
-/// Lexes `src`, skipping comments.
+/// Lexes `src`, skipping comments. An unterminated block comment or
+/// string consumes the rest of its line or input without error.
 ///
 /// Preprocessor directives are emitted as single [`TokenKind::Preprocessor`]
 /// tokens covering the whole (possibly continued) line.
 pub fn tokenize(src: &str) -> Vec<Token> {
-    Lexer::new(src, 1).run(false)
-}
-
-/// Lexes `src`, including comments as [`TokenKind::Comment`] tokens.
-pub fn tokenize_with_comments(src: &str) -> Vec<Token> {
-    Lexer::new(src, 1).run(true)
-}
-
-/// Lexes a patch-line fragment, reporting spans as if the fragment started
-/// on line `line_no`. Comments are skipped; an unterminated block comment
-/// or string consumes the rest of the fragment without error.
-pub fn tokenize_fragment(fragment: &str, line_no: usize) -> Vec<Token> {
-    Lexer::new(fragment, line_no).run(false)
+    Lexer::new(src).run()
 }
 
 struct Lexer<'a> {
@@ -33,8 +22,8 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str, start_line: usize) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0, line: start_line, col: 0 }
+    fn new(src: &'a str) -> Self {
+        Lexer { src: src.as_bytes(), pos: 0, line: 1, col: 0 }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -61,7 +50,7 @@ impl<'a> Lexer<'a> {
         String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
     }
 
-    fn run(mut self, keep_comments: bool) -> Vec<Token> {
+    fn run(mut self) -> Vec<Token> {
         let mut out = Vec::new();
         let mut at_line_start = true;
 
@@ -88,13 +77,6 @@ impl<'a> Lexer<'a> {
                     while self.peek().is_some_and(|c| c != b'\n') {
                         self.bump();
                     }
-                    if keep_comments {
-                        out.push(Token {
-                            kind: TokenKind::Comment,
-                            text: self.text_since(start),
-                            span: self.span_from(line, col),
-                        });
-                    }
                 }
                 b'/' if self.peek_at(1) == Some(b'*') => {
                     self.bump();
@@ -111,13 +93,6 @@ impl<'a> Lexer<'a> {
                                 self.bump();
                             }
                         }
-                    }
-                    if keep_comments {
-                        out.push(Token {
-                            kind: TokenKind::Comment,
-                            text: self.text_since(start),
-                            span: self.span_from(line, col),
-                        });
                     }
                     at_line_start = false;
                 }
@@ -436,8 +411,6 @@ mod tests {
     #[test]
     fn comments_skipped_by_default() {
         assert_eq!(kinds("a /* b */ c // d\n e").len(), 3);
-        let with = tokenize_with_comments("a /* b */ c // d\n e");
-        assert_eq!(with.iter().filter(|t| t.kind == TokenKind::Comment).count(), 2);
     }
 
     #[test]
@@ -474,12 +447,6 @@ mod tests {
         assert_eq!(toks[0].span.line, 1);
         assert_eq!(toks[1].span.line, 2);
         assert_eq!(toks[1].span.col, 2);
-    }
-
-    #[test]
-    fn fragment_offsets_line_numbers() {
-        let toks = tokenize_fragment("x = 1;", 42);
-        assert!(toks.iter().all(|t| t.span.line == 42));
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! PatchDB (DSN 2021) uses two external tools this crate replaces:
 //!
 //! * a Python syntactic parser that extracts the Table I features from
-//!   patch fragments — served here by [`tokenize`]/[`tokenize_fragment`] and
-//!   the [`OperatorClass`] / statement classification helpers;
+//!   patch fragments — served here by [`tokenize`], the [`count_stats`] /
+//!   [`OperatorClass`] statement classification, and token abstraction:
+//!   [`abstract_tokens`] defines it by text, and an [`Abstractor`] interns
+//!   tokens to `u32` ids and abstracts a [`Run`] of them to [`Canon`]
+//!   tokens, either as lexed or as if joined with spaces and re-lexed
+//!   (the form the Table I features and the Section V-A signatures use);
 //! * LLVM's AST dump, from which the oversampler reads
 //!   `IfStmt <line:N, line:N>` extents (Section III-C-2) — served here by
 //!   [`find_if_statements`] and [`find_functions`].
@@ -39,10 +43,10 @@ mod stats;
 mod structure;
 mod token;
 
-pub use abstraction::{abstract_tokens, is_stable, AbstractedToken, Numbering};
+pub use abstraction::{abstract_tokens, Abstractor, Canon, Run};
 pub use ast::{parse_bodies, Stmt, StmtKind};
 pub use keywords::{is_keyword, Keyword};
-pub use lexer::{tokenize, tokenize_fragment, tokenize_with_comments};
+pub use lexer::tokenize;
 pub use stats::{classify_operator, count_stats, FragmentStats, OperatorClass};
 pub use structure::{find_functions, find_if_statements, FunctionSpan, IfStmt};
 pub use token::{Span, Token, TokenKind};

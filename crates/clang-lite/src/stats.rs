@@ -109,7 +109,7 @@ pub fn count_stats(tokens: &[Token]) -> FragmentStats {
     let mut s = FragmentStats::default();
     for (i, t) in tokens.iter().enumerate() {
         match &t.kind {
-            TokenKind::Comment | TokenKind::Preprocessor => continue,
+            TokenKind::Preprocessor => continue,
             _ => s.tokens += 1,
         }
         match &t.kind {
@@ -173,7 +173,7 @@ pub fn count_stats(tokens: &[Token]) -> FragmentStats {
                     OperatorClass::Other => {}
                 }
             }
-            TokenKind::Comment | TokenKind::Preprocessor => {}
+            TokenKind::Preprocessor => {}
         }
     }
     s

@@ -42,8 +42,6 @@ pub enum TokenKind {
     Punct,
     /// A whole preprocessor directive line (`#include <...>`, `#define …`).
     Preprocessor,
-    /// A comment (only emitted by [`crate::tokenize_with_comments`]).
-    Comment,
 }
 
 /// One lexed token.

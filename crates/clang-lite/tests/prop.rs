@@ -1,12 +1,14 @@
 //! Property tests: the lexer must be total (never panic, always make
-//! progress) and abstraction must be a congruence under identifier
-//! renaming. Runs on `patchdb_rt::check`, the in-repo property harness.
+//! progress), abstraction must be a congruence under identifier
+//! renaming, and the id-based `Abstractor` must spell what
+//! `abstract_tokens` does in both of its modes. Runs on
+//! `patchdb_rt::check`, the in-repo property harness.
 
 use patchdb_rt::check::check;
 
 use clang_lite::{
-    abstract_tokens, count_stats, find_if_statements, is_stable, parse_bodies, tokenize,
-    tokenize_fragment, StmtKind, Token, TokenKind,
+    abstract_tokens, count_stats, find_if_statements, parse_bodies, tokenize, Abstractor, Canon,
+    StmtKind, TokenKind,
 };
 
 /// Printable ASCII without newline, the analogue of proptest's `.`.
@@ -62,11 +64,7 @@ fn assert_rename_invariant(raw: &[String]) {
     let renamed: Vec<String> = names.iter().map(|n| format!("zz_{n}")).collect();
     let src_b = format!("{} = {}({}, {} + 1);", renamed[0], renamed[1], renamed[2], renamed[0]);
     // Renaming must not accidentally collide two distinct names.
-    let a = abstract_tokens(&tokenize(&src_a));
-    let b = abstract_tokens(&tokenize(&src_b));
-    let ca: Vec<&str> = a.iter().map(|t| t.canon.as_str()).collect();
-    let cb: Vec<&str> = b.iter().map(|t| t.canon.as_str()).collect();
-    assert_eq!(ca, cb);
+    assert_eq!(abstract_tokens(&tokenize(&src_a)), abstract_tokens(&tokenize(&src_b)));
 }
 
 /// Alpha-renaming identifiers leaves the abstracted stream unchanged.
@@ -170,29 +168,67 @@ fn preprocessor_is_opaque() {
     });
 }
 
-/// The lemma id-based abstraction rests on: a run of stable tokens,
-/// joined with spaces and re-lexed, gives back exactly those tokens, so
-/// abstracting the tokens equals abstracting the re-lexed text.
+/// Source pieces that reach every path of the `Abstractor`: directives
+/// with `\` continuations, `#` mid-line and at line start, unterminated,
+/// prefixed and raw string/char literals, comments (one never closed),
+/// U+FFFD and the bytes of a non-ASCII letter, and the placeholder texts
+/// themselves as identifiers.
+const PIECES: &[&str] = &[
+    "a", "b", "buf", "f", "g", "if", "return", "int", "sizeof", "(", ")", "{", "}", ";", ",",
+    "=", "==", "->", "*", "&", ".", "0", "42", "0x1f", "1.5", "1e", "\"s\"", "'c'", "L\"w\"",
+    "u8\"u\"", "R\"(r) \")\"", "R\"d(x)\" y)d\"", "\"open", "'o", "\"esc\\", "R\"(", "#", "##",
+    "#define M(a) \\\n  (a + 1)", "#include <x.h>", "# if X", "// note\n", "/* c */",
+    "/* never closed", "\\", "é", "\u{fffd}", "\n", "VAR0", "FUNC1", "LITERAL",
+];
+
+/// Both modes of an `Abstractor` spell what `abstract_tokens` gives: as
+/// lexed, of the tokens themselves; joined, of their texts joined with
+/// spaces and re-lexed. Runs are any slice of a generated source, share
+/// one table (as the lines and sides of a patch do), and are sometimes
+/// left half read (as a scan window is at its first mismatch). Two
+/// canonical tokens are equal exactly when their spellings are.
 #[test]
-fn stable_runs_survive_joining() {
-    const PIECES: &[&str] = &[
-        "a", "u8", "L", "R", "if", "0x1f", "1e", "1.5", "(", ")", ";", "->", "<<=", "/", "*",
-        ".", "#", "##", "\"s\"", "\"open", "'c'", "L\"w\"", "R\"(r)\"", "R\"(", "\\", "é",
-        "/* c */", "/*", "//", "\n", "\r",
-    ];
-    check("stable_runs_survive_joining", CASES, |g| {
-        let src: String = g
-            .vec_with(0, 30, |g| {
-                let sep = *g.pick(&[" ", "", "\t"]);
-                format!("{sep}{}", g.pick(PIECES))
+fn abstractor_modes_match_abstract_tokens() {
+    let spell = |a: &Abstractor, canons: &[Canon]| -> Vec<String> {
+        canons
+            .iter()
+            .map(|&c| {
+                let mut s = String::new();
+                a.push_text(c, &mut s);
+                s
             })
-            .concat();
-        let toks = tokenize(&src);
-        for run in toks.split(|t| !is_stable(t)) {
-            let joined: Vec<&str> = run.iter().map(|t| t.text.as_str()).collect();
-            let relexed = tokenize_fragment(&joined.join(" "), 1);
-            let shape = |ts: &[Token]| ts.iter().map(|t| (t.kind, t.text.clone())).collect::<Vec<_>>();
-            assert_eq!(shape(&relexed), shape(run), "{src:?}");
+            .collect()
+    };
+    check("abstractor_modes_match_abstract_tokens", CASES, |g| {
+        let mut a = Abstractor::new();
+        for _ in 0..g.usize_in(1, 4) {
+            let src: String = g
+                .vec_with(0, 24, |g| format!("{}{}", g.pick(&[" ", "", "\t", "\n"]), g.pick(PIECES)))
+                .concat();
+            let toks = tokenize(&src);
+            let ids: Vec<u32> = toks.iter().map(|t| a.intern(t)).collect();
+            let start = g.usize_in(0, ids.len());
+            let end = g.usize_in(start, ids.len());
+            let (run, run_toks) = (&ids[start..end], &toks[start..end]);
+            if g.bool() {
+                let _ = a.joined(run).take(g.usize_in(0, run.len())).count();
+            }
+
+            let lexed: Vec<Canon> = a.as_lexed(run).collect();
+            assert_eq!(spell(&a, &lexed), abstract_tokens(run_toks), "as lexed: {src:?}");
+            let texts: Vec<&str> = run_toks.iter().map(|t| t.text.as_str()).collect();
+            let want = abstract_tokens(&tokenize(&texts.join(" ")));
+            let joined: Vec<Canon> = a.joined(run).collect();
+            let spelled = spell(&a, &joined);
+            assert_eq!(spelled, want, "joined: {src:?}");
+
+            let both: Vec<(Canon, String)> =
+                lexed.iter().copied().zip(spell(&a, &lexed)).chain(joined.into_iter().zip(spelled)).collect();
+            for (x, sx) in &both {
+                for (y, sy) in &both {
+                    assert_eq!(x == y, sx == sy, "{x:?} {sx:?} vs {y:?} {sy:?} in {src:?}");
+                }
+            }
         }
     });
 }

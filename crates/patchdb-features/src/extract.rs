@@ -1,11 +1,8 @@
 //! The Table I feature extractor: patch in, 60-dimensional vector out.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use clang_lite::{
-    abstract_tokens, count_stats, is_stable, tokenize_fragment, FragmentStats, Numbering, Token,
-    TokenKind,
-};
+use clang_lite::{count_stats, tokenize, Abstractor, Canon, FragmentStats, Token, TokenKind};
 use patch_core::{LineKind, Patch};
 
 use crate::levenshtein::levenshtein;
@@ -29,13 +26,11 @@ pub struct RepoContext {
 /// not apply to any file snapshot. `ctx` feeds the percentage features.
 ///
 /// Each line is lexed once. Its tokens feed the statement and operator
-/// counts, the signature heuristic and the abstracted hunk key, and are
-/// interned to `u32` ids for the two Levenshtein features. The
+/// counts and the signature heuristic, and are interned to `u32` ids by
+/// one [`Abstractor`]. The ids give the raw Levenshtein distance and,
+/// abstracted as lexed, each line's part of the abstracted hunk key. The
 /// after-abstraction distance is defined on each side of the hunk joined
-/// with spaces and re-lexed; a side whose tokens are all stable
-/// ([`clang_lite::is_stable`]) re-lexes to the same tokens, so it is
-/// abstracted straight from the ids, and any other side takes that
-/// join/re-lex path.
+/// with spaces and re-lexed, which is the abstractor's joined mode.
 pub fn extract(patch: &Patch, ctx: Option<&RepoContext>) -> FeatureVector {
     let mut f = [0.0f64; FEATURE_DIM];
 
@@ -57,14 +52,17 @@ pub fn extract(patch: &Patch, ctx: Option<&RepoContext>) -> FeatureVector {
     // A hunk key is only ever compared with other hunks' keys, so a patch
     // of one hunk leaves its two keys empty.
     let keyed = n_hunks > 1;
-    let mut symbols = Symbols::new();
-    let mut hunk = CompiledHunk::new();
+    let mut abstractor = Abstractor::new();
+    // This line's ids, and each side of the hunk: context plus removed
+    // lines, context plus added lines.
+    let (mut line, mut old, mut new) = (Vec::new(), Vec::new(), Vec::new());
     for h in patch.hunks() {
-        hunk.clear();
+        old.clear();
+        new.clear();
         let mut key_raw = String::new();
         let mut key_abs = String::new();
         for l in &h.lines {
-            let toks = tokenize_fragment(&l.content, 1);
+            let toks = tokenize(&l.content);
             let signature = || i64::from(looks_like_signature(&l.content, &toks));
             match l.kind {
                 LineKind::Added => {
@@ -81,17 +79,30 @@ pub fn extract(patch: &Patch, ctx: Option<&RepoContext>) -> FeatureVector {
                 }
                 LineKind::Context => {}
             }
-            hunk.push_line(&mut symbols, l.kind, toks);
+            line.clear();
+            line.extend(toks.iter().map(|t| abstractor.intern(t)));
+            if l.kind != LineKind::Added {
+                old.extend_from_slice(&line);
+            }
+            if l.kind != LineKind::Removed {
+                new.extend_from_slice(&line);
+            }
             if keyed {
                 key_raw.push(l.kind.prefix());
                 key_raw.push_str(l.content.trim());
                 key_raw.push('\n');
-                hunk.push_line_key(&mut symbols, &mut key_abs);
+                key_abs.push(l.kind.prefix());
+                let mut canons = abstractor.as_lexed(&line);
+                while let Some(canon) = canons.next() {
+                    canons.abstractor().push_text(canon, &mut key_abs);
+                    key_abs.push('\u{1}');
+                }
+                key_abs.push('\n');
             }
         }
-        lev_raw.push(levenshtein(&hunk.old.ids, &hunk.new.ids) as f64);
-        let old_abs = hunk.abstracted(&mut symbols, LineKind::Added);
-        let new_abs = hunk.abstracted(&mut symbols, LineKind::Removed);
+        lev_raw.push(levenshtein(&old, &new) as f64);
+        let old_abs: Vec<Canon> = abstractor.joined(&old).collect();
+        let new_abs: Vec<Canon> = abstractor.joined(&new).collect();
         lev_abs.push(levenshtein(&old_abs, &new_abs) as f64);
         hunk_keys_raw.push(key_raw);
         hunk_keys_abs.push(key_abs);
@@ -237,234 +248,6 @@ fn distinct(keys: &[String]) -> usize {
     keys.iter().collect::<HashSet<_>>().len()
 }
 
-/// How a token abstracts when its side of a hunk is abstracted by id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// An identifier: becomes `VARn` or `FUNCn`.
-    Ident,
-    /// Any literal: becomes `LITERAL`.
-    Literal,
-    /// A keyword or punctuator: stays its own text.
-    Verbatim,
-    /// Re-lexes differently once its side is joined.
-    Unstable,
-}
-
-impl Shape {
-    fn of(token: &Token) -> Shape {
-        match token.kind {
-            _ if !is_stable(token) => Shape::Unstable,
-            TokenKind::Ident => Shape::Ident,
-            _ if token.is_literal() => Shape::Literal,
-            _ => Shape::Verbatim,
-        }
-    }
-}
-
-/// The token texts of one patch interned to dense `u32` ids.
-///
-/// The canonical placeholders (`LITERAL`, `VARn`, `FUNCn`) share the id
-/// space, so two abstracted streams compare equal exactly when their
-/// canonical texts do, whichever path produced them.
-struct Symbols {
-    ids: HashMap<String, u32>,
-    /// The shape of the tokens with each id; `None` until one is seen.
-    /// One shape per text is exact: a text always lexes as the same kind,
-    /// except a `#`-initial one (a directive at the start of a line, a
-    /// punctuator elsewhere), which is unstable either way.
-    shapes: Vec<Option<Shape>>,
-    /// Ids of one-byte ASCII texts by byte, `u32::MAX` until first seen:
-    /// most C tokens are one byte, and this skips hashing them.
-    one_byte: [u32; 128],
-    /// `VARn` texts and ids, then `FUNCn` ones, by `n`.
-    placeholders: [Vec<(String, u32)>; 2],
-    literal: u32,
-    lparen: u32,
-}
-
-impl Symbols {
-    fn new() -> Symbols {
-        let mut symbols = Symbols {
-            ids: HashMap::with_capacity(128),
-            shapes: Vec::new(),
-            one_byte: [u32::MAX; 128],
-            placeholders: [Vec::new(), Vec::new()],
-            literal: 0,
-            lparen: 0,
-        };
-        symbols.literal = symbols.intern("LITERAL");
-        symbols.lparen = symbols.intern("(");
-        symbols
-    }
-
-    fn intern(&mut self, text: &str) -> u32 {
-        if let Some(&id) = self.ids.get(text) {
-            return id;
-        }
-        let id = u32::try_from(self.ids.len())
-            .expect("a patch holds fewer than 2^32 distinct token texts");
-        self.ids.insert(text.to_owned(), id);
-        id
-    }
-
-    /// Interns `token` and returns its id and shape.
-    fn token(&mut self, token: &Token) -> (u32, Shape) {
-        let id = match *token.text.as_bytes() {
-            [b] if b.is_ascii() => match self.one_byte[usize::from(b)] {
-                u32::MAX => {
-                    let id = self.intern(&token.text);
-                    self.one_byte[usize::from(b)] = id;
-                    id
-                }
-                id => id,
-            },
-            _ => self.intern(&token.text),
-        };
-        let slot = id as usize;
-        if slot >= self.shapes.len() {
-            self.shapes.resize(slot + 1, None);
-        }
-        (id, *self.shapes[slot].get_or_insert_with(|| Shape::of(token)))
-    }
-
-    /// The text and id of `VARn`, or of `FUNCn` when `called`.
-    fn placeholder(&mut self, called: bool, n: usize) -> &(String, u32) {
-        let which = usize::from(called);
-        while self.placeholders[which].len() <= n {
-            let text = format!("{}{}", ["VAR", "FUNC"][which], self.placeholders[which].len());
-            let id = self.intern(&text);
-            self.placeholders[which].push((text, id));
-        }
-        &self.placeholders[which][n]
-    }
-}
-
-/// One side of a hunk (context plus removed, or context plus added
-/// lines) as interned tokens.
-#[derive(Default)]
-struct Side {
-    ids: Vec<u32>,
-    shapes: Vec<Shape>,
-}
-
-impl Side {
-    fn push(&mut self, (id, shape): (u32, Shape)) {
-        self.ids.push(id);
-        self.shapes.push(shape);
-    }
-}
-
-/// The lexed lines of one hunk and its two sides, with buffers reused
-/// from hunk to hunk.
-struct CompiledHunk {
-    /// Each line's kind and tokens, kept for the join/re-lex path.
-    lines: Vec<(LineKind, Vec<Token>)>,
-    old: Side,
-    new: Side,
-    vars: Numbering,
-    funcs: Numbering,
-}
-
-impl CompiledHunk {
-    fn new() -> CompiledHunk {
-        CompiledHunk {
-            lines: Vec::new(),
-            old: Side::default(),
-            new: Side::default(),
-            vars: Numbering::new(0),
-            funcs: Numbering::new(0),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.lines.clear();
-        for side in [&mut self.old, &mut self.new] {
-            side.ids.clear();
-            side.shapes.clear();
-        }
-    }
-
-    /// Starts a new stream in both numberings, over every id so far.
-    fn restart_numbering(&mut self, symbols: &Symbols) {
-        for numbering in [&mut self.vars, &mut self.funcs] {
-            numbering.reserve(symbols.ids.len());
-            numbering.reset();
-        }
-    }
-
-    /// Adds one lexed line to its sides.
-    fn push_line(&mut self, symbols: &mut Symbols, kind: LineKind, toks: Vec<Token>) {
-        for t in &toks {
-            let tok = symbols.token(t);
-            if kind != LineKind::Added {
-                self.old.push(tok);
-            }
-            if kind != LineKind::Removed {
-                self.new.push(tok);
-            }
-        }
-        self.lines.push((kind, toks));
-    }
-
-    /// Appends the last pushed line's abstracted duplicate-detection key
-    /// to `key`: the line's prefix, each token's canonical text followed
-    /// by `\u{1}`, then `\n`. Numbering restarts on every line, as
-    /// [`abstract_tokens`] on the line alone would.
-    fn push_line_key(&mut self, symbols: &mut Symbols, key: &mut String) {
-        self.restart_numbering(symbols);
-        let (kind, toks) = self.lines.last().expect("a line was pushed");
-        let side = if *kind == LineKind::Added { &self.new } else { &self.old };
-        let ids = &side.ids[side.ids.len() - toks.len()..];
-        key.push(kind.prefix());
-        for (i, (t, &id)) in toks.iter().zip(ids).enumerate() {
-            match t.kind {
-                TokenKind::Ident => {
-                    let called = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-                    let numbering = if called { &mut self.funcs } else { &mut self.vars };
-                    key.push_str(&symbols.placeholder(called, numbering.number(id as usize)).0);
-                }
-                _ if t.is_literal() => key.push_str("LITERAL"),
-                _ => key.push_str(&t.text),
-            }
-            key.push('\u{1}');
-        }
-        key.push('\n');
-    }
-
-    /// The side without `exclude` lines, abstracted as a whole so that
-    /// numbering is consistent across its lines: by id when every token
-    /// is stable, else by joining the texts with spaces and re-lexing.
-    fn abstracted(&mut self, symbols: &mut Symbols, exclude: LineKind) -> Vec<u32> {
-        self.restart_numbering(symbols);
-        let side = if exclude == LineKind::Added { &self.old } else { &self.new };
-        if side.shapes.contains(&Shape::Unstable) {
-            let texts: Vec<&str> = self
-                .lines
-                .iter()
-                .filter(|(kind, _)| *kind != exclude)
-                .flat_map(|(_, toks)| toks.iter().map(|t| t.text.as_str()))
-                .collect();
-            return abstract_tokens(&tokenize_fragment(&texts.join(" "), 1))
-                .iter()
-                .map(|t| symbols.intern(&t.canon))
-                .collect();
-        }
-        let mut out = Vec::with_capacity(side.ids.len());
-        for (i, (&id, &shape)) in side.ids.iter().zip(&side.shapes).enumerate() {
-            out.push(match shape {
-                Shape::Literal => symbols.literal,
-                Shape::Ident => {
-                    let called = side.ids.get(i + 1) == Some(&symbols.lparen);
-                    let numbering = if called { &mut self.funcs } else { &mut self.vars };
-                    symbols.placeholder(called, numbering.number(id as usize)).1
-                }
-                Shape::Verbatim | Shape::Unstable => id,
-            });
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,7 +359,7 @@ mod tests {
 
     #[test]
     fn signature_detection() {
-        let sig = |line: &str| looks_like_signature(line, &tokenize_fragment(line, 1));
+        let sig = |line: &str| looks_like_signature(line, &tokenize(line));
         assert!(sig("int foo(int a) {"));
         assert!(sig("static void bar(void)"));
         assert!(!sig("  foo(a);"));

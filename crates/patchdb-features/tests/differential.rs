@@ -16,7 +16,7 @@ use patchdb_features::{extract, levenshtein, FeatureVector, RepoContext};
 mod reference {
     use std::collections::HashSet;
 
-    use clang_lite::{abstract_tokens, count_stats, tokenize_fragment, FragmentStats, TokenKind};
+    use clang_lite::{abstract_tokens, count_stats, tokenize, FragmentStats, TokenKind};
     use patch_core::{Hunk, LineKind, Patch};
     use patchdb_features::{FeatureVector, RepoContext, FEATURE_DIM};
 
@@ -37,11 +37,8 @@ mod reference {
             let mut old_tokens: Vec<String> = Vec::new();
             let mut new_tokens: Vec<String> = Vec::new();
             for l in &h.lines {
-                let toks = tokenize_fragment(&l.content, 1);
-                let texts = toks
-                    .iter()
-                    .filter(|t| !matches!(t.kind, TokenKind::Comment))
-                    .map(|t| t.text.clone());
+                let toks = tokenize(&l.content);
+                let texts = toks.iter().map(|t| t.text.clone());
                 match l.kind {
                     LineKind::Added => {
                         added_lines += 1;
@@ -65,10 +62,7 @@ mod reference {
             lev_raw.push(full_matrix_levenshtein(&old_tokens, &new_tokens) as f64);
             let abstracted = |texts: &[String]| -> Vec<String> {
                 let joined = texts.join(" ");
-                abstract_tokens(&tokenize_fragment(&joined, 1))
-                    .into_iter()
-                    .map(|t| t.canon)
-                    .collect()
+                abstract_tokens(&tokenize(&joined))
             };
             let old_abs = abstracted(&old_tokens);
             let new_abs = abstracted(&new_tokens);
@@ -185,7 +179,7 @@ mod reference {
         if line.starts_with([' ', '\t']) {
             return false;
         }
-        let toks = tokenize_fragment(line, 1);
+        let toks = tokenize(line);
         if toks.len() < 4 {
             return false;
         }
@@ -224,8 +218,8 @@ mod reference {
                 LineKind::Removed => '-',
             });
             if abs {
-                for t in abstract_tokens(&tokenize_fragment(&l.content, 1)) {
-                    key.push_str(&t.canon);
+                for t in abstract_tokens(&tokenize(&l.content)) {
+                    key.push_str(&t);
                     key.push('\u{1}');
                 }
             } else {

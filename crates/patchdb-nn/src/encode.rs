@@ -3,7 +3,7 @@
 //! (Section IV-C), with line-kind markers so the model can tell added from
 //! removed code.
 
-use clang_lite::tokenize_fragment;
+use clang_lite::tokenize;
 use patch_core::{LineKind, Patch};
 
 use crate::vocab::{Vocabulary, MARK_ADD, MARK_CTX, MARK_DEL};
@@ -55,7 +55,7 @@ pub fn patch_token_texts(patch: &Patch) -> Vec<String> {
                 }
                 .to_owned(),
             );
-            for t in tokenize_fragment(&line.content, 1) {
+            for t in tokenize(&line.content) {
                 out.push(t.text);
             }
         }
@@ -74,7 +74,7 @@ pub fn encode_patch(patch: &Patch, vocab: &Vocabulary) -> TokenSequence {
                 LineKind::Removed => MARK_DEL,
                 LineKind::Context => MARK_CTX,
             });
-            for t in tokenize_fragment(&line.content, 1) {
+            for t in tokenize(&line.content) {
                 ids.push(vocab.id(&t.text));
             }
         }

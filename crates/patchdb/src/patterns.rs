@@ -8,7 +8,7 @@
 //! automatically. This module is that miner: rule-driven recognizers over
 //! hunk bodies, extensible with new patterns.
 
-use clang_lite::{tokenize_fragment, TokenKind};
+use clang_lite::{tokenize, TokenKind};
 use patch_core::{LineKind, Patch};
 
 /// A recognized fix pattern (Table VII and close cousins).
@@ -89,7 +89,7 @@ fn added_calls_with_suffix(lines: &[&str], suffixes: &[&str]) -> usize {
     lines
         .iter()
         .flat_map(|l| {
-            let toks = tokenize_fragment(l, 1);
+            let toks = tokenize(l);
             let mut hits = 0usize;
             for w in toks.windows(2) {
                 if w[0].kind == TokenKind::Ident
@@ -119,7 +119,7 @@ fn has_scrub_pattern(added: &[&str]) -> bool {
     added
         .iter()
         .any(|l| !l.trim_start().starts_with("if") && {
-            let toks = tokenize_fragment(l, 1);
+            let toks = tokenize(l);
             toks.windows(2).any(|w| {
                 w[0].kind == TokenKind::Ident
                     && w[1].is_punct("(")
@@ -133,7 +133,7 @@ fn has_guard_pattern(added: &[&str]) -> bool {
     let mut saw_if = false;
     for l in added {
         let t = l.trim_start();
-        if t.starts_with("if") && tokenize_fragment(t, 1).first().is_some_and(|tok| {
+        if t.starts_with("if") && tokenize(t).first().is_some_and(|tok| {
             matches!(tok.kind, TokenKind::Keyword(clang_lite::Keyword::If))
         }) {
             saw_if = true;
@@ -154,12 +154,12 @@ fn has_guard_pattern(added: &[&str]) -> bool {
 fn has_safer_swap(added: &[&str], removed: &[&str]) -> bool {
     for (unsafe_call, safe_calls) in UNSAFE_TO_SAFE {
         let removed_unsafe = removed.iter().any(|l| {
-            tokenize_fragment(l, 1)
+            tokenize(l)
                 .windows(2)
                 .any(|w| w[0].text == *unsafe_call && w[1].is_punct("("))
         });
         let added_safe = added.iter().any(|l| {
-            tokenize_fragment(l, 1).windows(2).any(|w| {
+            tokenize(l).windows(2).any(|w| {
                 safe_calls.contains(&w[0].text.as_str()) && w[1].is_punct("(")
             })
         });

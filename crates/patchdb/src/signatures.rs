@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use clang_lite::{abstract_tokens, is_stable, tokenize, tokenize_fragment, Numbering, TokenKind};
+use clang_lite::{abstract_tokens, tokenize, Abstractor, Canon};
 use patch_core::{LineKind, Patch};
 
 /// A signature derived from one hunk of a security patch.
@@ -63,10 +63,7 @@ fn text_of(hunk: &patch_core::Hunk, exclude: LineKind) -> String {
 }
 
 fn abstract_line(text: &str) -> Vec<String> {
-    abstract_tokens(&tokenize_fragment(text, 1))
-        .into_iter()
-        .map(|t| t.canon)
-        .collect()
+    abstract_tokens(&tokenize(text))
 }
 
 /// Outcome of testing one target file against one signature.
@@ -98,68 +95,41 @@ pub fn test_presence(signature: &PatchSignature, target_source: &str) -> Presenc
 /// The reference meaning of a window match is: join the window's token
 /// texts with spaces, re-lex the result as a fragment, abstract it, and
 /// compare with the signature shape. Doing that per window and per
-/// signature dominates a scan, so the target is tokenized once and each
-/// token is marked *stable* ([`clang_lite::is_stable`]) when re-lexing
-/// it inside a joined window must give back exactly that token. Windows
-/// of stable tokens are then abstracted token by token with no
-/// allocation, stopping at the first mismatch. A window that reaches an
-/// unstable token (a preprocessor line, an unterminated literal, a `#`
-/// that would open a directive, a byte sequence the lexer splits
-/// differently) takes the reference path instead; its abstraction does
-/// not depend on the signature, so it is memoized per `(start, len)`.
+/// signature dominates a scan, so the target is tokenized and interned
+/// once, and each window is abstracted lazily in the [`Abstractor`]'s
+/// joined mode, stopping at the first mismatch. Most windows never leave
+/// the id path; one that reaches an unstable token (a preprocessor line,
+/// an unterminated literal, a `#` that would open a directive, a byte
+/// sequence the lexer splits differently) is joined and re-lexed, and
+/// as that abstraction does not depend on the signature, it is memoized
+/// per `(start, len)`.
 #[derive(Debug)]
 pub struct ScanTarget {
-    texts: Vec<String>,
-    shapes: Vec<Shape>,
-    vars: Numbering,
-    funcs: Numbering,
-    relexed: HashMap<(usize, usize), Vec<String>>,
+    abstractor: Abstractor,
+    /// `abstractor` before any fallback interned the texts of a window.
+    compiled: Abstractor,
+    ids: Vec<u32>,
+    relexed: HashMap<(usize, usize), Vec<Canon>>,
     /// Abstracted tokens held in `relexed`, at most [`RELEXED_MEMO_TOKENS`].
     relexed_tokens: usize,
 }
 
 /// Bound on the fallback memo. A target that is mostly unstable tokens
 /// (a body of non-ASCII bytes, say) would otherwise keep one abstracted
-/// window per start and signature length; past the bound the memo is
-/// flushed, which costs only recomputation.
+/// window per start and signature length, and the texts those windows
+/// interned; past the bound both are flushed, which costs only
+/// recomputation.
 const RELEXED_MEMO_TOKENS: usize = 1 << 16;
 
-/// How one target token abstracts inside a window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// An identifier, interned by text: becomes `VARn` or `FUNCn`.
-    Ident(usize),
-    /// Any literal: becomes `LITERAL`.
-    Literal,
-    /// A keyword or punctuator: stays its own text.
-    Verbatim,
-    /// Re-lexes differently once joined into a window.
-    Unstable,
-}
-
 impl ScanTarget {
-    /// Tokenizes `source` and classifies every token.
+    /// Tokenizes `source` and interns every token.
     pub fn new(source: &str) -> ScanTarget {
-        let tokens = tokenize(source);
-        let mut symbols: HashMap<&str, usize> = HashMap::new();
-        let shapes = tokens
-            .iter()
-            .map(|t| match t.kind {
-                _ if !is_stable(t) => Shape::Unstable,
-                TokenKind::Ident => {
-                    let next = symbols.len();
-                    Shape::Ident(*symbols.entry(t.text.as_str()).or_insert(next))
-                }
-                _ if t.is_literal() => Shape::Literal,
-                _ => Shape::Verbatim,
-            })
-            .collect();
-        let symbols = symbols.len();
+        let mut abstractor = Abstractor::new();
+        let ids = tokenize(source).iter().map(|t| abstractor.intern(t)).collect();
         ScanTarget {
-            texts: tokens.into_iter().map(|t| t.text).collect(),
-            shapes,
-            vars: Numbering::new(symbols),
-            funcs: Numbering::new(symbols),
+            compiled: abstractor.clone(),
+            abstractor,
+            ids,
             relexed: HashMap::new(),
             relexed_tokens: 0,
         }
@@ -178,36 +148,21 @@ impl ScanTarget {
     }
 
     fn contains(&mut self, needle: &[String]) -> bool {
-        if needle.is_empty() || self.texts.len() < needle.len() {
+        if needle.is_empty() || self.ids.len() < needle.len() {
             return false;
         }
-        (0..=self.texts.len() - needle.len()).any(|start| self.window_matches(start, needle))
+        (0..=self.ids.len() - needle.len()).any(|start| self.window_matches(start, needle))
     }
 
     fn window_matches(&mut self, start: usize, needle: &[String]) -> bool {
-        self.vars.reset();
-        self.funcs.reset();
-        for (j, want) in needle.iter().enumerate() {
-            let i = start + j;
-            let hit = match self.shapes[i] {
-                Shape::Unstable => return self.relexed_matches(start, needle),
-                Shape::Literal => want == "LITERAL",
-                Shape::Verbatim => *want == self.texts[i],
-                Shape::Ident(sym) => {
-                    // Called only if the next token *inside the window* is
-                    // `(`. An unstable next token cannot re-lex to `(`:
-                    // only the always-stable `(` punctuator starts with it.
-                    let called = j + 1 < needle.len()
-                        && self.shapes[i + 1] == Shape::Verbatim
-                        && self.texts[i + 1] == "(";
-                    if called {
-                        is_placeholder(want, "FUNC", self.funcs.number(sym))
-                    } else {
-                        is_placeholder(want, "VAR", self.vars.number(sym))
-                    }
-                }
+        let mut window = self.abstractor.joined(&self.ids[start..start + needle.len()]);
+        for want in needle {
+            // The window is as long as the needle, so it ends early only
+            // at an unstable token.
+            let Some(canon) = window.next_by_id() else {
+                return self.relexed_matches(start, needle);
             };
-            if !hit {
+            if !spells(window.abstractor(), canon, want) {
                 return false;
             }
         }
@@ -217,22 +172,40 @@ impl ScanTarget {
     /// The reference path: the window joined, re-lexed and abstracted.
     fn relexed_matches(&mut self, start: usize, needle: &[String]) -> bool {
         let key = (start, needle.len());
-        if let Some(abstracted) = self.relexed.get(&key) {
-            return abstracted == needle;
+        let matches = |abstractor: &Abstractor, canons: &[Canon]| {
+            canons.len() == needle.len()
+                && canons.iter().zip(needle).all(|(&c, want)| spells(abstractor, c, want))
+        };
+        if let Some(canons) = self.relexed.get(&key) {
+            return matches(&self.abstractor, canons);
         }
-        let abstracted = abstract_line(&self.texts[start..start + needle.len()].join(" "));
-        let hit = abstracted == needle;
-        if self.relexed_tokens + abstracted.len() > RELEXED_MEMO_TOKENS {
+        let canons: Vec<Canon> = self.abstractor.joined(&self.ids[key.0..key.0 + key.1]).collect();
+        let hit = matches(&self.abstractor, &canons);
+        if self.relexed_tokens + canons.len() > RELEXED_MEMO_TOKENS {
             self.relexed.clear();
             self.relexed_tokens = 0;
+            self.abstractor.clone_from(&self.compiled);
+        } else {
+            self.relexed_tokens += canons.len();
+            self.relexed.insert(key, canons);
         }
-        self.relexed_tokens += abstracted.len();
-        self.relexed.insert(key, abstracted);
         hit
     }
 }
 
+/// True when `want` is the signature text of `canon`.
+#[inline]
+fn spells(abstractor: &Abstractor, canon: Canon, want: &str) -> bool {
+    match canon {
+        Canon::Verbatim(id) => abstractor.text(id) == want,
+        Canon::Literal => want == "LITERAL",
+        Canon::Var(n) => is_placeholder(want, "VAR", n as usize),
+        Canon::Func(n) => is_placeholder(want, "FUNC", n as usize),
+    }
+}
+
 /// True when `canon` is exactly `format!("{prefix}{id}")`.
+#[inline]
 fn is_placeholder(canon: &str, prefix: &str, id: usize) -> bool {
     canon.strip_prefix(prefix).is_some_and(|digits| {
         digits.bytes().all(|b| b.is_ascii_digit())
@@ -432,25 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn stable_tokens_exclude_what_relexes_differently() {
-        let shapes = |src: &str| ScanTarget::new(src).shapes;
-        use Shape::*;
-        assert_eq!(
-            shapes("f(x, f);"),
-            [Ident(0), Verbatim, Ident(1), Verbatim, Ident(0), Verbatim, Verbatim]
-        );
-        assert_eq!(shapes("return 1.5;"), [Verbatim, Literal, Verbatim]);
-        // A directive, a mid-line `#`, an unterminated string, a raw string
-        // left open at end of input.
-        assert_eq!(shapes("#define X 1\nx"), [Unstable, Ident(0)]);
-        assert_eq!(shapes("a # b"), [Ident(0), Unstable, Ident(1)]);
-        assert_eq!(shapes("a = \"open\nb"), [Ident(0), Verbatim, Unstable, Ident(1)]);
-        assert_eq!(shapes("a R\"(open"), [Ident(0), Unstable]);
-        // Prefixed and closed raw strings survive joining.
-        assert_eq!(shapes("L\"w\" R\"(r) \")\""), [Literal, Literal]);
-    }
-
-    #[test]
     fn placeholders_compare_exactly() {
         assert!(is_placeholder("VAR0", "VAR", 0));
         assert!(is_placeholder("FUNC12", "FUNC", 12));
@@ -465,21 +419,23 @@ mod tests {
     #[test]
     fn fallback_memo_stays_bounded_on_an_unstable_target() {
         // Every `é` lexes as two bytes the lexer splits differently alone,
-        // so every window falls back; distinct lengths defeat the memo.
-        let src = "é ".repeat(400);
-        let mut compiled = ScanTarget::new(&src);
-        assert!(compiled.shapes.iter().all(|s| *s == Shape::Unstable));
+        // and a mid-line `#` opens a directive once a window starts with
+        // it, so windows fall back; distinct lengths defeat the memo, and
+        // each directive window interns a text of its own.
         let commit = patch().commit;
-        for len in 8..40 {
-            let sig = PatchSignature {
-                commit,
-                vulnerable: vec!["\u{fffd}".to_owned(); len],
-                fixed: vec!["VAR0".to_owned(); len],
-            };
-            assert_eq!(compiled.test_presence(&sig), reference_presence(&sig, &src));
-            assert!(compiled.relexed_tokens <= RELEXED_MEMO_TOKENS);
+        for src in ["é ".repeat(400), "x # ".repeat(200)] {
+            let mut compiled = ScanTarget::new(&src);
+            for len in 8..40 {
+                let sig = PatchSignature {
+                    commit,
+                    vulnerable: vec!["\u{fffd}".to_owned(); len],
+                    fixed: vec!["VAR0".to_owned(); len],
+                };
+                assert_eq!(compiled.test_presence(&sig), reference_presence(&sig, &src));
+                assert!(compiled.relexed_tokens <= RELEXED_MEMO_TOKENS);
+            }
+            assert!(!compiled.relexed.is_empty());
         }
-        assert!(!compiled.relexed.is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use clang_lite::{tokenize_fragment, Keyword, TokenKind};
+use clang_lite::{tokenize, Keyword, TokenKind};
 use patch_core::Patch;
 use patchdb_corpus::{PatchCategory, ALL_CATEGORIES};
 
@@ -92,7 +92,7 @@ fn same_multiset(a: &[&str], b: &[&str]) -> bool {
 
 fn touches_jump(lines: &[&str]) -> bool {
     lines.iter().any(|l| {
-        let toks = tokenize_fragment(l, 1);
+        let toks = tokenize(l);
         toks.iter().any(|t| t.is_keyword(Keyword::Goto))
             || (toks.len() == 2 && toks[0].is_ident() && toks[1].is_punct(":")) // label
     })
@@ -115,7 +115,7 @@ fn check_category(added: &[&str], removed: &[&str]) -> Option<PatchCategory> {
 
     let mut votes = [0usize; 3]; // null, bound, sanity
     for l in &added_ifs {
-        let toks = tokenize_fragment(l, 1);
+        let toks = tokenize(l);
         let has_null = toks.iter().any(|t| {
             t.text == "NULL" || t.kind == TokenKind::Keyword(Keyword::Nullptr)
         });
@@ -165,7 +165,7 @@ fn relational_between_identifiers(toks: &[clang_lite::Token]) -> bool {
 }
 
 fn is_if_line(line: &str) -> bool {
-    tokenize_fragment(line, 1)
+    tokenize(line)
         .first()
         .is_some_and(|t| t.is_keyword(Keyword::If))
 }
@@ -192,7 +192,7 @@ fn signature_parts(line: &str) -> Option<(String, String)> {
     if line.starts_with([' ', '\t']) {
         return None;
     }
-    let toks = tokenize_fragment(line, 1);
+    let toks = tokenize(line);
     let open = toks.iter().position(|t| t.is_punct("("))?;
     if open == 0 || !toks[open - 1].is_ident() {
         return None;
@@ -240,7 +240,7 @@ struct Decl {
 
 /// Parses a simple local declaration: `type name [N]? (= init)? ;`.
 fn decl_parts(line: &str) -> Option<Decl> {
-    let toks = tokenize_fragment(line, 1);
+    let toks = tokenize(line);
     let first = toks.first()?;
     let is_type_kw = matches!(first.kind, TokenKind::Keyword(kw) if kw.is_type());
     if !is_type_kw {
@@ -287,7 +287,7 @@ fn decl_parts(line: &str) -> Option<Decl> {
 
 fn call_change(added: &[&str], removed: &[&str]) -> bool {
     let call_line = |l: &&str| -> bool {
-        let toks = tokenize_fragment(l, 1);
+        let toks = tokenize(l);
         toks.windows(2)
             .any(|w| w[0].is_ident() && w[1].is_punct("("))
     };

@@ -20,16 +20,14 @@
 //! observes. (Under pipelining the client can only time whole batches,
 //! so the per-request comparison is skipped.)
 //!
-//! After the worker/mode matrix, two observability pricing rows rerun
+//! After the worker/mode matrix, an observability pricing row reruns
 //! the 8-worker keep-alive point under a live 97 Hz profile session
-//! (which turns span mirroring on for its lifetime), and with request
-//! tracing on (per-request trace records, SLO accounting, and the
-//! per-second time-series sampler; the matrix itself runs with no
-//! session and tracing off). Each is switched live on one
-//! server across adjacent short off/on drive pairs, and the reported
-//! overhead is the median of the per-pair throughput ratios — adjacent
-//! pairs cancel machine drift, the median discards load bursts — with
-//! the introspection runtime's acceptance bar at <= 5%.
+//! (which turns span mirroring on for its lifetime; the matrix itself
+//! runs with no session). The session is switched live on one server
+//! across adjacent short off/on drive pairs, and the reported overhead
+//! is the median of the per-pair throughput ratios — adjacent pairs
+//! cancel machine drift, the median discards load bursts — with the
+//! introspection runtime's acceptance bar at <= 5%.
 //!
 //! A final lifecycle section times booting from a binary snapshot
 //! against rerunning the build pipeline, then drives live
@@ -358,14 +356,10 @@ fn main() {
             // The admission queue must hold a full pipelined burst:
             // 8 client threads x 64-deep pipelines = 512 concurrent
             // requests, plus headroom.
-            // Baseline rows price the server with the introspection
-            // runtime fully off; the pricing rows below turn each
-            // piece back on against this reference.
             let config = ServeConfig::default()
                 .addr("127.0.0.1:0")
                 .threads(workers)
-                .max_inflight(1024)
-                .tracing(false);
+                .max_inflight(1024);
             let server = Server::start(index, &config).expect("server binds on loopback");
             let addr = server.addr();
             // Warm the path (thread spawn, first forest walk) off the
@@ -442,93 +436,82 @@ fn main() {
     }
 
     // Observability pricing: the 8-worker keep-alive point under a live
-    // 97 Hz profile session, then with request tracing on. The
-    // introspection runtime must pay its own way: the acceptance bar is
-    // <= 5% throughput overhead for either piece.
+    // 97 Hz profile session. The introspection runtime must pay its own
+    // way: the acceptance bar is <= 5% throughput overhead.
     //
     // Methodology. This machine's throughput swings by double-digit
     // percent between back-to-back runs, so comparing two separately
     // booted servers cannot resolve a 5% bar — best-of-N over separate
-    // servers was tried and still read noise. Both are process-global
-    // and switch live, so instead ONE server is driven in
-    // adjacent short off/on drive pairs: drift on the scale of seconds
-    // cancels within each ~100 ms pair, and the median of the per-pair
-    // throughput ratios discards the bursts that hit a single drive.
+    // servers was tried and still read noise. The sampler is
+    // process-global and starts and stops live, so instead ONE server is
+    // driven in adjacent short off/on drive pairs: drift on the scale of
+    // seconds cancels within each ~100 ms pair, and the median of the
+    // per-pair throughput ratios discards the bursts that hit a single
+    // drive.
     let total = if fast { 200 } else { 3_000 };
     let pairs = if fast { 1 } else { 24 };
     let index = ServeIndex::build(db.clone());
-    let config = ServeConfig::default()
-        .addr("127.0.0.1:0")
-        .threads(8)
-        .max_inflight(1024)
-        .tracing(false);
+    let config = ServeConfig::default().addr("127.0.0.1:0").threads(8).max_inflight(1024);
     let server = Server::start(index, &config).expect("server binds on loopback");
     let addr = server.addr();
     let _ = client::request(addr, "POST", "/v1/identify", bodies[0].as_bytes());
     let _ = drive_keepalive(addr, &bodies, &expected, total); // warm the caches
-    for obs_mode in ["sampler97", "tracing"] {
-        let mut ratios = Vec::new();
-        let mut latencies = Vec::new();
-        let mut on_rps = Vec::new();
-        let mut off_rps = Vec::new();
-        let (mut ok, mut errors, mut connections, mut samples) = (0usize, 0usize, 0usize, 0u64);
-        for _ in 0..pairs {
-            let off = drive_keepalive(addr, &bodies, &expected, total);
-            // The bench drives the server in-process, so toggling
-            // tracing / starting a background sampler here instruments
-            // the live worker and loop threads exactly as `patchdb
-            // serve` with tracing on (or under `/debug/profile`) would
-            // behave.
-            patchdb_serve::set_tracing(obs_mode == "tracing");
-            let sampler = (obs_mode == "sampler97")
-                .then(|| obs::sampler::BackgroundSampler::start(97));
-            let on = drive_keepalive(addr, &bodies, &expected, total);
-            samples += sampler.map(|s| s.stop().samples).unwrap_or(0);
-            patchdb_serve::set_tracing(false);
-            let off_tput = off.ok as f64 / off.elapsed.max(1e-9);
-            let on_tput = on.ok as f64 / on.elapsed.max(1e-9);
-            ratios.push(on_tput / off_tput.max(1e-9));
-            on_rps.push(on_tput);
-            off_rps.push(off_tput);
-            latencies.extend_from_slice(&on.latencies);
-            ok += on.ok;
-            errors += on.errors + off.errors;
-            connections += on.connections;
-        }
-        let median = |xs: &mut Vec<f64>| -> f64 {
-            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            xs[xs.len() / 2]
-        };
-        let overhead_pct = (1.0 - median(&mut ratios)) * 100.0;
-        let throughput = median(&mut on_rps);
-        let baseline = median(&mut off_rps);
-        // Each drive returns its latencies sorted; the concatenation
-        // across drives is not.
-        latencies.sort_unstable();
-        let (p50, p99) = (quantile(&latencies, 0.50), quantile(&latencies, 0.99));
-        println!(
-            "workers 8 [keepalive, {obs_mode}]: median of {pairs} toggle pairs: \
-             {ok} ok / {errors} err = {throughput:.0} req/s on, {baseline:.0} req/s off \
-             ({overhead_pct:+.1}% median paired overhead), p50 {:.2} ms, p99 {:.2} ms, \
-             {samples} profile samples",
-            p50 as f64 / 1e6,
-            p99 as f64 / 1e6,
-        );
-        results.push(Json::Obj(vec![
-            ("workers".into(), Json::Num(8.0)),
-            ("mode".into(), Json::Str("keepalive".into())),
-            ("obs".into(), Json::Str(obs_mode.into())),
-            ("connections".into(), Json::Num(connections as f64)),
-            ("requests".into(), Json::Num(ok as f64)),
-            ("errors".into(), Json::Num(errors as f64)),
-            ("throughput_rps".into(), Json::Num(throughput)),
-            ("p50_ns".into(), Json::Num(p50 as f64)),
-            ("p99_ns".into(), Json::Num(p99 as f64)),
-            ("baseline_rps".into(), Json::Num(baseline)),
-            ("overhead_pct".into(), Json::Num(overhead_pct)),
-            ("profile_samples".into(), Json::Num(samples as f64)),
-        ]));
+    let mut ratios = Vec::new();
+    let mut latencies = Vec::new();
+    let mut on_rps = Vec::new();
+    let mut off_rps = Vec::new();
+    let (mut ok, mut errors, mut connections, mut samples) = (0usize, 0usize, 0usize, 0u64);
+    for _ in 0..pairs {
+        let off = drive_keepalive(addr, &bodies, &expected, total);
+        // The bench drives the server in-process, so a background
+        // sampler started here walks the live worker and loop threads
+        // exactly as `/debug/profile` on `patchdb serve` would.
+        let sampler = obs::sampler::BackgroundSampler::start(97);
+        let on = drive_keepalive(addr, &bodies, &expected, total);
+        samples += sampler.stop().samples;
+        let off_tput = off.ok as f64 / off.elapsed.max(1e-9);
+        let on_tput = on.ok as f64 / on.elapsed.max(1e-9);
+        ratios.push(on_tput / off_tput.max(1e-9));
+        on_rps.push(on_tput);
+        off_rps.push(off_tput);
+        latencies.extend_from_slice(&on.latencies);
+        ok += on.ok;
+        errors += on.errors + off.errors;
+        connections += on.connections;
     }
+    let median = |xs: &mut Vec<f64>| -> f64 {
+        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        xs[xs.len() / 2]
+    };
+    let overhead_pct = (1.0 - median(&mut ratios)) * 100.0;
+    let throughput = median(&mut on_rps);
+    let baseline = median(&mut off_rps);
+    // Each drive returns its latencies sorted; the concatenation across
+    // drives is not.
+    latencies.sort_unstable();
+    let (p50, p99) = (quantile(&latencies, 0.50), quantile(&latencies, 0.99));
+    println!(
+        "workers 8 [keepalive, sampler97]: median of {pairs} toggle pairs: \
+         {ok} ok / {errors} err = {throughput:.0} req/s on, {baseline:.0} req/s off \
+         ({overhead_pct:+.1}% median paired overhead), p50 {:.2} ms, p99 {:.2} ms, \
+         {samples} profile samples",
+        p50 as f64 / 1e6,
+        p99 as f64 / 1e6,
+    );
+    results.push(Json::Obj(vec![
+        ("workers".into(), Json::Num(8.0)),
+        ("mode".into(), Json::Str("keepalive".into())),
+        ("obs".into(), Json::Str("sampler97".into())),
+        ("connections".into(), Json::Num(connections as f64)),
+        ("requests".into(), Json::Num(ok as f64)),
+        ("errors".into(), Json::Num(errors as f64)),
+        ("throughput_rps".into(), Json::Num(throughput)),
+        ("p50_ns".into(), Json::Num(p50 as f64)),
+        ("p99_ns".into(), Json::Num(p99 as f64)),
+        ("baseline_rps".into(), Json::Num(baseline)),
+        ("overhead_pct".into(), Json::Num(overhead_pct)),
+        ("profile_samples".into(), Json::Num(samples as f64)),
+    ]));
     server.shutdown();
 
     // Index lifecycle: how much boot time a binary snapshot saves over

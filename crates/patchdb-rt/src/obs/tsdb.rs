@@ -30,6 +30,11 @@ use super::SecondRing;
 /// Default per-series retention in seconds (10 minutes).
 pub const DEFAULT_RETENTION_S: usize = 600;
 
+/// Longest per-series retention in seconds (one hour, the longest SLO
+/// burn-rate window). [`set_retention_s`] clamps to it, so a retention
+/// knob can never size a ring past what the server already keeps.
+pub const MAX_RETENTION_S: usize = 3600;
+
 struct Store {
     series: BTreeMap<String, SecondRing<f64>>,
     retention_s: usize,
@@ -44,9 +49,9 @@ fn store() -> &'static Mutex<Store> {
 
 /// Sets the retention for *new* series (existing rings keep their
 /// size — resizing would re-hash history for no operational gain).
-/// Clamped to at least 1.
+/// Clamped into `1..=MAX_RETENTION_S`.
 pub fn set_retention_s(retention_s: usize) {
-    store().lock().unwrap().retention_s = retention_s.max(1);
+    store().lock().unwrap().retention_s = retention_s.clamp(1, MAX_RETENTION_S);
 }
 
 /// The retention new series are created with.
@@ -132,5 +137,16 @@ mod tests {
         assert!(names().contains(&"tsdb.test.alpha".to_owned()));
         reset();
         assert_eq!(query("tsdb.test.alpha", 11, 60), None);
+    }
+
+    #[test]
+    fn retention_is_clamped_to_one_hour() {
+        // Only the setting is read back: no series is created at it.
+        // The setting is process-global, so it never drops below the
+        // default here, where a parallel test's new series would shrink.
+        set_retention_s(usize::MAX);
+        assert_eq!(retention_s(), MAX_RETENTION_S);
+        set_retention_s(DEFAULT_RETENTION_S);
+        assert_eq!(retention_s(), DEFAULT_RETENTION_S);
     }
 }

@@ -240,7 +240,6 @@ pub(crate) struct EventLoop {
     wake_rx: net::WakeReader,
     stop: Arc<AtomicBool>,
     telemetry: Arc<Telemetry>,
-    keep_alive: bool,
     idle_timeout: Duration,
     /// `u64::MAX` when unlimited.
     max_requests: u64,
@@ -281,7 +280,6 @@ impl EventLoop {
             wake_rx,
             stop,
             telemetry,
-            keep_alive: config.keep_alive,
             idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
             max_requests: if config.max_requests_per_conn == 0 {
                 u64::MAX
@@ -297,7 +295,7 @@ impl EventLoop {
             wheel: TimerWheel::new(Instant::now()),
             draining: None,
             handle,
-            reload: config.reload_source(),
+            reload: config.reload.clone(),
             last_sampled_s: u64::MAX,
         }
     }
@@ -354,16 +352,14 @@ impl EventLoop {
                 index.push((slot, conn.generation));
             }
 
-            let timeout = self.wheel.next_timeout_ms(Instant::now());
-            // With the tracing layer on, the loop must wake at least
-            // once per second so the tsdb sampler and SLO evaluation
-            // tick even on an idle server — history with holes reads as
-            // an outage. One spurious wake per idle second is noise next
-            // to the timer wheel's 50 ms granularity under any load.
-            let timeout = if crate::tracing_enabled() {
-                if timeout < 0 { 1000 } else { timeout.min(1000) }
-            } else {
-                timeout
+            // The loop wakes at least once per second so the tsdb
+            // sampler and SLO evaluation tick even on an idle server —
+            // history with holes reads as an outage. One spurious wake
+            // per idle second is noise next to the timer wheel's 50 ms
+            // granularity under any load.
+            let timeout = match self.wheel.next_timeout_ms(Instant::now()) {
+                t if t < 0 => 1000,
+                t => t.min(1000),
             };
             if let Some(t) = work_started.take() {
                 obs::hist_record("serve.loop.work_ns", elapsed_ns(t));
@@ -390,7 +386,7 @@ impl EventLoop {
             // the tsdb and re-evaluate the SLO burn rates. Runs on the
             // loop thread so no extra thread exists just to observe.
             let now_s = obs::process_second();
-            if crate::tracing_enabled() && now_s != self.last_sampled_s {
+            if now_s != self.last_sampled_s {
                 self.last_sampled_s = now_s;
                 obs::tsdb::sample_registry(now_s);
                 self.telemetry.slo().publish_gauges(now_s);
@@ -753,7 +749,6 @@ impl EventLoop {
                     conn.pending += 1;
                     conn.served += 1;
                     let close_after = self.draining.is_some()
-                        || !self.keep_alive
                         || !parsed.keep_alive
                         || conn.served >= self.max_requests;
                     if close_after {

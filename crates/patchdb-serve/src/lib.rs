@@ -44,11 +44,13 @@
 //! A fixed worker pool drains the queue under per-request deadlines;
 //! each worker runs its request's endpoint to the end — an identify
 //! miss is scored through the forest on that worker as a batch of one —
-//! and completes straight back to the loop. Connections are HTTP/1.1
-//! keep-alive by default (idle-timeout wheel, optional per-connection
-//! request cap) and may pipeline: responses park per-connection until
-//! their turn, so bytes always leave in request order. Shutdown is
-//! graceful: accepted work drains, then every thread joins.
+//! and completes straight back to the loop. Connections stay open
+//! until the client asks to close (`Connection: close`, or HTTP/1.0
+//! without keep-alive), with an idle-timeout wheel and an optional
+//! per-connection request cap, and may pipeline: responses park
+//! per-connection until their turn, so bytes always leave in request
+//! order. Shutdown is graceful: accepted work drains, then every
+//! thread joins.
 //!
 //! Every connection carries a request ID and a six-stage clock
 //! (accept → queue → parse → batch → compute → write); finished records
@@ -114,23 +116,3 @@ pub use http::{Request, Response};
 pub use index::{ScanMatch, ScanOutcome, ServeIndex};
 pub use server::{ServeConfig, Server};
 pub use snapshot::Snapshot;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-global gate over the tracing/tsdb/SLO layer (default on): a
-/// relaxed atomic read on the hot path, flippable live so a bench can
-/// price the layer with paired off/on drives on one server. Gates only
-/// *observation* — trace-ring pushes, registry sampling, SLO accounting.
-/// Response bytes never change; the `X-Patchdb-*` correlation headers
-/// are always emitted.
-static TRACING: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the tracing/tsdb/SLO observation layer.
-pub fn set_tracing(enabled: bool) {
-    TRACING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the tracing/tsdb/SLO observation layer is currently on.
-pub(crate) fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
-}

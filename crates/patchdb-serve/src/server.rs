@@ -38,7 +38,6 @@ use crate::telemetry::{elapsed_ns, RequestRecord, Telemetry};
 ///     .addr("127.0.0.1:0")
 ///     .threads(4)
 ///     .max_inflight(64)
-///     .keep_alive(true)
 ///     .max_conns(4096);
 /// assert_eq!(config.threads, 4);
 /// ```
@@ -64,13 +63,6 @@ pub struct ServeConfig {
     /// Requests at least this slow are kept as exemplars with their full
     /// stage breakdown, served by `GET /debug/slow`.
     pub slow_ms: u64,
-    /// How many finished requests `GET /debug/requests` and
-    /// `GET /debug/trace/<id>` retain (one overwrite-oldest ring;
-    /// clamped to at least 1).
-    pub debug_ring: usize,
-    /// Whether HTTP/1.1 keep-alive is honored; `false` forces
-    /// `Connection: close` on every response (the v1 protocol).
-    pub keep_alive: bool,
     /// Idle keep-alive connections are closed after this long; also the
     /// write-stall bound for readers that stop consuming responses.
     pub idle_timeout_ms: u64,
@@ -85,20 +77,13 @@ pub struct ServeConfig {
     /// is opened, under the log lock so no line is ever split. `0` (the
     /// default) disables rotation; stdout (`"-"`) never rotates.
     pub access_log_max_mb: u64,
-    /// The snapshot file this server booted from, if any. Doubles as
-    /// the default reload source when `reload` is unset.
-    pub snapshot: Option<String>,
     /// Where `POST /admin/reload` and SIGHUP rebuild the next index
-    /// generation from. `None` (and no `snapshot`) disables live
-    /// reload: `/admin/reload` answers `409` and SIGHUP is ignored.
+    /// generation from. `None` disables live reload: `/admin/reload`
+    /// answers `409` and SIGHUP is ignored.
     pub reload: Option<ReloadSource>,
-    /// Whether the tracing/tsdb/SLO layer observes: trace-ring pushes,
-    /// per-second registry sampling, and SLO accounting. Purely
-    /// observational — response bytes are identical either way, and the
-    /// `X-Patchdb-*` headers are always emitted.
-    pub tracing: bool,
     /// Per-series retention of the embedded metrics time-series store,
-    /// in seconds of one-second samples.
+    /// in seconds of one-second samples (at most
+    /// [`MAX_RETENTION_S`](patchdb_rt::obs::tsdb::MAX_RETENTION_S)).
     pub tsdb_retention_s: usize,
     /// The identify-latency SLO threshold: an identify request is
     /// "good" when its total latency is at most this many milliseconds.
@@ -117,15 +102,11 @@ impl Default for ServeConfig {
             deadline_ms: 10_000,
             access_log: None,
             slow_ms: 100,
-            debug_ring: 256,
-            keep_alive: true,
             idle_timeout_ms: 5_000,
             max_requests_per_conn: 0,
             max_conns: 10_240,
             access_log_max_mb: 0,
-            snapshot: None,
             reload: None,
-            tracing: true,
             tsdb_retention_s: 600,
             slo_identify_p99_ms: 250,
             slo_availability_pct: 99.9,
@@ -170,18 +151,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the `/debug/requests` ring capacity (clamped to at least 1).
-    pub fn debug_ring(mut self, capacity: usize) -> Self {
-        self.debug_ring = capacity.max(1);
-        self
-    }
-
-    /// Enables or disables HTTP/1.1 keep-alive.
-    pub fn keep_alive(mut self, enabled: bool) -> Self {
-        self.keep_alive = enabled;
-        self
-    }
-
     /// Sets the idle-connection timeout in milliseconds.
     pub fn idle_timeout_ms(mut self, ms: u64) -> Self {
         self.idle_timeout_ms = ms;
@@ -206,29 +175,16 @@ impl ServeConfig {
         self
     }
 
-    /// Records the snapshot file this server boots from (also the
-    /// default reload source).
-    pub fn snapshot(mut self, path: impl Into<String>) -> Self {
-        self.snapshot = Some(path.into());
-        self
-    }
-
     /// Sets where `/admin/reload` and SIGHUP rebuild the index from.
     pub fn reload_from(mut self, source: ReloadSource) -> Self {
         self.reload = Some(source);
         self
     }
 
-    /// Enables or disables the tracing/tsdb/SLO observation layer.
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.tracing = enabled;
-        self
-    }
-
-    /// Sets the time-series store retention in seconds (clamped to at
-    /// least 1).
+    /// Sets the time-series store retention in seconds (clamped into
+    /// `1..=MAX_RETENTION_S`, so the per-series rings stay bounded).
     pub fn tsdb_retention_s(mut self, secs: usize) -> Self {
-        self.tsdb_retention_s = secs.max(1);
+        self.tsdb_retention_s = secs.clamp(1, obs::tsdb::MAX_RETENTION_S);
         self
     }
 
@@ -239,18 +195,13 @@ impl ServeConfig {
     }
 
     /// Sets the availability objective percentage (clamped into
-    /// `[50, 99.999]` so the error budget never degenerates).
+    /// `[50, 99.999]` so the error budget never degenerates; a
+    /// non-finite value keeps the current objective).
     pub fn slo_availability_pct(mut self, pct: f64) -> Self {
-        self.slo_availability_pct = pct.clamp(50.0, 99.999);
+        if pct.is_finite() {
+            self.slo_availability_pct = pct.clamp(50.0, 99.999);
+        }
         self
-    }
-
-    /// The effective reload source: the explicit `reload` policy, else
-    /// the boot snapshot.
-    pub(crate) fn reload_source(&self) -> Option<ReloadSource> {
-        self.reload
-            .clone()
-            .or_else(|| self.snapshot.clone().map(ReloadSource::Snapshot))
     }
 }
 
@@ -321,15 +272,10 @@ impl Server {
         // Best effort: a large connection cap needs file descriptors.
         let _ = patchdb_rt::net::raise_nofile_limit(config.max_conns as u64 + 64);
         obs::set_enabled(true);
-        // The correlation-and-objectives layer is observational only:
-        // flipping it never changes response bytes, only what gets
-        // observed (pinned by `tests/serve.rs`).
-        crate::set_tracing(config.tracing);
         obs::tsdb::set_retention_s(config.tsdb_retention_s);
         let telemetry = Arc::new(Telemetry::new(config)?);
 
         let handle: IndexHandle = index.into();
-        let reload_source = config.reload_source();
         let worker_count = if config.threads == 0 {
             par::configured_threads(8)
         } else {
@@ -343,7 +289,7 @@ impl Server {
         // event loop notices the byte, sees the flag, and runs the
         // rebuild on a spawned thread. Without a reload source the
         // signal is left at its default disposition.
-        if reload_source.is_some() {
+        if config.reload.is_some() {
             patchdb_rt::net::install_sighup_handler(waker.raw_write_fd());
         }
         let shared = Arc::new(LoopShared::new(waker));
@@ -352,7 +298,7 @@ impl Server {
             handle: handle.clone(),
             shared: Arc::clone(&shared),
             telemetry: Arc::clone(&telemetry),
-            reload: reload_source,
+            reload: config.reload.clone(),
         });
         let workers: Vec<JoinHandle<()>> = (0..worker_count)
             .map(|i| {
@@ -872,6 +818,15 @@ mod tests {
         let patch = Patch::parse(body).unwrap();
         let row = index_gen.index.weighted_features(&patch);
         index_gen.index.score_rows(std::slice::from_ref(&row))[0]
+    }
+
+    #[test]
+    fn tsdb_retention_setter_is_bounded() {
+        let cap = obs::tsdb::MAX_RETENTION_S;
+        assert_eq!(ServeConfig::default().tsdb_retention_s(usize::MAX).tsdb_retention_s, cap);
+        assert_eq!(ServeConfig::default().tsdb_retention_s(cap + 1).tsdb_retention_s, cap);
+        assert_eq!(ServeConfig::default().tsdb_retention_s(0).tsdb_retention_s, 1);
+        assert_eq!(ServeConfig::default().tsdb_retention_s(60).tsdb_retention_s, 60);
     }
 
     #[test]

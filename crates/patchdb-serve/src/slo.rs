@@ -282,6 +282,27 @@ mod tests {
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some("patchdb-slo/v1"));
     }
 
+    /// `f64::from_str` accepts `nan` and `inf`, and `clamp` keeps NaN:
+    /// the setter must not let either reach the burn-rate math or
+    /// render `"objective_pct": null`.
+    #[test]
+    fn non_finite_availability_objective_keeps_the_current_one() {
+        let pct = |config: ServeConfig| config.slo_availability_pct;
+        let default = pct(ServeConfig::default());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(pct(ServeConfig::default().slo_availability_pct(bad)), default, "{bad}");
+            let set = ServeConfig::default().slo_availability_pct(99.0);
+            assert_eq!(pct(set.slo_availability_pct(bad)), 99.0, "{bad}");
+        }
+        assert_eq!(pct(ServeConfig::default().slo_availability_pct(10.0)), 50.0);
+        assert_eq!(pct(ServeConfig::default().slo_availability_pct(100.0)), 99.999);
+
+        let engine = SloEngine::new(&ServeConfig::default().slo_availability_pct(f64::NAN));
+        let doc = engine.debug_json(1);
+        let avail = &doc.get("rules").and_then(|r| r.as_arr()).unwrap()[1];
+        assert_eq!(avail.get("objective_pct").and_then(Json::as_f64), Some(default));
+    }
+
     #[test]
     fn gauges_publish_in_milli_units() {
         // Gauges are last-write-wins and the serve.slo.* names are not

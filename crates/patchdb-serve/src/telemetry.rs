@@ -83,9 +83,6 @@ pub(crate) struct RequestRecord {
     /// Identify-cache outcome: `Some(true)` hit, `Some(false)` miss,
     /// `None` when the request never consulted the cache.
     pub cache: Option<bool>,
-    /// Whether the tracing layer was on when the request finished — only
-    /// traced records answer `/debug/trace/<id>`. Not serialized.
-    pub traced: bool,
 }
 
 impl RequestRecord {
@@ -109,7 +106,6 @@ impl RequestRecord {
             trace_supplied: false,
             generation: 0,
             cache: None,
-            traced: false,
         }
     }
 
@@ -169,6 +165,10 @@ impl RequestRecord {
 pub(crate) fn derived_trace(id: u64) -> String {
     format!("{id:016x}")
 }
+
+/// How many finished requests `GET /debug/requests` and
+/// `GET /debug/trace/<id>` retain (one overwrite-oldest ring).
+const DEBUG_RING: usize = 256;
 
 /// Capacity of the slow-request exemplar ring.
 const SLOW_RING: usize = 32;
@@ -256,7 +256,7 @@ impl Telemetry {
         Ok(Telemetry {
             started: Instant::now(),
             next_id: AtomicU64::new(1),
-            ring: EventRing::new(config.debug_ring),
+            ring: EventRing::new(DEBUG_RING),
             slow: EventRing::new(SLOW_RING),
             slow_ns: config.slow_ms.saturating_mul(1_000_000),
             access: access.map(Mutex::new),
@@ -285,8 +285,7 @@ impl Telemetry {
     /// histograms, the debug ring, the slow-exemplar ring, and the
     /// access log. Called exactly once per accepted connection, after
     /// the response (if any) was written.
-    pub fn observe(&self, mut record: RequestRecord) {
-        record.traced = crate::tracing_enabled();
+    pub fn observe(&self, record: RequestRecord) {
         obs::window_record("serve.request.total_ns", record.total_ns);
         obs::window_record(
             &format!("serve.{}.total_ns", record.endpoint),
@@ -311,19 +310,17 @@ impl Telemetry {
             obs::counter_add("serve.slow_requests", 1);
             self.slow.push(record.clone());
         }
-        if record.traced {
-            self.slo.observe(&record);
-        }
+        self.slo.observe(&record);
         self.ring.push(record);
     }
 
-    /// The `GET /debug/trace/<id>` document for the most recent traced
+    /// The `GET /debug/trace/<id>` document for the most recent
     /// request carrying `trace` — stage clocks, cache outcome, and
     /// pinned generation — looked up in the debug ring.
-    /// `None` when no retained record matches (finished while tracing
-    /// was off, or aged out of the ring).
+    /// `None` when no retained record matches (never seen, or aged out
+    /// of the ring).
     pub fn debug_trace_json(&self, trace: &str) -> Option<Json> {
-        let record = self.ring.rfind(|r| r.traced && r.trace == trace)?;
+        let record = self.ring.rfind(|r| r.trace == trace)?;
         Some(Json::Obj(vec![
             ("schema".into(), Json::Str("patchdb-trace-request/v2".into())),
             ("trace_id".into(), Json::Str(record.trace.clone())),
@@ -534,20 +531,12 @@ mod tests {
         assert!(telemetry.debug_trace_json(&derived_trace(2)).is_some());
         assert!(telemetry.debug_trace_json("no-such-trace").is_none());
 
-        // Records that finished while tracing was off stay in the debug
-        // ring but are invisible to the trace view: a newer untraced
-        // record never shadows an older traced one with the same id...
-        let mut dark = record(3, 500);
-        dark.trace = "client-a".into();
-        dark.generation = 4;
-        telemetry.ring.push(dark);
-        let doc = telemetry.debug_trace_json("client-a").expect("traced record still found");
-        assert_eq!(doc.get("request").unwrap().get("id").and_then(Json::as_f64), Some(1.0));
-        // ...and an id seen only untraced is not found at all.
-        let mut unseen = record(4, 500);
-        unseen.trace = "client-dark".into();
-        telemetry.ring.push(unseen);
-        assert!(telemetry.debug_trace_json("client-dark").is_none());
-        assert_eq!(telemetry.ring.len(), 4, "untraced records stay in /debug/requests");
+        // A client may reuse a trace id: the newest record wins.
+        let mut again = record(3, 500);
+        again.trace = "client-a".into();
+        again.generation = 4;
+        telemetry.observe(again);
+        let doc = telemetry.debug_trace_json("client-a").expect("reused trace found");
+        assert_eq!(doc.get("request").unwrap().get("id").and_then(Json::as_f64), Some(3.0));
     }
 }

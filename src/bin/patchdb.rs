@@ -92,9 +92,8 @@ layout (a patchdb-snapshot/v1 file is refused).
             "usage: patchdb serve [<FILE>] [--snapshot PATH]
                      [--addr HOST:PORT] [--threads N] [--max-inflight N]
                      [--access-log PATH|-] [--slow-ms N]
-                     [--keep-alive on|off] [--idle-timeout-ms N]
-                     [--max-requests-per-conn N] [--max-conns N]
-                     [--tracing on|off] [--tsdb-retention-s N]
+                     [--idle-timeout-ms N] [--max-requests-per-conn N]
+                     [--max-conns N] [--tsdb-retention-s N]
                      [--slo-identify-p99-ms N] [--slo-availability-pct F]
 
   <FILE>              dataset JSON to index and serve (optional when
@@ -114,27 +113,22 @@ layout (a patchdb-snapshot/v1 file is refused).
                       would cross N MiB; lines are never split (default 0 = off)
   --slow-ms N         keep requests at least this slow as /debug/slow
                       exemplars (default 100)
-  --keep-alive on|off HTTP/1.1 keep-alive; off forces Connection: close on
-                      every response (default on)
   --idle-timeout-ms N close idle keep-alive connections after N ms; also the
                       write-stall bound (default 5000)
   --max-requests-per-conn N
                       close a connection after N responses (default 0 = off)
   --max-conns N       concurrent-connection cap; over it new connections are
                       answered 503 and closed (default 10240)
-  --tracing on|off    request tracing, the embedded time-series store,
-                      and the SLO engine; responses are byte-identical
-                      either way except the documented X-Patchdb-*
-                      headers (default on)
   --tsdb-retention-s N
                       per-second metric samples kept per series by the
-                      embedded time-series ring (default 600)
+                      embedded time-series ring (default 600, at most 3600)
   --slo-identify-p99-ms N
                       identify latency SLO threshold: a request slower than
                       this burns error budget (default 250)
   --slo-availability-pct F
                       availability objective for the burn-rate engine,
-                      e.g. 99.9 (default 99.9, clamped to 50..=99.999)
+                      e.g. 99.9 (default 99.9, clamped to 50..=99.999;
+                      must be finite)
 
 endpoints: POST /v1/identify /v1/classify /v1/scan /admin/reload,
            GET /v1/stats /v1/patch/<id> /healthz /metrics
@@ -218,14 +212,6 @@ fn value_after<'a, I: Iterator<Item = &'a String>>(
 
 fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, Error> {
     text.parse().map_err(|_| Error::usage(format!("{flag} needs a number, got `{text}`")))
-}
-
-fn parse_on_off(text: &str, flag: &str) -> Result<bool, Error> {
-    match text {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(Error::usage(format!("{flag} expects on|off, got `{other}`"))),
-    }
 }
 
 fn cmd_build(args: &[String], force_trace: bool) -> CliResult {
@@ -529,18 +515,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 config =
                     config.slow_ms(parse_num(value_after(&mut it, "--slow-ms")?, "--slow-ms")?);
             }
-            "--keep-alive" => {
-                let v = value_after(&mut it, "--keep-alive")?;
-                config = match v.as_str() {
-                    "on" => config.keep_alive(true),
-                    "off" => config.keep_alive(false),
-                    other => {
-                        return Err(Error::usage(format!(
-                            "--keep-alive expects on|off, got `{other}`"
-                        )));
-                    }
-                };
-            }
             "--idle-timeout-ms" => {
                 config = config.idle_timeout_ms(parse_num(
                     value_after(&mut it, "--idle-timeout-ms")?,
@@ -559,15 +533,16 @@ fn cmd_serve(args: &[String]) -> CliResult {
                     "--max-conns",
                 )?);
             }
-            "--tracing" => {
-                config =
-                    config.tracing(parse_on_off(value_after(&mut it, "--tracing")?, "--tracing")?);
-            }
             "--tsdb-retention-s" => {
-                config = config.tsdb_retention_s(parse_num(
-                    value_after(&mut it, "--tsdb-retention-s")?,
-                    "--tsdb-retention-s",
-                )?);
+                let text = value_after(&mut it, "--tsdb-retention-s")?;
+                let secs: usize = parse_num(text, "--tsdb-retention-s")?;
+                if secs > obs::tsdb::MAX_RETENTION_S {
+                    return Err(Error::usage(format!(
+                        "--tsdb-retention-s is at most {}, got `{text}`",
+                        obs::tsdb::MAX_RETENTION_S
+                    )));
+                }
+                config = config.tsdb_retention_s(secs);
             }
             "--slo-identify-p99-ms" => {
                 config = config.slo_identify_p99_ms(parse_num(
@@ -576,10 +551,14 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 )?);
             }
             "--slo-availability-pct" => {
-                config = config.slo_availability_pct(parse_num(
-                    value_after(&mut it, "--slo-availability-pct")?,
-                    "--slo-availability-pct",
-                )?);
+                let text = value_after(&mut it, "--slo-availability-pct")?;
+                let pct: f64 = parse_num(text, "--slo-availability-pct")?;
+                if !pct.is_finite() {
+                    return Err(Error::usage(format!(
+                        "--slo-availability-pct needs a finite number, got `{text}`"
+                    )));
+                }
+                config = config.slo_availability_pct(pct);
             }
             other if other.starts_with('-') => {
                 return Err(Error::usage(format!("unknown flag {other}")));
@@ -595,7 +574,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         (Some(snap), _) => {
             eprintln!("loading snapshot {snap}...");
             let index = ServeIndex::load_snapshot(snap)?;
-            config = config.snapshot(snap.clone());
+            config = config.reload_from(ReloadSource::Snapshot(snap.clone()));
             index
         }
         (None, Some(path)) => {

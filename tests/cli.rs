@@ -100,10 +100,21 @@ fn cli_rejects_bad_usage() {
         ("--batch-window-ms", "2"),
         ("--flight", "on"),
         ("--sampler", "on"),
+        ("--tracing", "on"),
+        ("--keep-alive", "off"),
     ] {
         let (code, text) = run_coded(&["serve", "/no/such/db.json", flag, value]);
         assert_eq!(code, 2, "{flag}: {text}");
         assert!(text.contains(&format!("unknown flag {flag}")), "{text}");
+    }
+
+    // Values a serve knob cannot honor are refused before any boot: a
+    // non-finite objective, and a retention past the one-hour cap.
+    for (flag, value) in [("--slo-availability-pct", "nan"), ("--tsdb-retention-s", "3601")] {
+        let (code, text) = run_coded(&["serve", "/no/such/db.json", flag, value]);
+        assert_eq!(code, 2, "{flag} {value}: {text}");
+        let error = text.lines().find(|l| l.starts_with("error:")).unwrap_or_default();
+        assert!(error.contains(flag) && error.contains(value), "{text}");
     }
 
     // Runtime failures (the command was well-formed) exit 1.

@@ -328,7 +328,7 @@ fn debug_requests_expose_ids_and_stages() {
     // slow_ms(0) makes every request a slow exemplar, so /debug/slow has
     // content without needing an artificially slow endpoint. One worker
     // keeps ring order identical to admission order.
-    let server = start(ephemeral().threads(1).slow_ms(0).debug_ring(64));
+    let server = start(ephemeral().threads(1).slow_ms(0));
     let addr = server.addr();
     let record = shared_db().nvd.first().expect("tiny build has NVD records");
     for _ in 0..3 {
@@ -929,11 +929,11 @@ fn identify_cache_and_batch_gauges_are_exported() {
     server.shutdown();
 }
 
-/// Process-global observability state — the tracing toggle, profile
-/// sessions (which turn span mirroring on for every server in the
-/// process) and counters a test reads exactly — is serialized here, so
-/// a `tracing(false)` server or a live profile starting mid-test cannot
-/// blind or skew another test.
+/// Process-global observability state — profile sessions (which turn
+/// span mirroring on for every server in the process), counters a test
+/// reads exactly, and the index swaps that zero the cache gauges — is
+/// serialized here, so a live profile or a swap starting mid-test
+/// cannot skew another test.
 fn obs_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -1091,10 +1091,9 @@ fn observability_toggles_never_change_response_bytes() {
         requests.push(("POST", "/v1/classify".into(), diff_body(record).into_bytes()));
         requests.push(("GET", format!("/v1/patch/{}", record.commit), Vec::new()));
     }
-    // The tracing toggle is process-global, so the dark server (tracing
-    // off, no profile session) answers every request before the lit
-    // server's start turns tracing back on.
-    let off = start(ephemeral().threads(4).tracing(false));
+    // The dark server (no profile session) answers every request
+    // before the lit server's profile turns span mirroring on.
+    let off = start(ephemeral().threads(4));
     let expected: Vec<_> = requests
         .iter()
         .map(|(m, p, b)| client::request(off.addr(), m, p, b).unwrap())
@@ -1102,9 +1101,8 @@ fn observability_toggles_never_change_response_bytes() {
     assert!(!sampler::mirroring(), "the dark server ran under a profile session");
     off.shutdown();
 
-    // Drive the instrumented server while a live profile scrape walks
-    // its stacks: tracing, mirroring, and sampling may observe, never
-    // steer.
+    // Drive the second server while a live profile scrape walks its
+    // stacks: mirroring and sampling may observe, never steer.
     let on = start(ephemeral().threads(4));
     let on_addr = on.addr();
     let profiler = profile_in_background(on_addr, 1, 97);
@@ -1115,7 +1113,7 @@ fn observability_toggles_never_change_response_bytes() {
             assert_eq!(
                 (got.status, &got.body),
                 (want.status, &want.body),
-                "{method} {path} differs with tracing and a profile live (pass {pass})"
+                "{method} {path} differs with a profile live (pass {pass})"
             );
         }
     }
@@ -1387,10 +1385,7 @@ fn every_response_carries_request_and_trace_ids() {
 
 #[test]
 fn client_trace_ids_round_trip_and_are_queryable() {
-    // The tracing toggle is process-global; serialize with the test
-    // that switches it off.
-    let _guard = obs_lock().lock().unwrap();
-    let server = start(ephemeral().threads(1).debug_ring(64));
+    let server = start(ephemeral().threads(1));
     let addr = server.addr();
 
     // A valid client trace id is echoed on the response...
@@ -1446,47 +1441,6 @@ fn client_trace_ids_round_trip_and_are_queryable() {
     let miss = client::request(addr, "GET", "/debug/trace/никогда", b"").unwrap();
     assert_eq!(miss.status, 404);
     server.shutdown();
-}
-
-#[test]
-fn tracing_toggle_never_changes_response_bytes() {
-    let _guard = obs_lock().lock().unwrap();
-    let db = shared_db();
-    let record = db.nvd.first().expect("tiny build has NVD records");
-    let body = diff_body(record).into_bytes();
-    let requests: Vec<(&str, String, Vec<u8>)> = vec![
-        ("GET", "/healthz".into(), Vec::new()),
-        ("GET", "/v1/stats".into(), Vec::new()),
-        ("GET", "/v1/nope".into(), Vec::new()),
-        ("POST", "/v1/identify".into(), b"not a diff".to_vec()),
-        ("POST", "/v1/identify".into(), body.clone()),
-        ("POST", "/v1/classify".into(), body),
-    ];
-    // The tracing switch is process-global, so the two servers are
-    // driven one after the other: the whole `dark` conversation happens
-    // while tracing is off, then `lit`'s start() turns it back on. Both
-    // see the identical request sequence, so even the X-Patchdb ids
-    // match — the full response bytes must be equal.
-    let dark = start(ephemeral().threads(1).tracing(false));
-    let dark_replies: Vec<_> = requests
-        .iter()
-        .map(|(m, p, b)| raw_exchange(dark.addr(), m, p, &[], b))
-        .collect();
-    dark.shutdown();
-
-    let lit = start(ephemeral().threads(1));
-    for ((method, path, payload), want) in requests.iter().zip(&dark_replies) {
-        let got = raw_exchange(lit.addr(), method, path, &[], payload);
-        if path == "/healthz" {
-            assert_eq!(got.0, want.0, "{method} {path} status diverged");
-            continue; // the uptime stamp is wall-clock, not workload
-        }
-        assert_eq!(
-            &got, want,
-            "{method} {path}: response bytes differ between tracing off and on"
-        );
-    }
-    lit.shutdown();
 }
 
 #[test]
@@ -1609,6 +1563,37 @@ fn latency_windows_survive_a_reload() {
     );
     server.shutdown();
     let _ = std::fs::remove_file(&db_path);
+}
+
+#[test]
+fn snapshot_reload_swaps_in_the_next_generation() {
+    // Swaps zero the identify-cache gauges; serialize with the tests
+    // that scrape them.
+    let _guard = obs_lock().lock().unwrap();
+    let snap_path = std::env::temp_dir()
+        .join(format!("patchdb_snap_reload_{}.snapshot", std::process::id()));
+    ServeIndex::build(shared_db().clone())
+        .save_snapshot(&snap_path)
+        .expect("snapshot written");
+    let server = Server::start(
+        ServeIndex::load_snapshot(&snap_path).expect("snapshot loads"),
+        &ephemeral()
+            .threads(2)
+            .reload_from(ReloadSource::Snapshot(snap_path.display().to_string())),
+    )
+    .expect("server binds");
+    let addr = server.addr();
+    let stats = client::request(addr, "GET", "/v1/stats", b"").unwrap();
+    assert_eq!(stats.status, 200);
+
+    let reload = client::request(addr, "POST", "/admin/reload", b"").unwrap();
+    assert_eq!(reload.status, 200, "{}", reload.body_text());
+    let health = client::request(addr, "GET", "/healthz", b"").unwrap().body_text();
+    assert!(health.starts_with("ok gen=2 up="), "healthz after a snapshot reload: {health}");
+    let again = client::request(addr, "GET", "/v1/stats", b"").unwrap();
+    assert_eq!((again.status, &again.body), (stats.status, &stats.body));
+    server.shutdown();
+    let _ = std::fs::remove_file(&snap_path);
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! # clang-lite
 //!
 //! A from-scratch, lightweight C/C++ front end: lexer, token
-//! classification, token abstraction, and a structural parser that locates
-//! function definitions and `if` statements with their line extents.
+//! classification, token abstraction, and one structural parser that
+//! locates function definitions and `if` statements with their line
+//! extents. Those are the only structural facts the pipeline reads, so
+//! the crate builds no statement tree.
 //!
 //! PatchDB (DSN 2021) uses two external tools this crate replaces:
 //!
@@ -36,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod abstraction;
-mod ast;
 mod keywords;
 mod lexer;
 mod stats;
@@ -44,7 +45,6 @@ mod structure;
 mod token;
 
 pub use abstraction::{abstract_tokens, Abstractor, Canon, Run};
-pub use ast::{parse_bodies, Stmt, StmtKind};
 pub use keywords::{is_keyword, Keyword};
 pub use lexer::tokenize;
 pub use stats::{classify_operator, count_stats, FragmentStats, OperatorClass};

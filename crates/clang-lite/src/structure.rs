@@ -24,13 +24,6 @@ pub struct FunctionSpan {
     pub body_open_line: usize,
 }
 
-impl FunctionSpan {
-    /// True when `line` falls inside the function (name through `}`).
-    pub fn contains_line(&self, line: usize) -> bool {
-        (self.start_line..=self.end_line).contains(&line)
-    }
-}
-
 /// An `if` statement's location and shape within a file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IfStmt {
@@ -293,7 +286,7 @@ int main(int argc, char **argv)
         assert_eq!(names, ["helper", "main"]);
         assert_eq!(fns[0].start_line, 4);
         assert_eq!(fns[0].end_line, 10);
-        assert!(fns[1].contains_line(14));
+        assert_eq!((fns[1].start_line, fns[1].end_line), (12, 24));
         assert_eq!(fns[1].body_open_line, 13);
     }
 
@@ -319,6 +312,41 @@ int main(int argc, char **argv)
         let third = &ifs[2];
         assert_eq!(third.cond_text, "argc > 2");
         assert!(third.has_else);
+    }
+
+    #[test]
+    fn ifs_among_every_statement_kind_keep_their_extents() {
+        // Loops, `do`/`while`, `switch` with case labels, a goto label and
+        // jumps around two unbraced ifs, one nested in a `for` body.
+        let src = r#"int f(struct s *p, int n)
+{
+    int i = 0;
+    if (!p)
+        return -1;
+    for (i = 0; i < n; i++) {
+        if (p->data[i] == 0)
+            break;
+        use(p, i);
+    }
+    while (n > 0)
+        n--;
+    do {
+        step();
+    } while (more());
+    switch (n) {
+    case 0:
+        return 0;
+    default:
+        break;
+    }
+out:
+    cleanup(p);
+    goto out;
+}
+"#;
+        let ifs: Vec<(usize, usize, String)> =
+            find_if_statements(src).into_iter().map(|s| (s.line(), s.end_line, s.cond_text)).collect();
+        assert_eq!(ifs, [(4, 5, "!p".to_owned()), (7, 8, "p->data[i] == 0".to_owned())]);
     }
 
     #[test]

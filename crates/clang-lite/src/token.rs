@@ -16,13 +16,6 @@ pub struct Span {
     pub end_col: usize,
 }
 
-impl Span {
-    /// A span covering a single-line token.
-    pub fn on_line(line: usize, col: usize, len: usize) -> Self {
-        Span { line, col, end_line: line, end_col: col + len }
-    }
-}
-
 /// Lexical category of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
@@ -82,18 +75,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_on_line() {
-        let s = Span::on_line(3, 4, 5);
-        assert_eq!(s.end_line, 3);
-        assert_eq!(s.end_col, 9);
-    }
-
-    #[test]
     fn token_predicates() {
         let t = Token {
             kind: TokenKind::Punct,
             text: "->".into(),
-            span: Span::on_line(1, 0, 2),
+            span: Span { line: 1, col: 0, end_line: 1, end_col: 2 },
         };
         assert!(t.is_punct("->"));
         assert!(!t.is_punct("-"));

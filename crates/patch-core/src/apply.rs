@@ -1,13 +1,12 @@
 //! Patch application: replay a [`FileDiff`] onto file content, forward or
-//! in reverse. The oversampler (`patchdb-synth`) uses this to roll a file
-//! back to its BEFORE state and forward to its AFTER state, exactly as the
-//! paper rolls repositories back around a commit (Section III-C-1).
+//! in reverse. The diff tests use it as their oracle: a diff made by
+//! [`diff_files`](crate::diff_files) must replay its old text to its new
+//! one, and back.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::hunk::LineKind;
-use crate::patch::{FileDiff, Patch};
+use crate::patch::FileDiff;
 use crate::{join_lines, split_lines};
 
 /// Error produced when a diff does not apply to the given content.
@@ -38,8 +37,6 @@ pub enum ApplyError {
         /// Number of lines actually in the file.
         file_lines: usize,
     },
-    /// `apply_patch` was asked for a path the snapshot does not contain.
-    MissingFile(String),
 }
 
 impl fmt::Display for ApplyError {
@@ -53,7 +50,6 @@ impl fmt::Display for ApplyError {
                 f,
                 "{path}: hunk {hunk} starts at line {start} but file has {file_lines} lines"
             ),
-            ApplyError::MissingFile(path) => write!(f, "snapshot has no file {path}"),
         }
     }
 }
@@ -147,38 +143,11 @@ fn transform(diff: &FileDiff, text: &str, reverse: bool) -> Result<String, Apply
     Ok(join_lines(&out))
 }
 
-/// Applies every C-family file diff of `patch` to a snapshot of file
-/// contents keyed by path, returning the patched snapshot.
-///
-/// Files the patch does not touch pass through unchanged. Files created by
-/// the patch (not present in the snapshot) are materialized from empty
-/// content.
-///
-/// # Errors
-///
-/// Propagates the first per-file [`ApplyError`].
-pub fn apply_patch(
-    patch: &Patch,
-    snapshot: &HashMap<String, String>,
-) -> Result<HashMap<String, String>, ApplyError> {
-    let mut out = snapshot.clone();
-    for file in &patch.files {
-        let old = out.get(&file.old_path).cloned().unwrap_or_default();
-        let new = apply_file_diff(file, &old)?;
-        if file.old_path != file.new_path {
-            out.remove(&file.old_path);
-        }
-        out.insert(file.new_path.clone(), new);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diff::diff_files;
     use crate::hunk::{Hunk, Line};
-    use crate::Patch;
 
     #[test]
     fn forward_and_reverse_are_inverse() {
@@ -225,28 +194,6 @@ mod tests {
             apply_file_diff(&d, "a\n"),
             Err(ApplyError::OutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    fn whole_patch_applies_to_snapshot() {
-        let mut snap = HashMap::new();
-        snap.insert("a.c".to_owned(), "1\n2\n3\n".to_owned());
-        snap.insert("b.c".to_owned(), "x\n".to_owned());
-        let patch = Patch::builder("1".repeat(40))
-            .file(diff_files("a.c", "1\n2\n3\n", "1\ntwo\n3\n", 3))
-            .build();
-        let out = apply_patch(&patch, &snap).unwrap();
-        assert_eq!(out["a.c"], "1\ntwo\n3\n");
-        assert_eq!(out["b.c"], "x\n"); // untouched
-    }
-
-    #[test]
-    fn missing_source_file_materializes_from_empty() {
-        let patch = Patch::builder("1".repeat(40))
-            .file(diff_files("new.c", "", "fresh\n", 3))
-            .build();
-        let out = apply_patch(&patch, &HashMap::new()).unwrap();
-        assert_eq!(out["new.c"], "fresh\n");
     }
 
     #[test]

@@ -127,15 +127,6 @@ impl Hunk {
             .collect()
     }
 
-    /// The new-file text of the hunk (context + added lines, in order).
-    pub fn new_lines(&self) -> Vec<&str> {
-        self.lines
-            .iter()
-            .filter(|l| l.kind != LineKind::Removed)
-            .map(|l| l.content.as_str())
-            .collect()
-    }
-
     /// Checks that the declared counts match the body.
     ///
     /// # Errors
@@ -207,10 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn old_new_projection() {
+    fn old_projection() {
         let h = sample();
         assert_eq!(h.old_lines(), vec!["a", "b", "c"]);
-        assert_eq!(h.new_lines(), vec!["a", "B", "c"]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod parser;
 mod patch;
 mod printer;
 
-pub use apply::{apply_file_diff, apply_patch, revert_file_diff, ApplyError};
+pub use apply::{apply_file_diff, revert_file_diff, ApplyError};
 pub use commit::CommitId;
 pub use diff::{diff_files, diff_lines, EditOp};
 pub use error::ParsePatchError;

@@ -59,11 +59,6 @@ impl VerificationOracle {
         self.verified.get()
     }
 
-    /// Resets the effort counter.
-    pub fn reset_effort(&self) {
-        self.verified.set(0);
-    }
-
     fn rng_for(&self, id: CommitId) -> Xoshiro256pp {
         let mut k = self.seed;
         for chunk in id.as_bytes().chunks(8) {
@@ -118,14 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn effort_counter_tracks_and_resets() {
+    fn effort_counter_tracks_every_verification() {
         let forge = GitHubForge::generate(&CorpusConfig::tiny(2));
         let oracle = VerificationOracle::perfect(1);
         let (_, c) = forge.all_commits().next().unwrap();
         oracle.verify(c);
         oracle.verify(c);
         assert_eq!(oracle.effort(), 2);
-        oracle.reset_effort();
-        assert_eq!(oracle.effort(), 0);
     }
 }

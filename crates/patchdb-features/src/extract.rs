@@ -191,14 +191,6 @@ pub fn extract(patch: &Patch, ctx: Option<&RepoContext>) -> FeatureVector {
     v
 }
 
-/// Extracts features for a batch of patches (convenience for pipelines).
-pub fn extract_batch<'a, I>(patches: I, ctx: Option<&RepoContext>) -> Vec<FeatureVector>
-where
-    I: IntoIterator<Item = &'a Patch>,
-{
-    patches.into_iter().map(|p| extract(p, ctx)).collect()
-}
-
 /// Counts distinct functions a patch touches: distinct `@@ … @@ section`
 /// texts where available, anonymous hunks counting individually.
 fn affected_function_count(patch: &Patch) -> usize {
@@ -386,13 +378,5 @@ mod tests {
         assert!(!bad.is_finite());
         bad.as_mut_slice()[7] = f64::INFINITY;
         assert!(!bad.is_finite());
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let p = patch_of("a();\n", "b();\n");
-        let batch = extract_batch([&p.clone(), &p].map(|x| x.clone()).iter(), None);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], extract(&p, None));
     }
 }

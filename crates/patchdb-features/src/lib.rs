@@ -28,7 +28,7 @@ mod summary;
 mod vector;
 mod weighting;
 
-pub use extract::{extract, extract_batch, RepoContext};
+pub use extract::{extract, RepoContext};
 pub use levenshtein::levenshtein;
 pub use summary::{rank_discriminative, Discriminativeness, FeatureSummary};
 pub use vector::{FeatureVector, FEATURE_DIM, FEATURE_NAMES};

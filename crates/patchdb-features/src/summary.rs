@@ -41,19 +41,6 @@ impl FeatureSummary {
             .collect();
         FeatureSummary { count, mean, std }
     }
-
-    /// The mean of a feature by Table I name.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown feature name.
-    pub fn mean_of(&self, name: &str) -> f64 {
-        let i = FEATURE_NAMES
-            .iter()
-            .position(|n| *n == name)
-            .unwrap_or_else(|| panic!("unknown feature name: {name}"));
-        self.mean[i]
-    }
 }
 
 /// One feature's separation between two populations.
@@ -140,18 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_lookup_by_name() {
-        let s = FeatureSummary::of(&[fv(1, 4.0), fv(1, 6.0)]);
-        assert!((s.mean_of("hunks") - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown feature name")]
-    fn mean_lookup_rejects_typos() {
-        FeatureSummary::of(std::iter::empty()).mean_of("nope");
-    }
-
-    #[test]
     fn corpus_classes_are_separable_somewhere() {
         // Security patches vs doc/style churn must differ strongly on at
         // least one dimension (the whole premise of the feature space).
@@ -174,6 +149,7 @@ mod tests {
             .build();
         let sa = FeatureSummary::of(&[crate::extract(&sec, None)]);
         let sb = FeatureSummary::of(&[crate::extract(&doc, None)]);
-        assert!(sa.mean_of("added if statements") > sb.mean_of("added if statements"));
+        let ifs = FEATURE_NAMES.iter().position(|n| *n == "added if statements").unwrap();
+        assert!(sa.mean[ifs] > sb.mean[ifs]);
     }
 }

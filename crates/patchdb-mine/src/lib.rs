@@ -126,12 +126,6 @@ pub struct WildCommit<'a> {
 }
 
 impl WildCommit<'_> {
-    /// Materializes and cleans the commit's patch; `None` when nothing
-    /// C/C++ remains.
-    pub fn cleaned_patch(&self, forge: &GitHubForge) -> Option<Patch> {
-        forge.materialize(self.commit).patch.retain_c_files()
-    }
-
     /// The Table I percentage-feature denominators for this repository.
     pub fn repo_context(&self) -> RepoContext {
         RepoContext {

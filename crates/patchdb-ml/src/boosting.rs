@@ -24,11 +24,6 @@ impl AdaBoost {
     pub fn new(rounds: usize, stump_depth: usize, seed: u64) -> Self {
         AdaBoost { rounds: rounds.max(1), stump_depth: stump_depth.max(1), seed, learners: Vec::new() }
     }
-
-    /// Number of fitted weak learners (may stop early on a perfect fit).
-    pub fn learner_count(&self) -> usize {
-        self.learners.len()
-    }
 }
 
 impl Classifier for AdaBoost {
@@ -169,7 +164,7 @@ mod tests {
         let d = Dataset::new(x, y).unwrap();
         let mut boost = AdaBoost::new(50, 1, 1);
         boost.fit(&d);
-        assert!(boost.learner_count() < 50);
+        assert!(boost.learners.len() < 50);
         assert_eq!(evaluate(&boost, &d).accuracy(), 1.0);
     }
 

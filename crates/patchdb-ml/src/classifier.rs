@@ -20,15 +20,6 @@ pub trait Classifier: Send {
         self.predict_proba(x) >= 0.5
     }
 
-    /// Positive-class probabilities for a batch of rows, in row order.
-    ///
-    /// The default is a serial map over [`Classifier::predict_proba`].
-    /// An override must return exactly `rows.len()` values, each equal
-    /// to the row scored on its own.
-    fn predict_proba_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict_proba(r)).collect()
-    }
-
     /// Short human-readable model name for reports.
     fn name(&self) -> &'static str;
 }

@@ -190,23 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_predict_matches_per_row() {
-        let d = two_moons(300);
-        let mut rf = RandomForest::new(8, 6, 21);
-        rf.fit(&d);
-        let rows: Vec<Vec<f64>> = d.rows().to_vec();
-        // The trait's default batch path: a prefix of the rows scores
-        // exactly as that prefix of the full batch.
-        let batched = rf.predict_proba_batch(&rows);
-        assert_eq!(batched.len(), rows.len());
-        for (row, &p) in rows.iter().zip(&batched) {
-            assert_eq!(p, rf.predict_proba(row));
-        }
-        let small = rf.predict_proba_batch(&rows[..8]);
-        assert_eq!(small, batched[..8]);
-    }
-
-    #[test]
     fn probabilities_average_trees() {
         let d = two_moons(100);
         let mut rf = RandomForest::new(4, 4, 9);

@@ -54,7 +54,7 @@ pub use linear::{LinearSvm, LogisticRegression, SgdClassifier, VotedPerceptron};
 pub use metrics::{ConfusionMatrix, Metrics};
 pub use smo::SmoSvm;
 pub use tree::{DecisionTree, NodeState, SplitCriterion, TreeState};
-pub use validation::{cross_validate, permutation_importance, summarize_folds};
+pub use validation::permutation_importance;
 
 /// Builds the paper's ten-classifier ensemble for uncertainty-based
 /// labeling (Table III), seeded deterministically.

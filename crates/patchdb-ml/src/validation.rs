@@ -1,65 +1,12 @@
-//! Model-validation utilities: k-fold cross-validation and permutation
-//! feature importance — the analysis tooling used to sanity-check the
-//! Table VI models and to ask *which* Table I features carry the
-//! security-patch signal.
+//! Model-validation utilities: permutation feature importance, the
+//! analysis tooling that asks *which* Table I features carry the
+//! security-patch signal (`examples/feature_analysis.rs`).
 
 use patchdb_rt::rng::SliceRandom;
 use patchdb_rt::rng::Xoshiro256pp;
 
 use crate::classifier::{evaluate, Classifier};
 use crate::dataset::Dataset;
-use crate::metrics::Metrics;
-
-/// Runs stratification-free k-fold cross-validation, returning per-fold
-/// metrics. `make_model` builds a fresh untrained model per fold so state
-/// never leaks between folds.
-///
-/// # Panics
-///
-/// Panics when `k < 2` or the dataset has fewer than `k` examples.
-pub fn cross_validate<C, F>(data: &Dataset, k: usize, seed: u64, mut make_model: F) -> Vec<Metrics>
-where
-    C: Classifier,
-    F: FnMut() -> C,
-{
-    assert!(k >= 2, "k-fold needs k >= 2");
-    assert!(data.len() >= k, "dataset smaller than fold count");
-
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    order.shuffle(&mut rng);
-
-    let gather = |idx: &[usize]| -> Dataset {
-        let rows: Vec<Vec<f64>> = idx.iter().map(|&i| data.example(i).0.to_vec()).collect();
-        let labels: Vec<bool> = idx.iter().map(|&i| data.example(i).1).collect();
-        Dataset::new(rows, labels).expect("subset of valid dataset")
-    };
-
-    let fold_size = data.len() / k;
-    let mut out = Vec::with_capacity(k);
-    for f in 0..k {
-        let lo = f * fold_size;
-        let hi = if f + 1 == k { data.len() } else { lo + fold_size };
-        let test_idx: Vec<usize> = order[lo..hi].to_vec();
-        let train_idx: Vec<usize> =
-            order[..lo].iter().chain(&order[hi..]).copied().collect();
-        let mut model = make_model();
-        model.fit(&gather(&train_idx));
-        out.push(evaluate(&model, &gather(&test_idx)));
-    }
-    out
-}
-
-/// Mean and standard deviation of a metric across folds.
-pub fn summarize_folds<F: Fn(&Metrics) -> f64>(folds: &[Metrics], metric: F) -> (f64, f64) {
-    if folds.is_empty() {
-        return (0.0, 0.0);
-    }
-    let vals: Vec<f64> = folds.iter().map(metric).collect();
-    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-    let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64;
-    (mean, var.sqrt())
-}
 
 /// Permutation importance: for each feature column, shuffle it within the
 /// evaluation set and measure the accuracy drop. Returns one value per
@@ -107,25 +54,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_validation_covers_every_example_once() {
-        let d = separable(100);
-        let folds = cross_validate(&d, 5, 3, || RandomForest::new(8, 6, 1));
-        assert_eq!(folds.len(), 5);
-        let total: usize = folds.iter().map(|m| m.confusion.total()).sum();
-        assert_eq!(total, 100);
-        let (mean, sd) = summarize_folds(&folds, Metrics::accuracy);
-        assert!(mean > 0.9, "mean accuracy {mean}");
-        assert!(sd < 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "k-fold needs k >= 2")]
-    fn rejects_k1() {
-        let d = separable(10);
-        cross_validate(&d, 1, 0, || RandomForest::new(2, 2, 0));
-    }
-
-    #[test]
     fn importance_finds_the_signal_column() {
         let d = separable(200);
         let mut rf = RandomForest::new(16, 8, 2);
@@ -139,10 +67,5 @@ mod tests {
             imp[1]
         );
         assert!(imp[1].abs() < 0.1, "noise column should not matter: {}", imp[1]);
-    }
-
-    #[test]
-    fn fold_summary_handles_empty() {
-        assert_eq!(summarize_folds(&[], Metrics::accuracy), (0.0, 0.0));
     }
 }

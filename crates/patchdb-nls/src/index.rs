@@ -287,11 +287,6 @@ impl WildIndex {
         false
     }
 
-    /// Number of partition cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// The k-best `(d², index)` list of one query row — same contract as
     /// the plain/pruned scans in `search.rs`, byte-identical output.
     ///

@@ -119,13 +119,6 @@ impl Criterion {
         self
     }
 
-    /// Sets the target wall time of one sample batch (drives batch-size
-    /// calibration).
-    pub fn measurement_sample_target(mut self, d: Duration) -> Criterion {
-        self.sample_target = d;
-        self
-    }
-
     /// Measures a standalone benchmark.
     pub fn bench_function(
         &mut self,
@@ -374,10 +367,9 @@ mod tests {
     use super::*;
 
     fn fast() -> Criterion {
-        Criterion::default()
-            .sample_size(4)
-            .warm_up_time(Duration::from_micros(100))
-            .measurement_sample_target(Duration::from_micros(50))
+        let mut c = Criterion::default().sample_size(4).warm_up_time(Duration::from_micros(100));
+        c.sample_target = Duration::from_micros(50);
+        c
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! Rust's shortest-round-trip formatting so `f64` values survive a
 //! round trip bit-exactly.
 //!
-//! Structs and C-like enums get conversions via the [`impl_to_from_json`]
-//! and [`impl_json_unit_enum`] macros; the encoded shapes match what
-//! serde's derive produced (objects keyed by field name, unit enum
-//! variants as strings), so previously exported datasets keep loading.
+//! Structs and C-like enums get conversions via the
+//! [`impl_to_from_json`](crate::impl_to_from_json!) and
+//! [`impl_json_unit_enum`](crate::impl_json_unit_enum!) macros; the
+//! encoded shapes match what serde's derive produced (objects keyed by
+//! field name, unit enum variants as strings), so previously exported
+//! datasets keep loading.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

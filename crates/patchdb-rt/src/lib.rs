@@ -14,7 +14,7 @@
 //! * [`check`] — a property-testing harness (generators over a recorded
 //!   choice tape, shrinking, persisted regression tapes), replacing
 //!   `proptest`.
-//! * [`bench`] — a criterion-style timing harness (warmup, samples,
+//! * [`bench`](mod@bench) — a criterion-style timing harness (warmup, samples,
 //!   median/p95, optional JSON report), replacing `criterion`.
 //! * [`par`] — scoped-thread fan-out over `std::thread::scope`, replacing
 //!   `crossbeam::scope`.

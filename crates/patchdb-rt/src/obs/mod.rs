@@ -275,12 +275,6 @@ pub fn gauge_add(name: &str, delta: i64) {
     *slot = slot.saturating_add(delta);
 }
 
-/// Current value of a gauge, `0` when it does not exist. Reads work
-/// even while tracing is off.
-pub fn gauge_value(name: &str) -> i64 {
-    registry().lock().unwrap().gauges.get(name).copied().unwrap_or(0)
-}
-
 /// Whole seconds elapsed on the monotonic clock since the first metrics
 /// operation of the process — the time base every registry-level
 /// rolling window records against.
@@ -913,12 +907,13 @@ mod tests {
         gauge_set("g.depth", 7);
         gauge_add("g.depth", -3);
         gauge_add("g.inflight", 2);
-        assert_eq!(gauge_value("g.depth"), 4);
-        assert_eq!(gauge_value("g.inflight"), 2);
-        assert_eq!(gauge_value("g.absent"), 0);
+        let snap = metrics_snapshot();
+        assert_eq!(snap.gauge("g.depth"), Some(4));
+        assert_eq!(snap.gauge("g.inflight"), Some(2));
+        assert_eq!(snap.gauge("g.absent"), None);
         set_enabled(false);
         gauge_add("g.depth", 100); // off: inert
-        assert_eq!(gauge_value("g.depth"), 4);
+        assert_eq!(metrics_snapshot().gauge("g.depth"), Some(4));
     }
 
     #[test]

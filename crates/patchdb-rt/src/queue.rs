@@ -85,13 +85,6 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Whether the queue is at capacity right now. Advisory only — a
-    /// concurrent pop can free a slot immediately after; use
-    /// [`try_push`](Self::try_push) for the authoritative answer.
-    pub fn is_full(&self) -> bool {
-        self.inner.lock().unwrap().items.len() >= self.capacity
-    }
-
     /// Enqueues `item` unless the queue is full or closed; never blocks.
     ///
     /// # Errors
@@ -137,11 +130,6 @@ impl<T> BoundedQueue<T> {
         drop(inner);
         self.not_empty.notify_all();
     }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
 }
 
 #[cfg(test)]
@@ -167,12 +155,9 @@ mod tests {
     #[test]
     fn full_queue_sheds_rather_than_blocks() {
         let q = BoundedQueue::new(1);
-        assert!(!q.is_full());
         q.try_push("a").unwrap();
-        assert!(q.is_full());
         assert_eq!(q.try_push("b"), Err(PushError::Full("b")));
         assert_eq!(q.pop(), Some("a"));
-        assert!(!q.is_full());
         q.try_push("c").unwrap();
     }
 
@@ -181,7 +166,6 @@ mod tests {
         let q = BoundedQueue::new(4);
         q.try_push(10).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.try_push(11), Err(PushError::Closed(11)));
         assert_eq!(q.pop(), Some(10));
         assert_eq!(q.pop(), None);

@@ -95,14 +95,6 @@ impl Xoshiro256pp {
         range.sample(self)
     }
 
-    /// Fills a byte slice with uniform bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
-
     /// Uniform integer in `[0, bound)` via 128-bit multiply-shift.
     fn bounded(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
@@ -362,14 +354,6 @@ mod tests {
         }
         let empty: [i32; 0] = [];
         assert!(empty.choose(&mut rng).is_none());
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut rng = Xoshiro256pp::seed_from_u64(19);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|b| *b != 0));
     }
 
     #[test]

@@ -863,6 +863,15 @@ impl EventLoop {
                         return;
                     }
                     let conn = self.conns[slot].as_mut().expect("live slot");
+                    // Leaving backpressure: requests already buffered
+                    // past the cap get no readable event of their own.
+                    if conn.pending + 1 == MAX_PIPELINED
+                        && conn.close_after.is_none()
+                        && !self.pump_parser(slot)
+                    {
+                        return;
+                    }
+                    let conn = self.conns[slot].as_mut().expect("live slot");
                     if conn.pending == 0
                         && (conn.read_closed
                             || (self.draining.is_some() && !conn.parser.has_partial()))

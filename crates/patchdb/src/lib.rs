@@ -39,11 +39,9 @@ mod taxonomy;
 pub use dataset::{DatasetStats, PatchDb, PatchRecord, Source, SyntheticRecord};
 pub use error::Error;
 pub use patterns::{mine_fix_patterns, pattern_frequencies, FixPattern};
-pub use signatures::{
-    scan_targets, signatures_of, test_presence, PatchSignature, PresenceVerdict, ScanTarget,
-};
+pub use signatures::{signatures_of, test_presence, PatchSignature, PresenceVerdict, ScanTarget};
 pub use pipeline::{BuildOptions, BuildReport, BuildTelemetry, PoolPlan};
-pub use taxonomy::{classify_patch, taxonomy_distribution};
+pub use taxonomy::classify_patch;
 
 // Re-exports so downstream users need only this crate.
 pub use patchdb_corpus::{CategoryMix, PatchCategory, ALL_CATEGORIES};

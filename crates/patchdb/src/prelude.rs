@@ -18,10 +18,8 @@ pub use crate::dataset::{DatasetStats, PatchDb, PatchRecord, Source, SyntheticRe
 pub use crate::error::Error;
 pub use crate::patterns::{mine_fix_patterns, pattern_frequencies, FixPattern};
 pub use crate::pipeline::{BuildOptions, BuildReport, BuildTelemetry, PoolPlan};
-pub use crate::signatures::{
-    scan_targets, signatures_of, test_presence, PatchSignature, PresenceVerdict, ScanTarget,
-};
-pub use crate::taxonomy::{classify_patch, taxonomy_distribution};
+pub use crate::signatures::{signatures_of, test_presence, PatchSignature, PresenceVerdict, ScanTarget};
+pub use crate::taxonomy::classify_patch;
 
 // The cross-crate types those APIs hand out or take in.
 pub use patch_core::{CommitId, Patch};

@@ -214,25 +214,6 @@ fn is_placeholder(canon: &str, prefix: &str, id: usize) -> bool {
     })
 }
 
-/// Scans a set of targets with a signature database; returns
-/// `(target index, signature index, verdict)` for every non-NA hit.
-pub fn scan_targets(
-    signatures: &[PatchSignature],
-    targets: &[&str],
-) -> Vec<(usize, usize, PresenceVerdict)> {
-    let mut out = Vec::new();
-    for (ti, target) in targets.iter().enumerate() {
-        let mut compiled = ScanTarget::new(target);
-        for (si, sig) in signatures.iter().enumerate() {
-            let v = compiled.test_presence(sig);
-            if v != PresenceVerdict::NotApplicable {
-                out.push((ti, si, v));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,16 +273,6 @@ mod tests {
             .file(diff_files("q.c", "int x;\n", "int y;\n", 0))
             .build();
         assert!(signatures_of(&p).is_empty());
-    }
-
-    #[test]
-    fn scan_reports_hits_per_target() {
-        let sigs = signatures_of(&patch());
-        let vulnerable = BEFORE.replace("buf", "frame");
-        let unrelated = "void noop(void) {}\n";
-        let hits = scan_targets(&sigs, &[&vulnerable, unrelated]);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0], (0, 0, PresenceVerdict::Vulnerable));
     }
 
     /// The matcher [`ScanTarget`] replaced: every window joined,

@@ -6,11 +6,9 @@
 //! Rules fire in a fixed priority order over the patch's added/removed
 //! lines; each rule keys on the syntactic evidence Table V describes.
 
-use std::collections::HashMap;
-
 use clang_lite::{tokenize, Keyword, TokenKind};
 use patch_core::Patch;
-use patchdb_corpus::{PatchCategory, ALL_CATEGORIES};
+use patchdb_corpus::PatchCategory;
 
 /// Classifies one security patch by its code changes.
 pub fn classify_patch(patch: &Patch) -> PatchCategory {
@@ -59,24 +57,6 @@ pub fn classify_patch(patch: &Patch) -> PatchCategory {
     }
 
     PatchCategory::Others
-}
-
-/// Classifies a batch and returns the normalized distribution, every
-/// category present (possibly 0), in Table V order.
-pub fn taxonomy_distribution<'a, I>(patches: I) -> Vec<(PatchCategory, f64)>
-where
-    I: IntoIterator<Item = &'a Patch>,
-{
-    let mut counts: HashMap<PatchCategory, usize> = HashMap::new();
-    let mut total = 0usize;
-    for p in patches {
-        *counts.entry(classify_patch(p)).or_insert(0) += 1;
-        total += 1;
-    }
-    ALL_CATEGORIES
-        .iter()
-        .map(|c| (*c, *counts.get(c).unwrap_or(&0) as f64 / total.max(1) as f64))
-        .collect()
 }
 
 fn same_multiset(a: &[&str], b: &[&str]) -> bool {
@@ -417,12 +397,4 @@ mod tests {
         assert_eq!(classify_patch(&p), PatchCategory::Others);
     }
 
-    #[test]
-    fn distribution_covers_all_categories() {
-        let p = patch("void f(){\n    a();\n}\n", "void f(){\n    b();\n}\n");
-        let dist = taxonomy_distribution([&p]);
-        assert_eq!(dist.len(), 12);
-        let total: f64 = dist.iter().map(|(_, v)| v).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
 }

@@ -43,7 +43,8 @@ fn usage_for(command: &str) -> Option<&'static str> {
   --no-synth       skip the synthetic augmentation stage
   --out FILE       write the built dataset as JSON
   --trace          record spans/counters, write TRACE_build.json
-  --trace-out FILE trace output path (default TRACE_build.json)
+  --trace-out FILE trace output path (default TRACE_build.json);
+                   implies --trace
   --perfetto       also write the span tree as Chrome trace-event JSON
                    (open in Perfetto / chrome://tracing); implies --trace
   --perfetto-out FILE
@@ -235,7 +236,10 @@ fn cmd_build(args: &[String], force_trace: bool) -> CliResult {
                 trace = true;
             }
             "--out" => out = Some(value_after(&mut it, "--out")?.clone()),
-            "--trace-out" => trace_out = value_after(&mut it, "--trace-out")?.clone(),
+            "--trace-out" => {
+                trace_out = value_after(&mut it, "--trace-out")?.clone();
+                trace = true;
+            }
             "--perfetto-out" => {
                 perfetto_out = value_after(&mut it, "--perfetto-out")?.clone();
                 perfetto = true;

@@ -1,8 +1,12 @@
 //! End-to-end tests of the `patchdb` CLI binary: build → export → every
 //! read-only subcommand over the exported JSON.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
+
+use patchdb::BuildTelemetry;
+use patchdb_rt::json::Json;
 
 fn bin() -> PathBuf {
     // target/debug/patchdb, next to the test executable's parent dir.
@@ -141,4 +145,73 @@ fn cli_help_and_version() {
     let (code, text) = run_coded(&["--version"]);
     assert_eq!(code, 0, "{text}");
     assert!(text.starts_with("patchdb "), "{text}");
+}
+
+#[test]
+fn cli_trace_out_implies_trace() {
+    let dir = std::env::temp_dir().join(format!("patchdb-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    let (ok, text) =
+        run(&["build", "--tiny", "--no-synth", "--trace-out", trace.to_str().unwrap()]);
+    assert!(ok, "{text}");
+    let raw = std::fs::read_to_string(&trace)
+        .unwrap_or_else(|e| panic!("--trace-out wrote no trace ({e}):\n{text}"));
+    let json = Json::parse(&raw).expect("trace is JSON");
+    assert_eq!(json.get("schema").and_then(Json::as_str), Some(BuildTelemetry::SCHEMA));
+
+    fn check_span(s: &Json) -> &str {
+        assert!(s.get("ns").and_then(Json::as_f64).is_some_and(|ns| ns >= 0.0), "{s:?}");
+        for child in s.get("children").and_then(Json::as_arr).expect("span children") {
+            check_span(child);
+        }
+        s.get("name").and_then(Json::as_str).expect("span name")
+    }
+    let spans = json.get("spans").and_then(Json::as_arr).expect("spans array");
+    let build = spans.iter().find(|s| check_span(s) == "build").expect("root `build` span");
+    let stages: Vec<&str> = build
+        .get("children")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(check_span)
+        .collect();
+    for stage in ["mine_nvd", "collect_wild", "augment", "assemble"] {
+        assert!(stages.contains(&stage), "stage {stage} missing from {stages:?}");
+    }
+    let Some(Json::Obj(counters)) = json.get("counters") else { panic!("no counters object") };
+    assert!(!counters.is_empty());
+    for (name, value) in counters {
+        let v = value.as_f64().expect("numeric counter");
+        assert!(v >= 0.0 && v.fract() == 0.0, "counter {name} = {v}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every `--flag` spelled in `text`.
+fn flags_in(text: &str) -> BTreeSet<String> {
+    text.match_indices("--")
+        .filter_map(|(at, _)| {
+            let name: String = text[at + 2..]
+                .chars()
+                .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '-')
+                .collect();
+            name.starts_with(|c: char| c.is_ascii_lowercase()).then(|| format!("--{name}"))
+        })
+        .collect()
+}
+
+#[test]
+fn readme_serve_table_lists_exactly_the_serve_flags() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    let table: String = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| `--addr "))
+        .take_while(|l| l.starts_with("| `--"))
+        .map(|l| l.split('|').nth(1).unwrap_or_default())
+        .collect();
+    let (code, help) = run_coded(&["help", "serve"]);
+    assert_eq!(code, 0, "{help}");
+    assert_eq!(flags_in(&table), flags_in(&help), "README serve knob table vs `patchdb help serve`");
 }

@@ -614,6 +614,65 @@ fn pipelined_responses_arrive_in_request_order() {
 }
 
 #[test]
+fn pipelined_burst_deeper_than_the_cap_is_answered_in_full() {
+    let server = start(ephemeral().threads(2));
+    let addr = server.addr();
+    let expected = client::request(addr, "GET", "/v1/stats", b"").unwrap();
+    assert_eq!(expected.status, 200);
+
+    // 200 requests in one write, past the loop's 128-deep pipelining
+    // cap: the ones framed after the cap lifts must not wait for a
+    // readable event that never comes. Each carries its index as the
+    // client trace id, so the echoed ids pin the response order.
+    const BURST: usize = 200;
+    let mut burst = Vec::new();
+    for i in 0..BURST {
+        burst.extend_from_slice(
+            format!("GET /v1/stats HTTP/1.1\r\nHost: x\r\nX-Patchdb-Trace-Id: burst-{i}\r\n\r\n")
+                .as_bytes(),
+        );
+    }
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(8))).unwrap();
+    stream.write_all(&burst).unwrap();
+
+    let mut reader = BufReader::new(stream);
+    for i in 0..BURST {
+        let mut status = String::new();
+        reader
+            .read_line(&mut status)
+            .unwrap_or_else(|e| panic!("response #{i}: {e} after {:?}", started.elapsed()));
+        assert!(status.starts_with("HTTP/1.1 200"), "response #{i}: {status:?}");
+        let (mut length, mut trace) = (0usize, String::new());
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let line = line.trim_end();
+            if line.is_empty() {
+                break;
+            }
+            let (key, value) = line.split_once(": ").expect("header line");
+            match key.to_ascii_lowercase().as_str() {
+                "content-length" => length = value.parse().unwrap(),
+                "x-patchdb-trace-id" => trace = value.to_owned(),
+                _ => {}
+            }
+        }
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).unwrap();
+        assert_eq!(trace, format!("burst-{i}"), "response #{i} out of order");
+        assert_eq!(body, expected.body, "response #{i} body");
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "burst took {:?}",
+        started.elapsed()
+    );
+    server.shutdown();
+}
+
+#[test]
 fn half_closed_pipeline_still_gets_all_responses() {
     let server = start(ephemeral().threads(2));
     let addr = server.addr();

@@ -28,7 +28,7 @@ use patchdb_features::{
 };
 use patchdb_nls::{row_minima, row_minima_indexed, IndexMode, NlsConfig, WildIndex};
 use patchdb_rt::bench::{black_box, BenchResult, BenchmarkId, Criterion};
-use patchdb_rt::json::{Json, ToJson};
+use patchdb_rt::json::{Json, Writer};
 use patchdb_rt::{obs, par};
 
 /// Weighted feature vectors of real (forge-materialized) patches — the
@@ -359,33 +359,23 @@ fn write_report(
         ("xl_speedup".into(), Json::Num(xl_speedup)),
     ]);
 
-    let json = Json::Obj(vec![
-        ("schema".into(), Json::Str("patchdb-bench-nls/v2".into())),
-        ("fast_mode".into(), Json::Bool(fast_mode())),
-        ("threads".into(), Json::Num(threads as f64)),
-        (
-            "sizes".into(),
-            Json::Arr(
-                sizes
-                    .iter()
-                    .map(|&(m, n)| Json::Arr(vec![Json::Num(m as f64), Json::Num(n as f64)]))
-                    .collect(),
-            ),
-        ),
-        ("init_speedup_largest".into(), Json::Num(speedup)),
-        ("index".into(), index_json),
-        ("obs".into(), obs_json),
-        ("pipeline_build_ms".into(), Json::Num(build_ms)),
-        (
-            "results".into(),
-            Json::Arr(results.iter().map(|r| r.to_json()).collect()),
-        ),
-    ]);
+    let mut w = Writer::pretty();
+    w.begin_object();
+    w.field("schema", "patchdb-bench-nls/v2");
+    w.field("fast_mode", &fast_mode());
+    w.field("threads", &threads);
+    w.field("sizes", &sizes.iter().map(|&(m, n)| vec![m, n]).collect::<Vec<_>>());
+    w.field("init_speedup_largest", &speedup);
+    w.field("index", &index_json);
+    w.field("obs", &obs_json);
+    w.field("pipeline_build_ms", &build_ms);
+    w.field("results", results);
+    w.end_object();
 
     let path = std::env::var("PATCHDB_BENCH_NLS_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_nls.json").to_owned()
     });
-    std::fs::write(&path, json.to_pretty_string() + "\n").expect("write BENCH_nls.json");
+    std::fs::write(&path, w.finish() + "\n").expect("write BENCH_nls.json");
     println!("\nwrote {path}");
     println!("init speedup at {shape}: {speedup:.2}x (parallel-pruned vs seed)");
     println!("index speedup at {shape}: {index_speedup_largest:.2}x (best mode query vs seed)");

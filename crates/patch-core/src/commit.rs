@@ -57,14 +57,22 @@ impl CommitId {
     pub fn short(&self) -> String {
         self.to_string()[..8].to_owned()
     }
+
+    /// Calls `f` with the 40 lowercase hex digits, built on the stack.
+    fn with_hex<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0u8; 40];
+        for (pair, &b) in digits.chunks_exact_mut(2).zip(&self.0) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
+        }
+        f(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
+    }
 }
 
 impl fmt::Display for CommitId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in &self.0 {
-            write!(f, "{b:02x}")?;
-        }
-        Ok(())
+        self.with_hex(|hex| f.write_str(hex))
     }
 }
 
@@ -91,8 +99,8 @@ impl FromStr for CommitId {
 }
 
 impl patchdb_rt::json::ToJson for CommitId {
-    fn to_json(&self) -> patchdb_rt::json::Json {
-        patchdb_rt::json::Json::Str(self.to_string())
+    fn write_json(&self, w: &mut patchdb_rt::json::Writer) {
+        self.with_hex(|hex| w.str(hex));
     }
 }
 
@@ -139,9 +147,9 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        use patchdb_rt::json::{FromJson, Json, ToJson};
+        use patchdb_rt::json::{to_compact_string, FromJson, Json};
         let id = CommitId::from_seed(99);
-        let json = id.to_json().to_compact_string();
+        let json = to_compact_string(&id);
         assert_eq!(json, format!("\"{id}\""));
         let back = CommitId::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(id, back);

@@ -95,11 +95,9 @@ pub const FEATURE_NAMES: [&str; FEATURE_DIM] = [
 pub struct FeatureVector(pub [f64; FEATURE_DIM]);
 
 impl patchdb_rt::json::ToJson for FeatureVector {
-    fn to_json(&self) -> patchdb_rt::json::Json {
+    fn write_json(&self, w: &mut patchdb_rt::json::Writer) {
         // A plain 60-element number array, as serde encoded it.
-        patchdb_rt::json::Json::Arr(
-            self.0.iter().map(|&x| patchdb_rt::json::Json::Num(x)).collect(),
-        )
+        patchdb_rt::json::ToJson::write_json(self.0.as_slice(), w);
     }
 }
 
@@ -205,10 +203,10 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        use patchdb_rt::json::{FromJson, Json, ToJson};
+        use patchdb_rt::json::{to_compact_string, FromJson, Json};
         let mut v = FeatureVector::zero();
         v.0[59] = -2.5;
-        let json = v.to_json().to_compact_string();
+        let json = to_compact_string(&v);
         let back = FeatureVector::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(v, back);
     }

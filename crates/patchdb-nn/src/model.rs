@@ -90,12 +90,13 @@ patchdb_rt::impl_to_from_json!(RnnConfig {
 // Externally tagged, the serde encoding for data-carrying enum variants:
 // {"Gru": {...}} / {"Lstm": {...}}.
 impl patchdb_rt::json::ToJson for Recurrent {
-    fn to_json(&self) -> patchdb_rt::json::Json {
-        let (tag, body) = match self {
-            Recurrent::Gru(cell) => ("Gru", patchdb_rt::json::ToJson::to_json(cell)),
-            Recurrent::Lstm(cell) => ("Lstm", patchdb_rt::json::ToJson::to_json(cell)),
-        };
-        patchdb_rt::json::Json::Obj(vec![(tag.to_owned(), body)])
+    fn write_json(&self, w: &mut patchdb_rt::json::Writer) {
+        w.begin_object();
+        match self {
+            Recurrent::Gru(cell) => w.field("Gru", cell),
+            Recurrent::Lstm(cell) => w.field("Lstm", cell),
+        }
+        w.end_object();
     }
 }
 
@@ -379,11 +380,11 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_predictions() {
-        use patchdb_rt::json::{FromJson, Json, ToJson};
+        use patchdb_rt::json::{to_compact_string, FromJson, Json};
         let data = keyword_task(40);
         let mut model = RnnClassifier::new(cfg());
         model.train(&data);
-        let json = model.to_json().to_compact_string();
+        let json = to_compact_string(&model);
         let parsed = Json::parse(&json).expect("parses");
         let back = RnnClassifier::from_json(&parsed).expect("deserializes");
         for (seq, _) in &data {

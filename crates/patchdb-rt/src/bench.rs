@@ -19,7 +19,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use crate::json::{Json, ToJson};
+use crate::json::{self, ToJson, Writer};
 
 /// An opaque sink preventing the optimizer from deleting a computation.
 pub fn black_box<T>(x: T) -> T {
@@ -67,16 +67,16 @@ pub struct BenchResult {
 }
 
 impl ToJson for BenchResult {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("median_ns".into(), Json::Num(self.median_ns)),
-            ("p95_ns".into(), Json::Num(self.p95_ns)),
-            ("mean_ns".into(), Json::Num(self.mean_ns)),
-            ("iters_per_sample".into(), Json::Num(self.iters_per_sample as f64)),
-            ("samples".into(), Json::Num(self.samples as f64)),
-            ("bytes_per_iter".into(), self.bytes_per_iter.to_json()),
-        ])
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("name", &self.name);
+        w.field("median_ns", &self.median_ns);
+        w.field("p95_ns", &self.p95_ns);
+        w.field("mean_ns", &self.mean_ns);
+        w.field("iters_per_sample", &self.iters_per_sample);
+        w.field("samples", &self.samples);
+        w.field("bytes_per_iter", &self.bytes_per_iter);
+        w.end_object();
     }
 }
 
@@ -174,7 +174,7 @@ impl Drop for Criterion {
         let Some(path) = std::env::var_os("PATCHDB_BENCH_JSON") else { return };
         let mut lines = String::new();
         for r in &self.results {
-            lines.push_str(&r.to_json().to_compact_string());
+            lines.push_str(&json::to_compact_string(r));
             lines.push('\n');
         }
         use std::io::Write as _;
@@ -440,7 +440,7 @@ mod tests {
             samples: 4,
             bytes_per_iter: None,
         };
-        let text = r.to_json().to_compact_string();
+        let text = json::to_compact_string(&r);
         assert!(text.contains("\"median_ns\":1.5"), "{text}");
         assert!(text.contains("\"bytes_per_iter\":null"), "{text}");
     }

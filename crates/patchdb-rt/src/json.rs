@@ -1,10 +1,15 @@
-//! JSON without serde: a value type, a strict parser, compact and pretty
-//! printers, and derive-free [`ToJson`]/[`FromJson`] conversion traits.
+//! JSON without serde: a value type, a strict parser, one streaming
+//! [`Writer`] that prints compact or pretty text, and derive-free
+//! [`ToJson`]/[`FromJson`] conversion traits.
+//!
+//! [`ToJson`] writes straight into the [`Writer`]; the [`Json`] tree is for
+//! parsed documents and ad-hoc response bodies, and prints through the
+//! same writer.
 //!
 //! Numbers are carried as `f64`; every integer the workspace serializes
 //! (line counts, dimensions) is far below 2^53, and floats are printed via
-//! Rust's shortest-round-trip formatting so `f64` values survive a
-//! round trip bit-exactly.
+//! Rust's shortest-round-trip formatting so `f64` values (`-0.0`
+//! included) survive a round trip bit-exactly.
 //!
 //! Structs and C-like enums get conversions via the
 //! [`impl_to_from_json`](crate::impl_to_from_json!) and
@@ -77,63 +82,12 @@ impl Json {
 
     /// Renders without any whitespace.
     pub fn to_compact_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        to_compact_string(self)
     }
 
     /// Renders with two-space indentation, like `serde_json::to_string_pretty`.
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_number(out, *n),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, level + 1);
-                    item.write(out, indent, level + 1);
-                }
-                newline_indent(out, indent, level);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, level + 1);
-                    write_escaped(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, level + 1);
-                }
-                newline_indent(out, indent, level);
-                out.push('}');
-            }
-        }
+        to_pretty_string(self)
     }
 
     /// Object field lookup.
@@ -195,43 +149,215 @@ impl fmt::Display for Json {
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat(' ').take(width * level));
+/// Renders `value` without any whitespace.
+pub fn to_compact_string<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut w = Writer::compact();
+    value.write_json(&mut w);
+    w.finish()
+}
+
+/// Renders `value` with two-space indentation, like
+/// `serde_json::to_string_pretty`.
+pub fn to_pretty_string<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut w = Writer::pretty();
+    value.write_json(&mut w);
+    w.finish()
+}
+
+/// The one JSON printer: appends compact or pretty text straight into a
+/// `String` as values are written, so no [`Json`] tree is built to print
+/// a typed value.
+///
+/// Containers are opened and closed explicitly; the writer places commas,
+/// newlines and indentation itself.
+///
+/// ```rust
+/// use patchdb_rt::json::Writer;
+/// let mut w = Writer::compact();
+/// w.begin_object();
+/// w.field("ids", &[1u32, 2][..]);
+/// w.key("name");
+/// w.str("x");
+/// w.end_object();
+/// assert_eq!(w.finish(), r#"{"ids":[1,2],"name":"x"}"#);
+/// ```
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    /// Nesting depth of the open container (0 at the top level).
+    level: usize,
+    /// The open container already holds an item, so the next needs a comma.
+    has_items: bool,
+    /// A key was just written; its value follows on the same line.
+    after_key: bool,
+}
+
+impl Writer {
+    /// A writer that emits no whitespace.
+    pub fn compact() -> Writer {
+        Writer { out: String::new(), pretty: false, level: 0, has_items: false, after_key: false }
+    }
+
+    /// A writer that indents by two spaces per level.
+    pub fn pretty() -> Writer {
+        Writer { pretty: true, ..Writer::compact() }
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.before_value();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.before_value();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes a number; non-finite values become `null`.
+    pub fn num(&mut self, n: f64) {
+        self.before_value();
+        write_number(&mut self.out, n);
+    }
+
+    /// Writes an escaped string.
+    pub fn str(&mut self, s: &str) {
+        self.before_value();
+        write_escaped(&mut self.out, s);
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost open array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Opens an object; write each member with [`key`](Writer::key) and a
+    /// value, or with [`field`](Writer::field).
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost open object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) {
+        self.separate();
+        write_escaped(&mut self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    /// Writes one object member.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.before_value();
+        self.out.push(bracket);
+        self.level += 1;
+        self.has_items = false;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.level -= 1;
+        if self.has_items {
+            self.newline();
+        }
+        self.out.push(bracket);
+        // The closed container is itself an item of its parent.
+        self.has_items = true;
+    }
+
+    fn before_value(&mut self) {
+        if !std::mem::take(&mut self.after_key) {
+            self.separate();
+        }
+    }
+
+    /// Starts a new item of the open container: comma, then line break.
+    fn separate(&mut self) {
+        if self.level == 0 {
+            return;
+        }
+        if self.has_items {
+            self.out.push(',');
+        }
+        self.has_items = true;
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.level {
+                self.out.push_str("  ");
+            }
+        }
     }
 }
 
 fn write_number(out: &mut String, n: f64) {
+    use fmt::Write as _;
     if !n.is_finite() {
         // JSON has no inf/NaN; encode as null like serde_json does.
         out.push_str("null");
+    } else if n == 0.0 && n.is_sign_negative() {
+        // The integral branch would drop the sign; `-0.0` parses back.
+        out.push_str("-0.0");
     } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
         // Integral values print without an exponent or fraction.
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // `{:?}` is Rust's shortest representation that round-trips.
-        out.push_str(&format!("{n:?}"));
+        let _ = write!(out, "{n:?}");
     }
 }
 
+/// Writes `s` quoted, copying each run of bytes that needs no escape as
+/// one slice. Escaped bytes are all ASCII, so every run boundary is a
+/// `char` boundary.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -474,10 +600,29 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Conversion into a [`Json`] value.
+/// Serialization through a [`Writer`].
 pub trait ToJson {
-    /// Builds the JSON representation.
-    fn to_json(&self) -> Json;
+    /// Writes the JSON representation as one value.
+    fn write_json(&self, w: &mut Writer);
+}
+
+impl ToJson for Json {
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.num(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => items.write_json(w),
+            Json::Obj(fields) => {
+                w.begin_object();
+                for (key, value) in fields {
+                    w.field(key, value);
+                }
+                w.end_object();
+            }
+        }
+    }
 }
 
 /// Conversion from a [`Json`] value.
@@ -508,8 +653,8 @@ fn expect_num(v: &Json) -> Result<f64> {
 macro_rules! int_json {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
+            fn write_json(&self, w: &mut Writer) {
+                w.num(*self as f64);
             }
         }
         impl FromJson for $t {
@@ -532,8 +677,8 @@ macro_rules! int_json {
 int_json!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
+    fn write_json(&self, w: &mut Writer) {
+        w.num(*self);
     }
 }
 
@@ -548,8 +693,8 @@ impl FromJson for f64 {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 }
 
@@ -560,8 +705,8 @@ impl FromJson for bool {
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 
@@ -574,16 +719,22 @@ impl FromJson for String {
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_owned())
+    fn write_json(&self, w: &mut Writer) {
+        w.str(self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut Writer) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(w),
+            None => w.null(),
         }
     }
 }
@@ -598,8 +749,8 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut Writer) {
+        self.as_slice().write_json(w);
     }
 }
 
@@ -613,17 +764,25 @@ impl<T: FromJson> FromJson for Vec<T> {
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_array();
+        for item in self {
+            item.write_json(w);
+        }
+        w.end_array();
     }
 }
 
 impl<T: ToJson> ToJson for HashMap<String, T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut Writer) {
         // Sort keys so output is deterministic regardless of hasher state.
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        Json::Obj(keys.into_iter().map(|k| (k.clone(), self[k].to_json())).collect())
+        let mut entries: Vec<(&String, &T)> = self.iter().collect();
+        entries.sort_by_key(|&(k, _)| k);
+        w.begin_object();
+        for (key, value) in entries {
+            w.field(key, value);
+        }
+        w.end_object();
     }
 }
 
@@ -640,8 +799,12 @@ impl<T: FromJson> FromJson for HashMap<String, T> {
 }
 
 impl<T: ToJson> ToJson for BTreeMap<String, T> {
-    fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        for (key, value) in self {
+            w.field(key, value);
+        }
+        w.end_object();
     }
 }
 
@@ -669,10 +832,10 @@ impl<T: FromJson> FromJson for BTreeMap<String, T> {
 macro_rules! impl_to_from_json {
     ($T:ident { $($f:ident),* $(,)? }) => {
         impl $crate::json::ToJson for $T {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((stringify!($f).to_owned(), $crate::json::ToJson::to_json(&self.$f))),*
-                ])
+            fn write_json(&self, w: &mut $crate::json::Writer) {
+                w.begin_object();
+                $(w.field(stringify!($f), &self.$f);)*
+                w.end_object();
             }
         }
         impl $crate::json::FromJson for $T {
@@ -696,11 +859,10 @@ macro_rules! impl_to_from_json {
 macro_rules! impl_json_unit_enum {
     ($T:ident { $($V:ident),* $(,)? }) => {
         impl $crate::json::ToJson for $T {
-            fn to_json(&self) -> $crate::json::Json {
-                let name = match self {
+            fn write_json(&self, w: &mut $crate::json::Writer) {
+                w.str(match self {
                     $($T::$V => stringify!($V)),*
-                };
-                $crate::json::Json::Str(name.to_owned())
+                });
             }
         }
         impl $crate::json::FromJson for $T {
@@ -722,6 +884,173 @@ macro_rules! impl_json_unit_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, Gen};
+
+    // The recursive tree printer the streaming writer replaced, kept as
+    // the writer's differential oracle (with the `-0.0` fix applied).
+    impl Json {
+        fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+            match self {
+                Json::Null => out.push_str("null"),
+                Json::Bool(true) => out.push_str("true"),
+                Json::Bool(false) => out.push_str("false"),
+                Json::Num(n) => oracle_number(out, *n),
+                Json::Str(s) => oracle_escaped(out, s),
+                Json::Arr(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        oracle_indent(out, indent, level + 1);
+                        item.write(out, indent, level + 1);
+                    }
+                    oracle_indent(out, indent, level);
+                    out.push(']');
+                }
+                Json::Obj(fields) => {
+                    if fields.is_empty() {
+                        out.push_str("{}");
+                        return;
+                    }
+                    out.push('{');
+                    for (i, (key, value)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        oracle_indent(out, indent, level + 1);
+                        oracle_escaped(out, key);
+                        out.push(':');
+                        if indent.is_some() {
+                            out.push(' ');
+                        }
+                        value.write(out, indent, level + 1);
+                    }
+                    oracle_indent(out, indent, level);
+                    out.push('}');
+                }
+            }
+        }
+    }
+
+    fn oracle_indent(out: &mut String, indent: Option<usize>, level: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            out.extend(std::iter::repeat(' ').take(width * level));
+        }
+    }
+
+    fn oracle_number(out: &mut String, n: f64) {
+        if !n.is_finite() {
+            out.push_str("null");
+        } else if n == 0.0 && n.is_sign_negative() {
+            out.push_str("-0.0");
+        } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
+            out.push_str(&format!("{}", n as i64));
+        } else {
+            out.push_str(&format!("{n:?}"));
+        }
+    }
+
+    fn oracle_escaped(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Every control character, the two escaped printables, and 1- to
+    /// 4-byte UTF-8.
+    fn gen_string(g: &mut Gen) -> String {
+        let alphabet: String =
+            (0u8..0x20).map(char::from).chain("a\"\\/ \u{7f}é€🦀".chars()).collect();
+        g.string_from(0, 12, &alphabet)
+    }
+
+    fn gen_number(g: &mut Gen) -> f64 {
+        const P53: f64 = 9_007_199_254_740_992.0;
+        const EDGES: [f64; 14] = [
+            0.0,
+            -0.0,
+            P53 - 1.0,
+            P53,
+            P53 + 2.0,
+            -P53,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.5,
+        ];
+        match g.index(4) {
+            0 => *g.pick(&EDGES),
+            1 => g.i64_in(-1_000_000, 1_000_000) as f64,
+            2 => g.f64_in(-1e3, 1e3),
+            _ => f64::from_bits(g.u64()),
+        }
+    }
+
+    fn gen_json(g: &mut Gen, depth: usize) -> Json {
+        match g.index(if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(g.bool()),
+            2 => Json::Num(gen_number(g)),
+            3 => Json::Str(gen_string(g)),
+            4 => Json::Arr(g.vec_with(0, 4, |g| gen_json(g, depth - 1))),
+            _ => Json::Obj(g.vec_with(0, 4, |g| (gen_string(g), gen_json(g, depth - 1)))),
+        }
+    }
+
+    /// What a parse of the printed text must give back: non-finite
+    /// numbers print as `null`.
+    fn printed(v: &Json) -> Json {
+        match v {
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(printed).collect()),
+            Json::Obj(fields) => {
+                Json::Obj(fields.iter().map(|(k, v)| (k.clone(), printed(v))).collect())
+            }
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_tree_printer() {
+        check("writer_matches_the_tree_printer", 512, |g| {
+            let v = gen_json(g, 3);
+            let expected = printed(&v);
+            for indent in [None, Some(2)] {
+                let mut oracle = String::new();
+                v.write(&mut oracle, indent, 0);
+                let text =
+                    if indent.is_some() { v.to_pretty_string() } else { v.to_compact_string() };
+                assert_eq!(text, oracle);
+                // Debug output tells `-0.0` from `0.0`, so this is bit-exact.
+                let back = Json::parse(&text).unwrap();
+                assert_eq!(format!("{back:?}"), format!("{expected:?}"), "via {text}");
+            }
+        });
+    }
 
     #[test]
     fn parses_scalars() {
@@ -778,6 +1107,7 @@ mod tests {
             -2.2250738585072014e-308,
             123456789.123456789,
             (2u64.pow(53) - 1) as f64,
+            -0.0,
         ] {
             let text = Json::Num(v).to_compact_string();
             let back = Json::parse(&text).unwrap().as_f64().unwrap();
@@ -830,7 +1160,7 @@ mod tests {
             tags: vec!["a".into(), "b".into()],
             parent: None,
         };
-        let text = d.to_json().to_pretty_string();
+        let text = to_pretty_string(&d);
         let back = Demo::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, d);
         // Missing Option field tolerated; missing required field is not.
@@ -843,7 +1173,7 @@ mod tests {
 
     #[test]
     fn enum_macro_round_trips() {
-        assert_eq!(Kind::Alpha.to_json(), Json::Str("Alpha".into()));
+        assert_eq!(to_compact_string(&Kind::Alpha), r#""Alpha""#);
         assert_eq!(Kind::from_json(&Json::Str("Beta".into())).unwrap(), Kind::Beta);
         assert!(Kind::from_json(&Json::Str("Gamma".into())).is_err());
         assert!(Kind::from_json(&Json::Num(1.0)).is_err());
@@ -854,7 +1184,7 @@ mod tests {
         let mut m = HashMap::new();
         m.insert("k1".to_owned(), 1u32);
         m.insert("k2".to_owned(), 2u32);
-        let text = m.to_json().to_compact_string();
+        let text = to_compact_string(&m);
         assert_eq!(text, r#"{"k1":1,"k2":2}"#); // sorted keys
         let back: HashMap<String, u32> = FromJson::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, m);

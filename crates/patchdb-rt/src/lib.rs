@@ -8,9 +8,9 @@
 //! * [`rng`] — a seedable, cross-platform-deterministic xoshiro256++ PRNG
 //!   with the subset of the `rand` API the workspace uses (`gen_range`,
 //!   `gen_bool`, `shuffle`, …).
-//! * [`json`] — a JSON value type, parser, and printers, plus derive-free
-//!   [`json::ToJson`]/[`json::FromJson`] traits and impl macros, replacing
-//!   `serde`/`serde_json`.
+//! * [`json`] — a JSON value type, parser, and one streaming
+//!   [`json::Writer`], plus derive-free [`json::ToJson`]/[`json::FromJson`]
+//!   traits and impl macros, replacing `serde`/`serde_json`.
 //! * [`check`] — a property-testing harness (generators over a recorded
 //!   choice tape, shrinking, persisted regression tapes), replacing
 //!   `proptest`.

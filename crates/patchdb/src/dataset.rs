@@ -6,7 +6,7 @@ use std::fmt;
 use patch_core::{CommitId, Patch};
 use patchdb_corpus::PatchCategory;
 use patchdb_features::FeatureVector;
-use patchdb_rt::json::{FromJson, Json, ToJson};
+use patchdb_rt::json::{self, FromJson, Json};
 
 use crate::error::Error;
 
@@ -155,7 +155,7 @@ impl PatchDb {
     /// Infallible today; the `Result` keeps the seed-era signature so
     /// callers' `?` plumbing still works.
     pub fn to_json(&self) -> Result<String, Error> {
-        Ok(ToJson::to_json(self).to_pretty_string())
+        Ok(json::to_pretty_string(self))
     }
 
     /// Deserializes a dataset from JSON.

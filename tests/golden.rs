@@ -1,6 +1,7 @@
-//! Golden-file tests: the Table II round composition and Table V
-//! pattern distribution of a fixed-seed build are rendered to text and
-//! compared byte-for-byte against files under `tests/golden/`.
+//! Golden-file tests: the Table II round composition, the Table V
+//! pattern distribution and the JSON export's digest of fixed-seed
+//! builds are rendered to text and compared byte-for-byte against files
+//! under `tests/golden/`.
 //!
 //! On intentional pipeline changes, regenerate with:
 //!
@@ -77,4 +78,25 @@ fn table5_pattern_distribution_matches_golden() {
     }
     writeln!(out, "total\t{}\t1.000000", security.len()).unwrap();
     assert_golden("table5_patterns.txt", &out);
+}
+
+/// 64-bit FNV-1a, the digest perfbench prints for the same export.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The exported dataset bytes, pinned across versions of the serializer
+/// (the determinism tests only compare two builds of the same code).
+#[test]
+fn json_export_bytes_match_golden() {
+    let mut out = String::new();
+    writeln!(out, "# PatchDb::to_json of BuildOptions::tiny(seed)").unwrap();
+    writeln!(out, "# seed\tbytes\tfnv64").unwrap();
+    for seed in [GOLDEN_SEED, 7] {
+        let json = PatchDb::build(&BuildOptions::tiny(seed)).db.to_json().unwrap();
+        writeln!(out, "{seed}\t{}\t{:016x}", json.len(), fnv64(json.as_bytes())).unwrap();
+    }
+    assert_golden("json_export.txt", &out);
 }

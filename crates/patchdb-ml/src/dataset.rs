@@ -146,21 +146,6 @@ impl Dataset {
         (gather(&train_idx), gather(&test_idx))
     }
 
-    /// Concatenates two datasets (e.g. NVD-train + wild-train for Table VI).
-    ///
-    /// # Panics
-    ///
-    /// Panics when widths disagree and both are non-empty.
-    pub fn concat(&self, other: &Dataset) -> Dataset {
-        if !self.is_empty() && !other.is_empty() {
-            assert_eq!(self.width(), other.width(), "concat of mismatched widths");
-        }
-        Dataset {
-            x: self.x.iter().chain(&other.x).cloned().collect(),
-            y: self.y.iter().chain(&other.y).copied().collect(),
-        }
-    }
-
     /// Bootstrap sample of `n` examples with replacement (for bagging).
     pub fn bootstrap(&self, n: usize, rng: &mut Xoshiro256pp) -> Dataset {
         let mut x = Vec::with_capacity(n);
@@ -233,15 +218,6 @@ mod tests {
         assert_eq!(b1, b2);
         let (a3, _) = d.split(0.7, 10);
         assert_ne!(a1, a3);
-    }
-
-    #[test]
-    fn concat_appends() {
-        let d = toy(10);
-        let e = toy(5);
-        let c = d.concat(&e);
-        assert_eq!(c.len(), 15);
-        assert_eq!(c.width(), 1);
     }
 
     #[test]

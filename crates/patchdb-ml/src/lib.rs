@@ -33,11 +33,9 @@
 #![warn(missing_docs)]
 
 mod bayes;
-mod boosting;
 mod classifier;
 mod dataset;
 mod forest;
-mod knn;
 mod linear;
 mod metrics;
 mod smo;
@@ -45,11 +43,9 @@ mod tree;
 mod validation;
 
 pub use bayes::{DiscretizedBayesNet, GaussianNaiveBayes};
-pub use boosting::AdaBoost;
 pub use classifier::{evaluate, Classifier};
 pub use dataset::{Dataset, DatasetError};
 pub use forest::{ForestState, RandomForest};
-pub use knn::KNearestNeighbors;
 pub use linear::{LinearSvm, LogisticRegression, SgdClassifier, VotedPerceptron};
 pub use metrics::{ConfusionMatrix, Metrics};
 pub use smo::SmoSvm;

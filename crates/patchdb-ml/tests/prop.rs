@@ -5,9 +5,8 @@
 use patchdb_rt::check::{check, Gen};
 
 use patchdb_ml::{
-    evaluate, AdaBoost, Classifier, ConfusionMatrix, Dataset, DecisionTree,
-    GaussianNaiveBayes, KNearestNeighbors, LogisticRegression, Metrics, RandomForest,
-    SplitCriterion,
+    evaluate, Classifier, ConfusionMatrix, Dataset, DecisionTree, GaussianNaiveBayes,
+    LogisticRegression, Metrics, RandomForest, SplitCriterion,
 };
 
 const CASES: u32 = 48;
@@ -47,8 +46,6 @@ fn all_models() -> Vec<Box<dyn Classifier>> {
         Box::new(DecisionTree::new(SplitCriterion::Entropy, 4)),
         Box::new(LogisticRegression::new(2)),
         Box::new(GaussianNaiveBayes::new()),
-        Box::new(KNearestNeighbors::new(3)),
-        Box::new(AdaBoost::new(6, 1, 3)),
     ]
 }
 

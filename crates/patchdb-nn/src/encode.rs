@@ -34,11 +34,6 @@ impl TokenSequence {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
-
-    /// A copy truncated to at most `max_len` ids.
-    pub fn truncated(&self, max_len: usize) -> TokenSequence {
-        TokenSequence { ids: self.ids.iter().copied().take(max_len).collect() }
-    }
 }
 
 /// Extracts the raw token texts of a patch, with `⟨add⟩`/`⟨del⟩`/`⟨ctx⟩`
@@ -117,12 +112,5 @@ mod tests {
         assert!(seq.ids().contains(&MARK_ADD));
         // Every id is in range.
         assert!(seq.ids().iter().all(|&i| (i as usize) < vocab.size()));
-    }
-
-    #[test]
-    fn truncation() {
-        let s = TokenSequence::new((0..100).collect());
-        assert_eq!(s.truncated(10).len(), 10);
-        assert_eq!(s.truncated(1000).len(), 100);
     }
 }

@@ -2,16 +2,7 @@
 
 use patchdb_rt::rng::Xoshiro256pp;
 
-use crate::linalg::{Mat, Param};
-
-fn sigmoid(z: f64) -> f64 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
-}
+use crate::linalg::{sigmoid, Mat, Param};
 
 /// Per-timestep activations cached by the forward pass for BPTT.
 #[derive(Debug, Clone)]
@@ -87,16 +78,6 @@ impl GruCell {
             uh: w(hidden_dim, hidden_dim, rng),
             bh: b(hidden_dim),
         }
-    }
-
-    /// Hidden-state width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
     }
 
     /// One forward step; returns the new hidden state and the cache needed

@@ -34,13 +34,11 @@
 mod encode;
 mod gru;
 mod linalg;
-mod lstm;
 mod model;
 mod vocab;
 
 pub use encode::{encode_patch, patch_token_texts, TokenSequence};
 pub use gru::GruCell;
-pub use lstm::LstmCell;
 pub use linalg::Mat;
-pub use model::{Backbone, RnnClassifier, RnnConfig};
+pub use model::{RnnClassifier, RnnConfig};
 pub use vocab::{Vocabulary, FIRST_FREE, MARK_ADD, MARK_CTX, MARK_DEL, PAD, UNK};

@@ -164,6 +164,16 @@ impl Param {
     }
 }
 
+/// The logistic function, split by sign so `exp` never overflows.
+pub(crate) fn sigmoid(z: f64) -> f64 {
+    if z >= 0.0 {
+        1.0 / (1.0 + (-z).exp())
+    } else {
+        let e = z.exp();
+        e / (1.0 + e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,9 +4,8 @@ use patchdb_rt::rng::SliceRandom;
 use patchdb_rt::rng::Xoshiro256pp;
 
 use crate::encode::TokenSequence;
-use crate::gru::GruCell;
-use crate::linalg::{Mat, Param};
-use crate::lstm::LstmCell;
+use crate::gru::{GruCell, StepCache};
+use crate::linalg::{sigmoid, Mat, Param};
 
 /// Hyper-parameters of the RNN classifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,37 +40,16 @@ impl Default for RnnConfig {
     }
 }
 
-/// Which recurrent cell drives the classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backbone {
-    /// Gated recurrent unit (the default; matches the paper's "RNN").
-    Gru,
-    /// Long short-term memory, for architecture ablations.
-    Lstm,
-}
-
-#[derive(Debug, Clone)]
-enum Recurrent {
-    Gru(GruCell),
-    Lstm(LstmCell),
-}
-
-#[derive(Debug, Clone)]
-enum StepState {
-    Gru(crate::gru::StepCache),
-    Lstm(crate::lstm::LstmCache),
-}
-
-/// Embedding + recurrent cell + logistic binary classifier over token
-/// sequences.
+/// Embedding + GRU + logistic binary classifier over token sequences.
 ///
-/// Serializable: a trained model round-trips through serde (e.g. JSON),
-/// so classifiers can be trained once and shipped with a dataset release.
+/// Serializable: `patchdb_rt::json` writes every weight in
+/// shortest-round-trip form, so a trained model reads back bit-exactly
+/// and can be trained once and shipped with a dataset release.
 #[derive(Debug, Clone)]
 pub struct RnnClassifier {
     config: RnnConfig,
     embedding: Param,
-    cell: Recurrent,
+    cell: GruCell,
     head_w: Param,
     head_b: Param,
     step: usize,
@@ -87,31 +65,6 @@ patchdb_rt::impl_to_from_json!(RnnConfig {
     seed,
 });
 
-// Externally tagged, the serde encoding for data-carrying enum variants:
-// {"Gru": {...}} / {"Lstm": {...}}.
-impl patchdb_rt::json::ToJson for Recurrent {
-    fn write_json(&self, w: &mut patchdb_rt::json::Writer) {
-        w.begin_object();
-        match self {
-            Recurrent::Gru(cell) => w.field("Gru", cell),
-            Recurrent::Lstm(cell) => w.field("Lstm", cell),
-        }
-        w.end_object();
-    }
-}
-
-impl patchdb_rt::json::FromJson for Recurrent {
-    fn from_json(v: &patchdb_rt::json::Json) -> patchdb_rt::json::Result<Self> {
-        if let Some(body) = v.get("Gru") {
-            return Ok(Recurrent::Gru(patchdb_rt::json::FromJson::from_json(body)?));
-        }
-        if let Some(body) = v.get("Lstm") {
-            return Ok(Recurrent::Lstm(patchdb_rt::json::FromJson::from_json(body)?));
-        }
-        Err(patchdb_rt::json::JsonError::new("expected a Gru or Lstm variant object"))
-    }
-}
-
 patchdb_rt::impl_to_from_json!(RnnClassifier {
     config,
     embedding,
@@ -121,34 +74,13 @@ patchdb_rt::impl_to_from_json!(RnnClassifier {
     step,
 });
 
-fn sigmoid(z: f64) -> f64 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
-}
-
 impl RnnClassifier {
-    /// Creates a freshly initialized (untrained) GRU-backed model.
+    /// Creates a freshly initialized (untrained) model.
     pub fn new(config: RnnConfig) -> Self {
-        Self::with_backbone(config, Backbone::Gru)
-    }
-
-    /// Creates a model with an explicit recurrent backbone.
-    pub fn with_backbone(config: RnnConfig, backbone: Backbone) -> Self {
         let mut rng = Xoshiro256pp::seed_from_u64(config.seed);
         let embedding =
             Param::new(Mat::xavier(config.vocab_size, config.embed_dim, &mut rng));
-        let cell = match backbone {
-            Backbone::Gru => {
-                Recurrent::Gru(GruCell::new(config.embed_dim, config.hidden_dim, &mut rng))
-            }
-            Backbone::Lstm => {
-                Recurrent::Lstm(LstmCell::new(config.embed_dim, config.hidden_dim, &mut rng))
-            }
-        };
+        let cell = GruCell::new(config.embed_dim, config.hidden_dim, &mut rng);
         RnnClassifier {
             embedding,
             cell,
@@ -156,14 +88,6 @@ impl RnnClassifier {
             head_b: Param::new(Mat::zeros(1, 1)),
             step: 0,
             config,
-        }
-    }
-
-    /// Which backbone this model uses.
-    pub fn backbone(&self) -> Backbone {
-        match self.cell {
-            Recurrent::Gru(_) => Backbone::Gru,
-            Recurrent::Lstm(_) => Backbone::Lstm,
         }
     }
 
@@ -183,29 +107,14 @@ impl RnnClassifier {
         self.predict_proba(seq) >= 0.5
     }
 
-    fn forward(
-        &self,
-        seq: &TokenSequence,
-    ) -> (f64, Vec<f64>, Vec<(u32, StepState)>) {
+    fn forward(&self, seq: &TokenSequence) -> (f64, Vec<f64>, Vec<(u32, StepCache)>) {
         let mut h = vec![0.0; self.config.hidden_dim];
-        let mut c = vec![0.0; self.config.hidden_dim];
         let mut caches = Vec::new();
         for &id in seq.ids().iter().take(self.config.max_len) {
             let idx = (id as usize).min(self.config.vocab_size - 1);
-            let x = self.embedding.value.row(idx).to_vec();
-            match &self.cell {
-                Recurrent::Gru(cell) => {
-                    let (h2, cache) = cell.forward(&x, &h);
-                    h = h2;
-                    caches.push((idx as u32, StepState::Gru(cache)));
-                }
-                Recurrent::Lstm(cell) => {
-                    let (h2, c2, cache) = cell.forward(&x, &h, &c);
-                    h = h2;
-                    c = c2;
-                    caches.push((idx as u32, StepState::Lstm(cache)));
-                }
-            }
+            let (h2, cache) = self.cell.forward(self.embedding.value.row(idx), &h);
+            h = h2;
+            caches.push((idx as u32, cache));
         }
         let logit = self
             .head_w
@@ -221,12 +130,14 @@ impl RnnClassifier {
 
     /// Trains on `(sequence, label)` pairs with per-example Adam updates
     /// (matching the paper's small-dataset regime); returns the mean
-    /// binary-cross-entropy of the final epoch.
+    /// binary-cross-entropy of the final epoch over the non-empty
+    /// sequences, the only ones trained on.
     pub fn train(&mut self, data: &[(TokenSequence, bool)]) -> f64 {
         let _span = patchdb_rt::obs::span("nn.train");
         patchdb_rt::obs::counter_add("nn.epochs", self.config.epochs as u64);
         let mut rng = Xoshiro256pp::seed_from_u64(self.config.seed ^ 0xABCD);
         let mut order: Vec<usize> = (0..data.len()).collect();
+        let trained = data.iter().filter(|(seq, _)| !seq.is_empty()).count();
         let mut last_loss = 0.0;
         for _ in 0..self.config.epochs {
             let _epoch = patchdb_rt::obs::span("nn.epoch");
@@ -239,7 +150,7 @@ impl RnnClassifier {
                 }
                 loss_sum += self.train_one(seq, *label);
             }
-            last_loss = loss_sum / data.len().max(1) as f64;
+            last_loss = loss_sum / trained.max(1) as f64;
         }
         last_loss
     }
@@ -256,23 +167,10 @@ impl RnnClassifier {
         let mut dh: Vec<f64> =
             self.head_w.value.row(0).iter().map(|w| w * dlogit).collect();
 
-        // BPTT through the recurrent cell, scattering into the embedding.
-        let mut dc = vec![0.0; self.config.hidden_dim];
+        // BPTT through the GRU, scattering into the embedding.
         for (idx, cache) in caches.iter().rev() {
-            let dx = match (&mut self.cell, cache) {
-                (Recurrent::Gru(cell), StepState::Gru(cache)) => {
-                    let (dx, dh_prev) = cell.backward(&dh, cache);
-                    dh = dh_prev;
-                    dx
-                }
-                (Recurrent::Lstm(cell), StepState::Lstm(cache)) => {
-                    let (dx, dh_prev, dc_prev) = cell.backward(&dh, &dc, cache);
-                    dh = dh_prev;
-                    dc = dc_prev;
-                    dx
-                }
-                _ => unreachable!("cache kind always matches the backbone"),
-            };
+            let (dx, dh_prev) = self.cell.backward(&dh, cache);
+            dh = dh_prev;
             let row = self.embedding.grad.row_mut(*idx as usize);
             for (g, d) in row.iter_mut().zip(&dx) {
                 *g += d;
@@ -281,10 +179,7 @@ impl RnnClassifier {
 
         self.step += 1;
         self.embedding.adam_step(self.config.lr, self.step);
-        match &mut self.cell {
-            Recurrent::Gru(cell) => cell.adam_step(self.config.lr, self.step),
-            Recurrent::Lstm(cell) => cell.adam_step(self.config.lr, self.step),
-        }
+        self.cell.adam_step(self.config.lr, self.step);
         self.head_w.adam_step(self.config.lr, self.step);
         self.head_b.adam_step(self.config.lr, self.step);
         loss
@@ -365,17 +260,22 @@ mod tests {
     }
 
     #[test]
-    fn lstm_backbone_learns_too() {
-        let data = keyword_task(80);
-        let mut m = RnnClassifier::with_backbone(cfg(), Backbone::Lstm);
-        assert_eq!(m.backbone(), Backbone::Lstm);
-        m.train(&data);
-        let correct = data.iter().filter(|(s, y)| m.predict(s) == *y).count();
-        assert!(
-            correct as f64 / data.len() as f64 > 0.9,
-            "LSTM accuracy {}",
-            correct as f64 / data.len() as f64
-        );
+    fn loss_averages_over_trained_examples_only() {
+        // One epoch over identical examples, so shuffle order cannot
+        // change the weights; empty sequences are skipped and must not
+        // dilute the mean.
+        let config = RnnConfig { epochs: 1, ..cfg() };
+        let example = (TokenSequence::new(vec![5, 9, 6]), true);
+        let empty = (TokenSequence::new(vec![]), false);
+        let plain = vec![example.clone(); 6];
+        let mut padded = Vec::new();
+        for _ in 0..6 {
+            padded.push(example.clone());
+            padded.push(empty.clone());
+        }
+        let a = RnnClassifier::new(config).train(&plain);
+        let b = RnnClassifier::new(config).train(&padded);
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
     }
 
     #[test]
@@ -392,9 +292,8 @@ mod tests {
             // Floats are printed in shortest-round-trip form, so the
             // restored weights are bit-identical and predictions agree
             // exactly.
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        assert_eq!(model.backbone(), back.backbone());
     }
 
     #[test]

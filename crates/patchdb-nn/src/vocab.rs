@@ -57,11 +57,6 @@ impl Vocabulary {
     pub fn id(&self, token: &str) -> u32 {
         self.map.get(token).copied().unwrap_or(UNK)
     }
-
-    /// Number of learned (non-reserved) tokens.
-    pub fn learned(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +75,7 @@ mod tests {
         let s = streams();
         let refs: Vec<&[String]> = s.iter().map(Vec::as_slice).collect();
         let v = Vocabulary::build(refs.iter().copied(), 2);
-        assert_eq!(v.learned(), 2);
+        assert_eq!(v.size(), FIRST_FREE as usize + 2);
         // `if` and `(` (freq 2) beat `x`/`y` (freq 1); `)` ties `(` at 2 —
         // lexicographic tiebreak keeps `(` and `)`.
         assert_ne!(v.id("("), UNK);

@@ -1,13 +1,12 @@
 //! Property tests for the neural substrate: numerical stability of the
-//! recurrent cells, encoding bounds, and training determinism. Runs on
+//! recurrent cell, encoding bounds, and training determinism. Runs on
 //! `patchdb_rt::check`, the in-repo property harness.
 
 use patchdb_rt::check::check;
 use patchdb_rt::rng::Xoshiro256pp;
 
 use patchdb_nn::{
-    encode_patch, patch_token_texts, Backbone, GruCell, LstmCell, RnnClassifier, RnnConfig,
-    TokenSequence, Vocabulary,
+    encode_patch, patch_token_texts, GruCell, RnnClassifier, RnnConfig, TokenSequence, Vocabulary,
 };
 
 const CASES: u32 = 64;
@@ -31,34 +30,11 @@ fn gru_state_bounded() {
     });
 }
 
-/// LSTM hidden states stay in [-1, 1]; cell states stay finite.
-#[test]
-fn lstm_state_bounded() {
-    check("lstm_state_bounded", CASES, |g| {
-        let seed = g.u64();
-        let xs = g.vec_with(1, 29, |g| {
-            (0..4).map(|_| g.f64_in(-5.0, 5.0)).collect::<Vec<f64>>()
-        });
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let cell = LstmCell::new(4, 6, &mut rng);
-        let mut h = vec![0.0; 6];
-        let mut c = vec![0.0; 6];
-        for x in &xs {
-            let (h2, c2, _) = cell.forward(x, &h, &c);
-            h = h2;
-            c = c2;
-            assert!(h.iter().all(|v| v.is_finite() && v.abs() <= 1.0 + 1e-9));
-            assert!(c.iter().all(|v| v.is_finite()));
-        }
-    });
-}
-
 /// Classifier probabilities are valid for arbitrary token sequences,
 /// including out-of-vocabulary and empty ones.
 #[test]
 fn classifier_probability_valid() {
     check("classifier_probability_valid", CASES, |g| {
-        let backbone_lstm = g.bool();
         let ids = g.vec_with(0, 63, |g| g.u64_in(0, 9_999) as u32);
         let config = RnnConfig {
             vocab_size: 64,
@@ -69,8 +45,7 @@ fn classifier_probability_valid() {
             max_len: 32,
             seed: 5,
         };
-        let backbone = if backbone_lstm { Backbone::Lstm } else { Backbone::Gru };
-        let model = RnnClassifier::with_backbone(config, backbone);
+        let model = RnnClassifier::new(config);
         let p = model.predict_proba(&TokenSequence::new(ids));
         assert!(p.is_finite() && (0.0..=1.0).contains(&p));
     });

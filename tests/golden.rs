@@ -1,7 +1,7 @@
 //! Golden-file tests: the Table II round composition, the Table V
-//! pattern distribution and the JSON export's digest of fixed-seed
-//! builds are rendered to text and compared byte-for-byte against files
-//! under `tests/golden/`.
+//! pattern distribution, the JSON export's digest of fixed-seed builds
+//! and the predictions of an RNN trained on one are rendered to text and
+//! compared byte-for-byte against files under `tests/golden/`.
 //!
 //! On intentional pipeline changes, regenerate with:
 //!
@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use patchdb::{BuildOptions, PatchDb, ALL_CATEGORIES};
+use patchdb_nn::{encode_patch, patch_token_texts, RnnClassifier, RnnConfig, Vocabulary};
 
 const GOLDEN_SEED: u64 = 1234;
 
@@ -99,4 +100,47 @@ fn json_export_bytes_match_golden() {
         writeln!(out, "{seed}\t{}\t{:016x}", json.len(), fnv64(json.as_bytes())).unwrap();
     }
     assert_golden("json_export.txt", &out);
+}
+
+/// The Table IV/VI recurrent classifier, trained on a fixed-seed build:
+/// every bit of every prediction is pinned, so a refactor of the trainer
+/// must replay the same random-number stream (embedding, cell, head,
+/// shuffle) and the same arithmetic.
+#[test]
+fn rnn_training_matches_golden() {
+    let report = PatchDb::build(&BuildOptions::tiny(GOLDEN_SEED));
+    let db = &report.db;
+    let records: Vec<_> = db
+        .security_patches()
+        .map(|r| (r, true))
+        .chain(db.non_security.iter().map(|r| (r, false)))
+        .collect();
+    let streams: Vec<Vec<String>> =
+        records.iter().map(|(r, _)| patch_token_texts(&r.patch)).collect();
+    let vocab = Vocabulary::build(streams.iter().map(Vec::as_slice), 512);
+    let pairs: Vec<_> = records
+        .iter()
+        .map(|&(r, security)| (encode_patch(&r.patch, &vocab), security))
+        .collect();
+
+    let mut model = RnnClassifier::new(RnnConfig {
+        vocab_size: vocab.size(),
+        embed_dim: 8,
+        hidden_dim: 8,
+        epochs: 2,
+        lr: 8e-3,
+        max_len: 64,
+        seed: 9,
+    });
+    model.train(&pairs);
+    let bits: Vec<u8> = pairs
+        .iter()
+        .flat_map(|(seq, _)| model.predict_proba(seq).to_bits().to_le_bytes())
+        .collect();
+
+    let mut out = String::new();
+    writeln!(out, "# RnnClassifier trained on BuildOptions::tiny({GOLDEN_SEED})").unwrap();
+    writeln!(out, "# records\tfnv64 of predict_proba bits").unwrap();
+    writeln!(out, "{}\t{:016x}", pairs.len(), fnv64(&bits)).unwrap();
+    assert_golden("rnn_training.txt", &out);
 }

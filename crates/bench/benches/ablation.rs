@@ -17,7 +17,7 @@ use patchdb_features::{
 use patchdb_mine::{collect_wild, mine_nvd, sample_wild};
 use patchdb_nls::nearest_link_search;
 
-use patchdb_bench::{bench_options, bench_scale, print_table};
+use patchdb_bench::{bench_options, bench_scale, print_table, printed_pct, verdict};
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -122,5 +122,51 @@ fn main() {
     println!("\nexpected: the full method leads; unweighted distances degrade;");
     println!("kNN yields fewer (deduplicated) candidates at similar precision —");
     println!("the paper's point is that links maximize *distinct* candidates.");
+    print_claims(&rows);
     println!("\n[ablation completed in {:?}]", t0.elapsed());
+}
+
+/// "Similar precision" in the expectation above: within this many
+/// percentage points.
+const SIMILAR_PTS: f64 = 5.0;
+
+/// Prints, from the printed rows, whether each expectation held in this
+/// run. Rows are in push order: full method, unweighted, kNN, row-order.
+fn print_claims(rows: &[Vec<String>]) {
+    // (variant, candidates, security share in %) of one printed row.
+    let parsed: Vec<(&str, usize, f64)> = rows
+        .iter()
+        .map(|r| (r[0].as_str(), r[1].parse().expect("printed count"), printed_pct(&r[2])))
+        .collect();
+    let [full, unweighted, knn, row_order] = parsed[..] else {
+        panic!("four ablation rows");
+    };
+    println!("in this run (from the rows above):");
+    println!(
+        "  unweighted distances degrade: {:.0}% vs full {:.0}%: {}",
+        unweighted.2,
+        full.2,
+        verdict(unweighted.2 < full.2)
+    );
+    for other in [knn, row_order] {
+        println!(
+            "  full method leads {}: {:.0}% vs {:.0}%: {}",
+            other.0,
+            full.2,
+            other.2,
+            verdict(full.2 >= other.2)
+        );
+    }
+    println!(
+        "  kNN yields fewer candidates: {} vs {}: {}",
+        knn.1,
+        full.1,
+        verdict(knn.1 < full.1)
+    );
+    println!(
+        "  kNN at similar precision (within {SIMILAR_PTS:.0} pts): {:.0}% vs {:.0}%: {}",
+        knn.2,
+        full.2,
+        verdict((knn.2 - full.2).abs() <= SIMILAR_PTS)
+    );
 }

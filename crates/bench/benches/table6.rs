@@ -16,13 +16,16 @@
 //! | NVD+Wild  | RNN   | NVD  | 92.8%     | 60.2%  |
 //! | NVD+Wild  | RNN   | Wild | 92.3%     | 63.2%  |
 //!
-//! Expected shape here: (a) NVD-only models generalize poorly to the wild
+//! The paper's claim: (a) NVD-only models generalize poorly to the wild
 //! test set (recall gap); (b) adding the wild training data stabilizes
-//! performance across both test sets; (c) the RNN beats the RF.
+//! performance across both test sets; (c) the RNN beats the RF. After
+//! the table the bench prints, per comparable pair of its own rows,
+//! whether each part held in this run.
 
 use patchdb::PatchRecord;
 use patchdb_bench::{
-    build_experiment, build_vocab, features_dataset, print_table, rnn_pairs, split_records,
+    build_experiment, build_vocab, features_dataset, print_table, printed_pct, rnn_pairs,
+    split_records, verdict,
 };
 use patchdb_ml::{evaluate, Classifier, ConfusionMatrix, Metrics, RandomForest};
 use patchdb_nn::{RnnClassifier, RnnConfig, TokenSequence};
@@ -114,7 +117,53 @@ fn main() {
         &["Training Dataset", "Algorithm", "Test Dataset", "Precision", "Recall"],
         &rows,
     );
-    println!("\npaper shape: NVD-only models drop sharply on the wild test set;");
+    println!("\npaper's claim: NVD-only models drop sharply on the wild test set;");
     println!("NVD+Wild training is stable across both; RNN ≥ Random Forest.");
+    print_claims(&rows);
     println!("\n[table6 completed in {:?}]", t0.elapsed());
+}
+
+/// Prints, per comparable pair of the printed rows, whether each part of
+/// the paper's claim held in this run.
+fn print_claims(rows: &[Vec<String>]) {
+    // (precision, recall) of one printed row.
+    let row = |train: &str, algo: &str, test: &str| -> (f64, f64) {
+        let r = rows
+            .iter()
+            .find(|r| r[0] == train && r[1] == algo && r[2] == test)
+            .expect("every train × algorithm × test row is printed");
+        (printed_pct(&r[3]), printed_pct(&r[4]))
+    };
+    println!("in this run (from the rows above):");
+    for algo in ["Random Forest", "RNN"] {
+        let (nvd, wild) = (row("NVD", algo, "NVD").1, row("NVD", algo, "Wild").1);
+        println!(
+            "  wild drop, NVD-trained {algo}: recall {nvd:.1}% on NVD -> {wild:.1}% on Wild: {}",
+            verdict(wild < nvd)
+        );
+    }
+    for algo in ["Random Forest", "RNN"] {
+        let gap = |train: &str| (row(train, algo, "NVD").1 - row(train, algo, "Wild").1).abs();
+        let (alone, joint) = (gap("NVD"), gap("NVD+Wild"));
+        println!(
+            "  stability, {algo}: NVD-vs-Wild recall gap {alone:.1} pts (NVD-trained) -> \
+             {joint:.1} pts (NVD+Wild-trained): {}",
+            verdict(joint < alone)
+        );
+    }
+    for train in ["NVD", "NVD+Wild"] {
+        for test in ["NVD", "Wild"] {
+            let (rnn, rf) = (row(train, "RNN", test), row(train, "Random Forest", test));
+            println!(
+                "  RNN ≥ Random Forest, {train}-trained on {test}: precision {:.1}% vs {:.1}%: \
+                 {}; recall {:.1}% vs {:.1}%: {}",
+                rnn.0,
+                rf.0,
+                verdict(rnn.0 >= rf.0),
+                rnn.1,
+                rf.1,
+                verdict(rnn.1 >= rf.1)
+            );
+        }
+    }
 }

@@ -107,6 +107,23 @@ pub fn split_records<'a>(
     (shuffled, test)
 }
 
+/// The number behind a printed percentage cell (`"68.5%"` → `68.5`), so
+/// a footer's verdicts are computed from exactly the rows a reader sees.
+///
+/// # Panics
+///
+/// Panics when `cell` is not a number followed by `%`.
+pub fn printed_pct(cell: &str) -> f64 {
+    cell.strip_suffix('%')
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("not a printed percentage: {cell:?}"))
+}
+
+/// `"held"` or `"NOT held"` — a footer's verdict on one paper claim.
+pub fn verdict(held: bool) -> &'static str {
+    if held { "held" } else { "NOT held" }
+}
+
 /// Prints a fixed-width table like the paper's.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

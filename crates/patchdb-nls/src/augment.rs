@@ -25,7 +25,7 @@ use patchdb_features::{
 use patchdb_rt::{obs, par};
 
 use crate::index::WildIndex;
-use crate::search::{nearest_link_search_indexed, IndexMode, NlsConfig};
+use crate::search::{nearest_link_search_indexed, NlsConfig};
 
 /// One unlabeled pool ("Set I/II/III" in Table II) and how many rounds to
 /// run over it.
@@ -91,9 +91,9 @@ where
 ///   by the ids used in `pools`;
 /// * `pools` — the unlabeled sets and their round counts, processed in
 ///   order;
-/// * `config` — the nearest-link-search configuration; the index mode
-///   picks the candidate-generation machinery (output is identical in
-///   every mode);
+/// * `config` — the nearest-link-search configuration (threads,
+///   candidate-list length, cell count; output is identical under
+///   every one);
 /// * `verify` — the manual-verification oracle: given a wild index,
 ///   returns whether the commit is a security patch.
 ///
@@ -198,7 +198,7 @@ where
                     sec_w.push(apply_weights(v, w));
                 }
             }
-            if index.is_none() && config.index == IndexMode::Partitioned {
+            if index.is_none() {
                 let _s = obs::span("nls.index_build");
                 index = Some(WildIndex::build(&pool_w, config));
             }
@@ -307,8 +307,9 @@ mod tests {
     }
 
     /// The seed implementation (full clone + reweight + compact every
-    /// round) — the incremental masked driver must match it
-    /// output-for-output in every index mode.
+    /// round, linking through the serial Algorithm 1 loop) — the
+    /// incremental masked driver must match it output-for-output under
+    /// every configuration.
     fn augment_rounds_naive<F>(
         seed_features: &[FeatureVector],
         wild_features: &[FeatureVector],
@@ -339,7 +340,7 @@ mod tests {
                     security.iter().map(|v| apply_weights(v, &weights)).collect();
                 let pool_w: Vec<FeatureVector> =
                     pool_feats.iter().map(|v| apply_weights(v, &weights)).collect();
-                let links = crate::search::nearest_link_search(&sec_w, &pool_w);
+                let links = crate::search::nearest_link_search_serial(&sec_w, &pool_w);
                 let mut claimed: Vec<usize> = links.clone();
                 claimed.sort_unstable();
                 claimed.dedup();
@@ -396,12 +397,15 @@ mod tests {
             PoolSpec { name: "B".into(), members: (120..200).collect(), rounds: 2 },
         ];
         let naive = augment_rounds_naive(&seed, &wild, &pools, |i| truth[i]);
-        for mode in [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned] {
-            let cfg = NlsConfig::auto().index(mode);
-            let fast = augment_rounds_with(&seed, &wild, &pools, &cfg, |i| truth[i]);
-            assert_eq!(fast.1, naive.1, "{mode:?}: security partitions differ");
-            assert_eq!(fast.2, naive.2, "{mode:?}: non-security partitions differ");
-            assert_rounds_match(&fast.0, &naive.0, &format!("{mode:?}"));
+        for k_best in [1usize, 8] {
+            for cells in [0usize, 1, 64] {
+                let cfg = NlsConfig { k_best, cells, ..NlsConfig::auto() };
+                let fast = augment_rounds_with(&seed, &wild, &pools, &cfg, |i| truth[i]);
+                let tag = format!("k_best={k_best} cells={cells}");
+                assert_eq!(fast.1, naive.1, "{tag}: security partitions differ");
+                assert_eq!(fast.2, naive.2, "{tag}: non-security partitions differ");
+                assert_rounds_match(&fast.0, &naive.0, &tag);
+            }
         }
     }
 

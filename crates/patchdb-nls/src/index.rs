@@ -42,7 +42,7 @@
 //! unconditionally (no bound can fire while the k-best list is short),
 //! so the threshold the chain compares against starts tight.
 //!
-//! ## Why the indexed scan is byte-identical to the plain scan
+//! ## Why the indexed scan is byte-identical to the exhaustive scan
 //!
 //! Every layer skips only *provable losers*: candidates whose computed
 //! squared distance is guaranteed to exceed the current k-best
@@ -51,7 +51,7 @@
 //! exhaustive scan keeps, and `push_candidate` is visit-order
 //! independent, so the *order* in which cells are probed cannot change
 //! the output. Distance-space bounds carry the same
-//! [`PRUNE_SLACK`](crate::search) that guards the pruned scan's norm
+//! [`PRUNE_SLACK`](crate::search) that guards the k-means kernel's norm
 //! bound (sqrt-derived quantities are a few ulps loose), and the
 //! d²-space bars inflate by [`BOUND_CUSHION`] on top — orders of
 //! magnitude more slack than the rounding they absorb. NaN distances
@@ -62,14 +62,16 @@
 //!
 //! Construction is deterministic for any thread count: centroids are
 //! seeded from a fixed [`rt::rng`](patchdb_rt::rng) stream, Lloyd
-//! updates run serially over a fixed subsample, and the full-pool
-//! assignment reuses the (bitwise thread-invariant) pruned row scan.
+//! updates run serially over a fixed subsample, and every
+//! nearest-centroid assignment runs the (bitwise thread-invariant)
+//! norm-pruned kernel, [`nearest_centroids`].
 
 use patchdb_features::{FeatureVector, FEATURE_DIM};
+use patchdb_rt::par;
 use patchdb_rt::rng::Xoshiro256pp;
 
 use crate::search::{
-    early_exit_d2, norm, push_candidate, row_minima, threshold, IndexMode, NlsConfig, Probe,
+    early_exit_d2, init_pass, norm, push_candidate, threshold, NlsConfig, Probe, RowScan,
     PRUNE_SLACK,
 };
 
@@ -152,15 +154,9 @@ impl WildIndex {
     ///
     /// # Panics
     ///
-    /// Panics when `wild` is empty or `config.index` is not
-    /// [`IndexMode::Partitioned`] (the linear scans need no index).
+    /// Panics when `wild` is empty.
     pub fn build(wild: &[FeatureVector], config: &NlsConfig) -> WildIndex {
         assert!(!wild.is_empty(), "cannot index an empty pool");
-        assert!(
-            config.index == IndexMode::Partitioned,
-            "IndexMode::{:?} takes no index",
-            config.index
-        );
         let threads = config.threads.max(1);
         let n = wild.len();
         let k = effective_cells(config.cells, n);
@@ -177,12 +173,8 @@ impl WildIndex {
         let sample: Vec<FeatureVector> = idx[..sample_len].iter().map(|&i| wild[i as usize]).collect();
         let mut centroids: Vec<FeatureVector> = sample[..k].to_vec();
 
-        // Nearest-centroid assignment is exactly a k_best=1 pruned row
-        // scan with the centroids as the "pool" — reuse it: parallel,
-        // pruned, and already pinned bitwise thread-invariant.
-        let assign_cfg = NlsConfig { threads, k_best: 1, index: IndexMode::Pruned, cells: 0 };
         for _ in 0..LLOYD_ITERS {
-            let (_, assign) = row_minima(&sample, &centroids, &assign_cfg);
+            let (_, assign) = nearest_centroids(&sample, &centroids, threads);
             // Serial mean update in sample order: deterministic f64 sums.
             let mut sums = vec![[0.0f64; FEATURE_DIM]; k];
             let mut counts = vec![0usize; k];
@@ -205,7 +197,7 @@ impl WildIndex {
             }
         }
 
-        let (d2, assign) = row_minima(wild, &centroids, &assign_cfg);
+        let (d2, assign) = nearest_centroids(wild, &centroids, threads);
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut dists: Vec<Vec<f64>> = vec![Vec::new(); k];
         let mut radii = vec![0.0f64; k];
@@ -287,8 +279,8 @@ impl WildIndex {
         false
     }
 
-    /// The k-best `(d², index)` list of one query row — same contract as
-    /// the plain/pruned scans in `search.rs`, byte-identical output.
+    /// The k-best `(d², index)` list of one query row, optionally skipping
+    /// claimed rows — byte-identical to an exhaustive scan of the pool.
     ///
     /// The [`PROBES`] cells nearest the query are scanned unconditionally
     /// first (no bound can fire while the k-best list is empty, so spend
@@ -568,6 +560,100 @@ fn prefetch_row(rows: &[FeatureVector], pos: usize) {
     }
 }
 
+/// Each row's nearest centroid as `(d², centroid index)` — the k-means
+/// assignment kernel of [`WildIndex::build`]: a parallel `k = 1` init
+/// pass over the centroids through [`NormSorted`]. Bitwise
+/// thread-invariant, like every init pass.
+fn nearest_centroids(
+    rows: &[FeatureVector],
+    centroids: &[FeatureVector],
+    threads: usize,
+) -> (Vec<f64>, Vec<usize>) {
+    let kernel = NormSorted::new(centroids, threads);
+    let lists = init_pass(rows, threads, &kernel);
+    lists.iter().map(|l| (l[0].0, l[0].1)).unzip()
+}
+
+/// The centroids sorted by `(norm, index)`, for the norm-pruned
+/// nearest-centroid scan.
+struct NormSorted {
+    /// Centroid indices sorted by `(norm, index)` ascending.
+    order: Vec<usize>,
+    /// `‖centroids[order[i]]‖`, aligned with `order`.
+    sorted_norms: Vec<f64>,
+    /// `centroids[order[i]]`, physically reordered: the outward scan then
+    /// reads two sequential streams instead of hopping around the
+    /// original array.
+    sorted: Vec<FeatureVector>,
+}
+
+impl NormSorted {
+    fn new(centroids: &[FeatureVector], threads: usize) -> NormSorted {
+        let norms = par::map_chunked(centroids, threads, norm);
+        let mut order: Vec<usize> = (0..centroids.len()).collect();
+        order.sort_by(|&a, &b| norms[a].total_cmp(&norms[b]).then(a.cmp(&b)));
+        let sorted_norms = order.iter().map(|&i| norms[i]).collect();
+        let sorted = order.iter().map(|&i| centroids[i]).collect();
+        NormSorted { order, sorted_norms, sorted }
+    }
+}
+
+impl RowScan for NormSorted {
+    /// Expands outward from the query's position in the norm ordering;
+    /// each side stops for good once its norm gap `|‖q‖−‖c‖|` alone
+    /// proves every remaining centroid a loser. Survivors run the
+    /// early-exit kernel.
+    fn scan_row<P: Probe>(&self, query: &FeatureVector, probe: &mut P) -> Vec<(f64, usize)> {
+        const K: usize = 1;
+        let sn = norm(query);
+        let n_count = self.order.len();
+        let mut list: Vec<(f64, usize)> = Vec::with_capacity(K);
+        let start = self.sorted_norms.partition_point(|&w| w < sn);
+        let mut left = start;
+        let mut right = start;
+        loop {
+            let tau = threshold(&list, K);
+            let left_gap = if left > 0 { Some(sn - self.sorted_norms[left - 1]) } else { None };
+            let right_gap =
+                if right < n_count { Some(self.sorted_norms[right] - sn) } else { None };
+            let (pos, gap, from_left) = match (left_gap, right_gap) {
+                (Some(lg), Some(rg)) if lg <= rg => (left - 1, lg, true),
+                (Some(lg), None) => (left - 1, lg, true),
+                (_, Some(rg)) => (right, rg, false),
+                (None, None) => break,
+            };
+            if gap * gap * PRUNE_SLACK > tau {
+                // The gap only grows in this direction; retire the side.
+                if from_left {
+                    probe.pruned(left as u64);
+                    left = 0;
+                    if right >= n_count {
+                        break;
+                    }
+                } else {
+                    probe.pruned((n_count - right) as u64);
+                    right = n_count;
+                    if left == 0 {
+                        break;
+                    }
+                }
+                continue;
+            }
+            probe.evaluated();
+            match early_exit_d2(query, &self.sorted[pos], tau) {
+                Some(d2) => push_candidate(&mut list, K, d2, self.order[pos]),
+                None => probe.early_exited(),
+            }
+            if from_left {
+                left -= 1;
+            } else {
+                right += 1;
+            }
+        }
+        list
+    }
+}
+
 /// Resolves the `cells` knob: 0 = auto (`√N`), clamped to
 /// `[1, min(N, 4096)]` so tiny pools degenerate gracefully and huge
 /// pools keep the per-query cell sweep cheap.
@@ -579,9 +665,16 @@ fn effective_cells(cells: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::tests::serial_init;
     use crate::search::NoProbe;
     use patchdb_features::squared_euclidean;
+    use patchdb_rt::check::{check, Gen};
     use patchdb_rt::rng::Xoshiro256pp;
+
+    /// Single-threaded, argmin-only, with the given cell count.
+    fn serial(cells: usize) -> NlsConfig {
+        NlsConfig { threads: 1, k_best: 1, cells }
+    }
 
     fn rand_pool(seed: u64, count: usize) -> Vec<FeatureVector> {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -607,7 +700,7 @@ mod tests {
     #[test]
     fn every_row_lands_in_exactly_one_cell() {
         let pool = rand_pool(5, 233);
-        let ix = WildIndex::build(&pool, &NlsConfig::serial().index(IndexMode::Partitioned));
+        let ix = WildIndex::build(&pool, &serial(0));
         let mut seen: Vec<u32> = ix.cells.iter().flat_map(|c| c.members.iter().copied()).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..pool.len() as u32).collect::<Vec<_>>());
@@ -618,7 +711,7 @@ mod tests {
         let pool = rand_pool(6, 180);
         let queries = rand_pool(7, 12);
         for cells in [0usize, 1, 3, 64] {
-            let cfg = NlsConfig { index: IndexMode::Partitioned, cells, ..NlsConfig::serial() };
+            let cfg = serial(cells);
             let ix = WildIndex::build(&pool, &cfg);
             for q in &queries {
                 for k in [1usize, 4, 9] {
@@ -637,7 +730,7 @@ mod tests {
     #[test]
     fn masked_rows_never_surface() {
         let pool = rand_pool(8, 96);
-        let ix = WildIndex::build(&pool, &NlsConfig::serial().index(IndexMode::Partitioned));
+        let ix = WildIndex::build(&pool, &serial(0));
         let used: Vec<bool> = (0..pool.len()).map(|i| i % 3 == 0).collect();
         let q = &rand_pool(9, 1)[0];
         let got = ix.scan_row(q, 5, Some(&used), &mut NoProbe);
@@ -655,7 +748,7 @@ mod tests {
     #[test]
     fn side_tables_are_consistent_with_the_pool() {
         let pool = rand_pool(12, 160);
-        let cfg = NlsConfig { index: IndexMode::Partitioned, cells: 5, ..NlsConfig::serial() };
+        let cfg = serial(5);
         let ix = WildIndex::build(&pool, &cfg);
         assert_eq!(ix.cells.len(), ix.centroids.len());
         assert_eq!(ix.cells.len(), ix.cent_norms.len());
@@ -700,6 +793,41 @@ mod tests {
             assert!(ix.rad_before[i + 1] >= ix.radii[c] && ix.rad_before[i + 1] >= ix.rad_before[i]);
             assert!(ix.rad_after[i] >= ix.radii[c] && ix.rad_after[i] >= ix.rad_after[i + 1]);
         }
+    }
+
+    /// The k-means assignment kernel equals the literal Algorithm 1 init
+    /// pass bit for bit at every thread count, including on tie-heavy
+    /// instances drawn from a small palette (exact distance ties and
+    /// equal norms).
+    #[test]
+    fn nearest_centroids_bitwise_stable() {
+        check("nearest_centroids_bitwise_stable", 128, |g| {
+            let point = |g: &mut Gen| {
+                let mut v = FeatureVector::zero();
+                for x in v.as_mut_slice().iter_mut().take(3) {
+                    *x = g.f64_in(-10.0, 10.0);
+                }
+                v
+            };
+            let palette: Vec<FeatureVector> = (0..g.usize_in(3, 8)).map(|_| point(g)).collect();
+            let tie_heavy = g.bool();
+            let draw = |g: &mut Gen, n: usize| -> Vec<FeatureVector> {
+                (0..n)
+                    .map(|_| if tie_heavy { palette[g.index(palette.len())] } else { point(g) })
+                    .collect()
+            };
+            let (nr, nc) = (g.usize_in(1, 40), g.usize_in(1, 12));
+            let rows = draw(g, nr);
+            let centroids = draw(g, nc);
+            let (want_d2, want) = serial_init(&rows, &centroids);
+            for threads in [1usize, 2, 8] {
+                let (d2, got) = nearest_centroids(&rows, &centroids, threads);
+                assert_eq!(want, got, "argmin drift: threads={threads}");
+                for (a, b) in want_d2.iter().zip(&d2) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "distance drift: threads={threads}");
+                }
+            }
+        });
     }
 
     #[test]

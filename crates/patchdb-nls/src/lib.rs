@@ -37,6 +37,6 @@ pub use baselines::{
 pub use index::WildIndex;
 pub use search::{
     nearest_link_search, nearest_link_search_indexed, nearest_link_search_matrix,
-    nearest_link_search_serial, nearest_link_search_with, row_minima, row_minima_indexed,
-    total_link_distance, IndexMode, NlsConfig,
+    nearest_link_search_serial, nearest_link_search_with, row_minima, total_link_distance,
+    NlsConfig,
 };

@@ -8,9 +8,11 @@
 //!
 //! ## How the fast path stays byte-identical to Algorithm 1
 //!
-//! The production entry point ([`nearest_link_search`]) parallelizes the
-//! `O(M·N)` init pass and prunes distance work, yet returns exactly what
-//! the faithful serial loop ([`nearest_link_search_serial`]) returns:
+//! The production entry point ([`nearest_link_search`]) generates each
+//! row's candidates through a [`WildIndex`] partition of the pool, fans
+//! the `O(M·N)` init pass out across threads, and prunes distance work,
+//! yet returns exactly what the faithful serial loop
+//! ([`nearest_link_search_serial`]) returns:
 //!
 //! * **Squared distances.** All comparisons happen on squared Euclidean
 //!   distances — the exact sum the hardware computes *before* the
@@ -20,15 +22,15 @@
 //!   k-best candidates are the k smallest `(d², wild index)` pairs under
 //!   lexicographic order — a well-defined set regardless of scan order or
 //!   thread count. Rows fan out across threads with
-//!   `patchdb_rt::par::map_chunked_indexed`, which reassembles results in
-//!   row order.
-//! * **Pruning only skips provable losers.** The norm lower bound
-//!   `d ≥ |‖s‖−‖w‖|` and the early-exit partial sums only discard
-//!   candidates whose squared distance provably exceeds the current k-th
-//!   best, so the surviving k-best set is identical. The norm bound keeps
-//!   a tiny relative slack ([`PRUNE_SLACK`]) to absorb the rounding in
-//!   the precomputed norms; early-exit partial sums are exact prefixes of
-//!   the final sum and need no slack.
+//!   `patchdb_rt::par::map_chunked`, which reassembles results in row
+//!   order.
+//! * **Pruning only skips provable losers.** The index's cell and window
+//!   bounds and the early-exit partial sums only discard candidates whose
+//!   squared distance provably exceeds the current k-th best, so the
+//!   surviving k-best set is identical. Bounds derived from rounded
+//!   norms and distances keep a tiny relative slack ([`PRUNE_SLACK`]);
+//!   early-exit partial sums are exact prefixes of the final sum and
+//!   need no slack.
 //! * **Ties break on the smaller index, everywhere.** This reproduces
 //!   the serial first-hit-wins scan and the `min_by` "first minimum"
 //!   rule, and makes the result independent of candidate visit order.
@@ -51,27 +53,6 @@ pub(crate) const PRUNE_SLACK: f64 = 1.0 - 1e-9;
 /// Dimensions accumulated between early-exit threshold checks.
 pub(crate) const EARLY_EXIT_STRIDE: usize = 15;
 
-/// Which candidate-generation machinery the init pass (and the collision
-/// rescans) run on — the one wall-time switch of the search. Output
-/// bytes are identical in every mode: the pruned and partitioned modes
-/// only skip candidates whose squared distance *provably* exceeds the
-/// current k-best threshold, and evaluate every survivor with the exact
-/// f64 kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// Linear scan evaluating every pool row in index order — the
-    /// literal Algorithm 1 init pass (the bench baselines run it).
-    Scan,
-    /// Linear scan outward from the query's norm in norm-sorted order,
-    /// retiring each side once the norm gap `|‖s‖−‖w‖|` proves it out of
-    /// reach, with early-exit partial sums. No index is built.
-    Pruned,
-    /// Coarse k-means partition: only cells whose centroid-distance
-    /// bound can beat the current k-best are scanned, each through a
-    /// window over its members' centroid distances (see [`WildIndex`]).
-    Partitioned,
-}
-
 /// How the nearest link search runs; output is identical for every
 /// configuration, only wall time changes.
 #[derive(Debug, Clone)]
@@ -84,37 +65,17 @@ pub struct NlsConfig {
     /// list and fall back to a masked rescan only when all entries are
     /// claimed. Clamped to at least 1.
     pub k_best: usize,
-    /// Candidate-generation machinery (see [`IndexMode`]).
-    pub index: IndexMode,
-    /// Partition cell count for [`IndexMode::Partitioned`]; `0` = auto
-    /// (`√N`, clamped to `[1, min(N, 4096)]`).
+    /// [`WildIndex`] cell count; `0` = auto (`√N`, clamped to
+    /// `[1, min(N, 4096)]`).
     pub cells: usize,
 }
 
 impl NlsConfig {
-    /// The production configuration: partitioned-index candidate
-    /// generation over auto-sized cells and the worker count from
-    /// `PATCHDB_THREADS` / available parallelism (capped at 16).
+    /// The production configuration: auto-sized cells, 8-entry candidate
+    /// lists, and the worker count from `PATCHDB_THREADS` / available
+    /// parallelism (capped at 16).
     pub fn auto() -> NlsConfig {
-        NlsConfig {
-            threads: par::configured_threads(16),
-            k_best: 8,
-            index: IndexMode::Partitioned,
-            cells: 0,
-        }
-    }
-
-    /// Single-threaded, unpruned, unindexed, no candidate lists — the
-    /// closest configuration to the literal Algorithm 1 loop (used as
-    /// the bench baseline).
-    pub fn serial() -> NlsConfig {
-        NlsConfig { threads: 1, k_best: 1, index: IndexMode::Scan, cells: 0 }
-    }
-
-    /// Sets [`IndexMode`] (builder style).
-    pub fn index(mut self, index: IndexMode) -> NlsConfig {
-        self.index = index;
-        self
+        NlsConfig { threads: par::configured_threads(16), k_best: 8, cells: 0 }
     }
 }
 
@@ -124,8 +85,8 @@ impl Default for NlsConfig {
     }
 }
 
-/// Runs nearest link search matrix-free with the production (parallel,
-/// pruned) configuration. See [`nearest_link_search_with`].
+/// Runs nearest link search matrix-free with the production
+/// configuration ([`NlsConfig::auto`]). See [`nearest_link_search_with`].
 ///
 /// Returns `c`, where `c[m]` is the index of the wild patch linked to
 /// security patch `m`. Every returned index is distinct.
@@ -141,7 +102,7 @@ pub fn nearest_link_search(security: &[FeatureVector], wild: &[FeatureVector]) -
 /// Runs nearest link search matrix-free under an explicit configuration.
 ///
 /// Faithful to Algorithm 1: per-row minima `U`/`V` are initialized in one
-/// (parallel, pruned) pass, then M iterations pick the global minimum
+/// (parallel, indexed) pass, then M iterations pick the global minimum
 /// row, resolving column collisions from the row's k-best candidate list
 /// with a masked rescan as the fallback (`l_{c_j} ← inf`). Worst-case
 /// `O(M·N + M·C·N)` where `C` is the number of collisions that exhaust
@@ -166,7 +127,7 @@ pub fn nearest_link_search_with(
 /// * `index` — a [`WildIndex`] built over this exact `wild` slice (the
 ///   augmentation driver builds one per pool and reuses it across rounds
 ///   while the learned weights stay identical). `None` builds one
-///   internally when `config.index` asks for it.
+///   internally from `config`.
 /// * `dead` — rows excluded from the search entirely (`dead[n] == true`
 ///   never links). The returned indices still address the full `wild`
 ///   slice. Masking dead rows is byte-equivalent to physically
@@ -199,55 +160,46 @@ pub fn nearest_link_search_indexed(
         alive,
         security.len()
     );
+    let built;
     let ws = {
         let _s = obs::span("nls.prep");
-        Workspace::new(security, wild, config, index, dead)
+        let index = match index {
+            Some(ix) => ix,
+            None => {
+                built = WildIndex::build(wild, config);
+                &built
+            }
+        };
+        assert_eq!(index.len(), wild.len(), "index was built over a different pool");
+        Workspace::new(security, index, config, dead)
     };
     let lists = {
         let _s = obs::span("nls.init");
-        ws.init_pass()
+        init_pass(security, ws.threads, &ws)
     };
     let _s = obs::span("nls.assign");
     ws.assign(lists)
 }
 
-/// The init pass alone (lines 1–3 of Algorithm 1): per-row minimum
-/// squared distance `U` and argmin column `V`, under `config`.
+/// The init pass alone (lines 1–3 of Algorithm 1) against a prebuilt
+/// [`WildIndex`]: per-row minimum squared distance `U` and argmin
+/// column `V`, under `config`'s thread count and list length.
 ///
-/// Exposed for the `perf_nls_scale` bench so the serial/parallel/pruned
-/// init variants can be timed in isolation; `U` holds squared distances.
+/// Exposed for the `perf_nls_scale` bench, which times the index build
+/// and this query sweep separately (the augmentation driver amortizes
+/// one build across all rounds of a pool); `U` holds squared distances.
 ///
 /// # Panics
 ///
-/// Panics when `security` or `wild` is empty.
+/// Panics when `security` is empty.
 pub fn row_minima(
     security: &[FeatureVector],
-    wild: &[FeatureVector],
-    config: &NlsConfig,
-) -> (Vec<f64>, Vec<usize>) {
-    assert!(!security.is_empty() && !wild.is_empty(), "empty NLS instance");
-    let ws = Workspace::new(security, wild, config, None, None);
-    let lists = ws.init_pass();
-    lists.iter().map(|l| (l[0].0, l[0].1)).unzip()
-}
-
-/// [`row_minima`] against a prebuilt [`WildIndex`] — the query-phase
-/// timing entry for the index modes in `perf_nls_scale` (building the
-/// index is timed separately; the augmentation driver amortizes one
-/// build across all rounds of a pool).
-///
-/// # Panics
-///
-/// Panics on an empty instance or an `index` not built over `wild`.
-pub fn row_minima_indexed(
-    security: &[FeatureVector],
-    wild: &[FeatureVector],
-    config: &NlsConfig,
     index: &WildIndex,
+    config: &NlsConfig,
 ) -> (Vec<f64>, Vec<usize>) {
-    assert!(!security.is_empty() && !wild.is_empty(), "empty NLS instance");
-    let ws = Workspace::new(security, wild, config, Some(index), None);
-    let lists = ws.init_pass();
+    assert!(!security.is_empty(), "empty NLS instance");
+    let ws = Workspace::new(security, index, config, None);
+    let lists = init_pass(security, ws.threads, &ws);
     lists.iter().map(|l| (l[0].0, l[0].1)).unzip()
 }
 
@@ -345,7 +297,8 @@ pub(crate) trait Probe {
     /// A started distance computation was abandoned by the partial-sum
     /// early exit.
     fn early_exited(&mut self);
-    /// `n` candidates were skipped wholesale by the norm lower bound.
+    /// `n` candidates were skipped wholesale by the norm lower bound (the
+    /// k-means assignment kernel only).
     fn pruned(&mut self, n: u64);
     /// `n` candidates were skipped because their column is claimed (or
     /// dead in a masked search).
@@ -425,228 +378,86 @@ impl ScanStats {
     }
 }
 
-/// The index of one search: borrowed from the caller (the augmentation
-/// driver reuses one across rounds) or built for this invocation.
-enum IndexHandle<'a> {
-    Owned(Box<WildIndex>),
-    Borrowed(&'a WildIndex),
+/// One row scan of an init pass: the k-best `(d², index)` list of one
+/// query row, with every candidate accounted to `probe`. Implemented by
+/// the search's [`Workspace`] (through the [`WildIndex`]) and by the
+/// k-means assignment kernel inside [`WildIndex::build`].
+pub(crate) trait RowScan: Sync {
+    /// The query's k-best list, ascending by `(d², index)`.
+    fn scan_row<P: Probe>(&self, query: &FeatureVector, probe: &mut P) -> Vec<(f64, usize)>;
 }
 
-impl IndexHandle<'_> {
-    fn get(&self) -> &WildIndex {
-        match self {
-            IndexHandle::Owned(ix) => ix,
-            IndexHandle::Borrowed(ix) => ix,
-        }
+/// Per-row k-best candidate lists of `rows` under `scan`, rows fanned
+/// across `threads`.
+///
+/// With tracing on, each row also returns its scan tallies; the rows
+/// come back in input order (`map_chunked` reassembles them that way),
+/// so the per-worker shards are merged in spawn order —
+/// deterministically — before one flush into the registry.
+pub(crate) fn init_pass<S: RowScan>(
+    rows: &[FeatureVector],
+    threads: usize,
+    scan: &S,
+) -> Vec<Vec<(f64, usize)>> {
+    if !obs::enabled() {
+        return par::map_chunked(rows, threads, |q| scan.scan_row(q, &mut NoProbe));
     }
+    let scanned: Vec<(Vec<(f64, usize)>, ScanStats)> = par::map_chunked(rows, threads, |q| {
+        let mut stats = ScanStats::default();
+        let list = scan.scan_row(q, &mut stats);
+        (list, stats)
+    });
+    let mut total = ScanStats::default();
+    let mut per_row = obs::Hist::default();
+    let mut lists = Vec::with_capacity(scanned.len());
+    for (list, stats) in scanned {
+        total.merge(stats);
+        per_row.record(stats.evaluated);
+        lists.push(list);
+    }
+    total.flush();
+    obs::counter_add("nls.rows", lists.len() as u64);
+    obs::hist_merge("nls.row_dist_evaluated", &per_row);
+    lists
 }
 
-/// Shared state of one search invocation: the inputs plus (when pruning)
-/// per-vector norms and the wild indices sorted by norm, or (when
-/// partitioned) the pool index.
+/// Shared state of one search invocation: the security rows, the pool
+/// index, and the dead-row mask.
 struct Workspace<'a> {
     security: &'a [FeatureVector],
-    wild: &'a [FeatureVector],
+    index: &'a WildIndex,
     k_best: usize,
     threads: usize,
-    prune: bool,
-    /// Partition index ([`IndexMode::Partitioned`] only).
-    index: Option<IndexHandle<'a>>,
     /// Rows excluded from the search entirely (masked searches).
     dead: Option<&'a [bool]>,
-    /// `‖security[m]‖` per row (pruning only).
-    sec_norms: Vec<f64>,
-    /// Wild indices sorted by `(norm, index)` ascending (pruning only).
-    order: Vec<usize>,
-    /// `‖wild[order[i]]‖`, aligned with `order` (pruning only).
-    sorted_norms: Vec<f64>,
-    /// `wild[order[i]]`, physically reordered (pruning only): the
-    /// outward scan then reads two sequential streams instead of hopping
-    /// around the original array, which at 100K-patch pool sizes is the
-    /// difference between prefetched loads and a cache miss per
-    /// candidate.
-    sorted_wild: Vec<FeatureVector>,
+}
+
+impl RowScan for Workspace<'_> {
+    fn scan_row<P: Probe>(&self, query: &FeatureVector, probe: &mut P) -> Vec<(f64, usize)> {
+        self.index.scan_row(query, self.k_best, self.dead, probe)
+    }
 }
 
 impl<'a> Workspace<'a> {
     fn new(
         security: &'a [FeatureVector],
-        wild: &'a [FeatureVector],
+        index: &'a WildIndex,
         config: &NlsConfig,
-        prebuilt: Option<&'a WildIndex>,
         dead: Option<&'a [bool]>,
     ) -> Self {
-        let threads = config.threads.max(1);
-        let index = match (config.index, prebuilt) {
-            (IndexMode::Scan | IndexMode::Pruned, _) => None,
-            (IndexMode::Partitioned, Some(ix)) => {
-                assert_eq!(ix.len(), wild.len(), "index was built over a different pool");
-                Some(IndexHandle::Borrowed(ix))
-            }
-            (IndexMode::Partitioned, None) => {
-                Some(IndexHandle::Owned(Box::new(WildIndex::build(wild, config))))
-            }
-        };
-        let prune = config.index == IndexMode::Pruned;
-        let (sec_norms, order, sorted_norms, sorted_wild) = if prune {
-            let sec_norms = par::map_chunked(security, threads, |v| norm(v));
-            let wild_norms = par::map_chunked(wild, threads, |v| norm(v));
-            let mut order: Vec<usize> = (0..wild.len()).collect();
-            order.sort_by(|&a, &b| wild_norms[a].total_cmp(&wild_norms[b]).then(a.cmp(&b)));
-            let sorted_norms: Vec<f64> = order.iter().map(|&i| wild_norms[i]).collect();
-            let sorted_wild: Vec<FeatureVector> = order.iter().map(|&i| wild[i]).collect();
-            (sec_norms, order, sorted_norms, sorted_wild)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
-        };
         Workspace {
             security,
-            wild,
-            k_best: config.k_best.max(1),
-            threads,
-            prune,
             index,
+            k_best: config.k_best.max(1),
+            threads: config.threads.max(1),
             dead,
-            sec_norms,
-            order,
-            sorted_norms,
-            sorted_wild,
         }
-    }
-
-    /// Per-row k-best candidate lists, rows fanned across threads.
-    ///
-    /// With tracing on, each row also returns its scan tallies; the rows
-    /// come back in input order (`map_chunked_indexed` reassembles them
-    /// that way), so the per-worker shards are merged in spawn order —
-    /// deterministically — before one flush into the registry.
-    fn init_pass(&self) -> Vec<Vec<(f64, usize)>> {
-        if !obs::enabled() {
-            return par::map_chunked_indexed(self.security, self.threads, |m, _| {
-                self.scan_row(m, self.dead, &mut NoProbe)
-            });
-        }
-        let rows: Vec<(Vec<(f64, usize)>, ScanStats)> =
-            par::map_chunked_indexed(self.security, self.threads, |m, _| {
-                let mut stats = ScanStats::default();
-                let list = self.scan_row(m, self.dead, &mut stats);
-                (list, stats)
-            });
-        let mut total = ScanStats::default();
-        let mut per_row = obs::Hist::default();
-        let mut lists = Vec::with_capacity(rows.len());
-        for (list, stats) in rows {
-            total.merge(stats);
-            per_row.record(stats.evaluated);
-            lists.push(list);
-        }
-        total.flush();
-        obs::counter_add("nls.rows", lists.len() as u64);
-        obs::hist_merge("nls.row_dist_evaluated", &per_row);
-        lists
-    }
-
-    /// The k smallest `(d², index)` pairs of row `m`, optionally skipping
-    /// claimed columns. Visit-order independent by the lexicographic tie
-    /// rule, so the pruned and plain scans agree exactly.
-    fn scan_row<P: Probe>(&self, m: usize, used: Option<&[bool]>, probe: &mut P) -> Vec<(f64, usize)> {
-        if let Some(ix) = &self.index {
-            return ix.get().scan_row(&self.security[m], self.k_best, used, probe);
-        }
-        if self.prune {
-            self.scan_row_pruned(m, used, probe)
-        } else {
-            self.scan_row_plain(m, used, probe)
-        }
-    }
-
-    fn scan_row_plain<P: Probe>(
-        &self,
-        m: usize,
-        used: Option<&[bool]>,
-        probe: &mut P,
-    ) -> Vec<(f64, usize)> {
-        let sec = &self.security[m];
-        let mut list: Vec<(f64, usize)> = Vec::with_capacity(self.k_best);
-        for (n, w) in self.wild.iter().enumerate() {
-            if used.is_some_and(|u| u[n]) {
-                probe.masked(1);
-                continue;
-            }
-            probe.evaluated();
-            push_candidate(&mut list, self.k_best, squared_euclidean(sec, w), n);
-        }
-        list
-    }
-
-    fn scan_row_pruned<P: Probe>(
-        &self,
-        m: usize,
-        used: Option<&[bool]>,
-        probe: &mut P,
-    ) -> Vec<(f64, usize)> {
-        let sec = &self.security[m];
-        let sn = self.sec_norms[m];
-        let n_count = self.order.len();
-        let mut list: Vec<(f64, usize)> = Vec::with_capacity(self.k_best);
-
-        // Expand outward from the security row's position in the norm
-        // ordering; each side stops for good once its norm gap alone
-        // proves every remaining candidate is a loser.
-        let start = self.sorted_norms.partition_point(|&w| w < sn);
-        let mut left = start;
-        let mut right = start;
-        loop {
-            let tau = threshold(&list, self.k_best);
-            let left_gap = if left > 0 { Some(sn - self.sorted_norms[left - 1]) } else { None };
-            let right_gap =
-                if right < n_count { Some(self.sorted_norms[right] - sn) } else { None };
-            let (pos, gap, from_left) = match (left_gap, right_gap) {
-                (Some(lg), Some(rg)) if lg <= rg => (left - 1, lg, true),
-                (Some(lg), None) => (left - 1, lg, true),
-                (_, Some(rg)) => (right, rg, false),
-                (None, None) => break,
-            };
-            if gap * gap * PRUNE_SLACK > tau {
-                // The gap only grows in this direction; retire the side.
-                if from_left {
-                    probe.pruned(left as u64);
-                    left = 0;
-                    if right >= n_count {
-                        break;
-                    }
-                } else {
-                    probe.pruned((n_count - right) as u64);
-                    right = n_count;
-                    if left == 0 {
-                        break;
-                    }
-                }
-                continue;
-            }
-            let idx = self.order[pos];
-            if used.is_some_and(|u| u[idx]) {
-                probe.masked(1);
-            } else {
-                probe.evaluated();
-                match early_exit_d2(sec, &self.sorted_wild[pos], tau) {
-                    Some(d2) => push_candidate(&mut list, self.k_best, d2, idx),
-                    None => probe.early_exited(),
-                }
-            }
-            if from_left {
-                left -= 1;
-            } else {
-                right += 1;
-            }
-        }
-        list
     }
 
     /// Masked full rescan of row `m` (Algorithm 1 lines 10–15): the
     /// minimum `(d², index)` over unclaimed columns.
     fn rescan<P: Probe>(&self, m: usize, used: &[bool], probe: &mut P) -> usize {
-        let saved = self.scan_row(m, Some(used), probe);
+        let saved = self.index.scan_row(&self.security[m], self.k_best, Some(used), probe);
         saved.first().map(|&(_, n)| n).expect("rescan with no unclaimed columns")
     }
 
@@ -663,7 +474,7 @@ impl<'a> Workspace<'a> {
         // like columns claimed earlier in the loop.
         let mut used = match self.dead {
             Some(d) => d.to_vec(),
-            None => vec![false; self.wild.len()],
+            None => vec![false; self.index.len()],
         };
         let mut assigned = vec![false; m_count];
         // Collision bookkeeping: local tallies (the adds are trivial next
@@ -712,8 +523,8 @@ impl<'a> Workspace<'a> {
     }
 }
 
-/// `‖v‖` — used only for the pruning lower bound, never for output
-/// values.
+/// `‖v‖` — used only for pruning bounds and the index's norm order,
+/// never for output values.
 pub(crate) fn norm(v: &FeatureVector) -> f64 {
     v.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt()
 }
@@ -846,7 +657,7 @@ pub fn total_link_distance(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use patchdb_rt::rng::Xoshiro256pp;
 
@@ -914,18 +725,39 @@ mod tests {
         let wild: Vec<FeatureVector> =
             (0..90).map(|_| palette[rng.gen_range(0..palette.len() as u64) as usize]).collect();
         let reference = nearest_link_search_serial(&sec, &wild);
-        for index in [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned] {
+        for cells in [0usize, 1, 4] {
             for threads in [1usize, 2, 8] {
                 for k_best in [1usize, 2, 8] {
-                    let cfg = NlsConfig { threads, k_best, index, ..NlsConfig::serial() };
+                    let cfg = NlsConfig { threads, k_best, cells };
                     assert_eq!(
                         nearest_link_search_with(&sec, &wild, &cfg),
                         reference,
-                        "index={index:?} threads={threads} k_best={k_best}"
+                        "cells={cells} threads={threads} k_best={k_best}"
                     );
                 }
             }
         }
+    }
+
+    /// The literal Algorithm 1 init pass (lines 1–3): first strict
+    /// minimum wins.
+    pub(crate) fn serial_init(
+        sec: &[FeatureVector],
+        wild: &[FeatureVector],
+    ) -> (Vec<f64>, Vec<usize>) {
+        sec.iter()
+            .map(|s| {
+                let (mut u, mut v) = (f64::INFINITY, 0usize);
+                for (n, w) in wild.iter().enumerate() {
+                    let d = squared_euclidean(s, w);
+                    if d < u {
+                        u = d;
+                        v = n;
+                    }
+                }
+                (u, v)
+            })
+            .unzip()
     }
 
     #[test]
@@ -935,15 +767,15 @@ mod tests {
             (0..20).map(|_| fv(&[rng.gen_range(-3.0..3.0), rng.gen()])).collect();
         let wild: Vec<FeatureVector> =
             (0..150).map(|_| fv(&[rng.gen_range(-3.0..3.0), rng.gen()])).collect();
-        let (serial_u, serial_v) = row_minima(&sec, &wild, &NlsConfig::serial());
+        let (serial_u, serial_v) = serial_init(&sec, &wild);
         for cfg in [
-            NlsConfig { threads: 4, k_best: 8, ..NlsConfig::serial() },
-            NlsConfig { threads: 4, k_best: 8, index: IndexMode::Pruned, ..NlsConfig::serial() },
-            NlsConfig { threads: 1, k_best: 2, index: IndexMode::Pruned, ..NlsConfig::serial() },
-            NlsConfig { k_best: 8, index: IndexMode::Partitioned, ..NlsConfig::serial() },
-            NlsConfig { threads: 4, k_best: 8, index: IndexMode::Partitioned, ..NlsConfig::serial() },
+            NlsConfig { threads: 1, k_best: 1, cells: 0 },
+            NlsConfig { threads: 4, k_best: 8, cells: 0 },
+            NlsConfig { threads: 1, k_best: 2, cells: 1 },
+            NlsConfig { threads: 4, k_best: 8, cells: 64 },
         ] {
-            let (u, v) = row_minima(&sec, &wild, &cfg);
+            let ix = WildIndex::build(&wild, &cfg);
+            let (u, v) = row_minima(&sec, &ix, &cfg);
             assert_eq!(serial_v, v, "argmin drift under {cfg:?}");
             for (a, b) in serial_u.iter().zip(&u) {
                 assert_eq!(a.to_bits(), b.to_bits(), "distance drift under {cfg:?}");

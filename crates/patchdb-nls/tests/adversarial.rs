@@ -1,4 +1,4 @@
-//! Adversarial-geometry corpus for the index modes: inputs chosen to
+//! Adversarial-geometry corpus for the partitioned search: inputs chosen to
 //! stress every tie-break and degenerate-partition path — all-identical
 //! rows, duplicate norms, exact distance ties, single-cell clusterings,
 //! pools smaller than the requested cell count, candidate lists longer
@@ -9,10 +9,12 @@
 use patchdb_features::{squared_euclidean, FeatureVector};
 use patchdb_nls::{
     nearest_link_search_indexed, nearest_link_search_matrix, nearest_link_search_serial,
-    nearest_link_search_with, IndexMode, NlsConfig,
+    nearest_link_search_with, NlsConfig,
 };
 
-const MODES: [IndexMode; 3] = [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned];
+/// Cell counts swept where a case does not fix its own: auto, one cell
+/// (an exhaustive blocked scan), and more cells than the pool has rows.
+const CELLS: [usize; 3] = [0, 1, 1000];
 
 fn fv(vals: &[f64]) -> FeatureVector {
     let mut v = FeatureVector::zero();
@@ -20,7 +22,7 @@ fn fv(vals: &[f64]) -> FeatureVector {
     v
 }
 
-/// Asserts every mode × knob combination equals the matrix oracle.
+/// Asserts every knob combination equals the matrix oracle.
 fn assert_oracle_agreement(sec: &[FeatureVector], wild: &[FeatureVector], tag: &str) {
     let matrix: Vec<Vec<f64>> = sec
         .iter()
@@ -28,14 +30,14 @@ fn assert_oracle_agreement(sec: &[FeatureVector], wild: &[FeatureVector], tag: &
         .collect();
     let oracle = nearest_link_search_matrix(&matrix);
     assert_eq!(oracle, nearest_link_search_serial(sec, wild), "{tag}: serial vs matrix");
-    for index in MODES {
+    for threads in [1usize, 2] {
         for cells in [0usize, 1, 2, 1000] {
             for k_best in [1usize, 4, 64] {
-                let cfg = NlsConfig { threads: 2, k_best, index, cells };
+                let cfg = NlsConfig { threads, k_best, cells };
                 assert_eq!(
                     nearest_link_search_with(sec, wild, &cfg),
                     oracle,
-                    "{tag}: index={index:?} cells={cells} k_best={k_best}"
+                    "{tag}: threads={threads} cells={cells} k_best={k_best}"
                 );
             }
         }
@@ -114,12 +116,12 @@ fn k_best_larger_than_pool() {
     // whole pool, collisions never rescan.
     let wild = vec![fv(&[0.0]), fv(&[0.5]), fv(&[1.0])];
     let sec = vec![fv(&[0.1]), fv(&[0.2]), fv(&[0.3])];
-    for index in MODES {
-        let cfg = NlsConfig { k_best: 100, index, ..NlsConfig::auto() };
+    for cells in CELLS {
+        let cfg = NlsConfig { k_best: 100, cells, ..NlsConfig::auto() };
         assert_eq!(
             nearest_link_search_with(&sec, &wild, &cfg),
             nearest_link_search_serial(&sec, &wild),
-            "{index:?}"
+            "cells={cells}"
         );
     }
 }
@@ -128,42 +130,40 @@ fn k_best_larger_than_pool() {
 fn nan_features_stay_safe_in_every_mode() {
     // NaN features poison distances. Byte-identity is only promised for
     // NaN-free inputs (a row whose candidates are *all* NaN has no
-    // well-defined nearest), but the robustness contract holds in every
-    // mode: the fast paths must never reject on a NaN bound comparison,
+    // well-defined nearest), but the robustness contract holds at every
+    // cell count: the bounds must never reject on a NaN comparison,
     // never panic, and still return valid distinct links.
     let mut bad = fv(&[1.0, 2.0]);
     bad.as_mut_slice()[2] = f64::NAN;
     let sec = vec![fv(&[0.0, 0.0]), bad];
     let wild = vec![fv(&[0.1, 0.0]), fv(&[5.0, 5.0]), bad, fv(&[0.2, 0.1])];
-    for index in MODES {
-        for cells in [0usize, 1, 2] {
-            let cfg = NlsConfig { index, cells, ..NlsConfig::auto() };
-            let links = nearest_link_search_with(&sec, &wild, &cfg);
-            assert_eq!(links.len(), sec.len(), "index={index:?} cells={cells}");
-            assert!(links.iter().all(|&n| n < wild.len()), "index={index:?} cells={cells}");
-            assert_ne!(links[0], links[1], "index={index:?} cells={cells}");
-            // The finite security row has a unique finite nearest
-            // neighbor (wild 0 at d²=0.01); no mode may lose it to a
-            // NaN-confused bound.
-            assert_eq!(links[0], 0, "index={index:?} cells={cells}");
-        }
+    for cells in [0usize, 1, 2] {
+        let cfg = NlsConfig { cells, ..NlsConfig::auto() };
+        let links = nearest_link_search_with(&sec, &wild, &cfg);
+        assert_eq!(links.len(), sec.len(), "cells={cells}");
+        assert!(links.iter().all(|&n| n < wild.len()), "cells={cells}");
+        assert_ne!(links[0], links[1], "cells={cells}");
+        // The finite security row has a unique finite nearest neighbor
+        // (wild 0 at d²=0.01); no bound may lose it to a NaN-confused
+        // comparison.
+        assert_eq!(links[0], 0, "cells={cells}");
     }
 }
 
 #[test]
 fn heavily_masked_pool_matches_compacted_oracle() {
     // Kill all but sec.len() rows: the masked search has zero slack and
-    // must land exactly on the surviving columns, through every mode.
+    // must land exactly on the surviving columns, at every cell count.
     let wild: Vec<FeatureVector> =
         (0..20).map(|i| fv(&[i as f64, (i * i % 7) as f64])).collect();
     let sec = vec![fv(&[3.3, 1.0]), fv(&[11.0, 2.0]), fv(&[16.2, 0.0])];
     let dead: Vec<bool> = (0..wild.len()).map(|i| ![4, 11, 17].contains(&i)).collect();
-    for index in MODES {
-        let cfg = NlsConfig { index, ..NlsConfig::auto() };
+    for cells in CELLS {
+        let cfg = NlsConfig { cells, ..NlsConfig::auto() };
         let links = nearest_link_search_indexed(&sec, &wild, &cfg, None, Some(&dead));
         let mut claimed = links.clone();
         claimed.sort_unstable();
-        assert_eq!(claimed, vec![4, 11, 17], "{index:?}: must claim every live column");
+        assert_eq!(claimed, vec![4, 11, 17], "cells={cells}: must claim every live column");
     }
 }
 

@@ -8,10 +8,13 @@ use patchdb_features::{euclidean, squared_euclidean, FeatureVector};
 use patchdb_nls::{
     nearest_link_search, nearest_link_search_indexed, nearest_link_search_matrix,
     nearest_link_search_serial, nearest_link_search_with, row_minima, total_link_distance,
-    IndexMode, NlsConfig, WildIndex,
+    NlsConfig, WildIndex,
 };
 
-const MODES: [IndexMode; 3] = [IndexMode::Scan, IndexMode::Pruned, IndexMode::Partitioned];
+/// Cell counts the masked-search property sweeps: auto, one cell (an
+/// exhaustive blocked scan), and more cells than most generated pools
+/// have rows.
+const CELLS: [usize; 3] = [0, 1, 64];
 
 const CASES: u32 = 128;
 
@@ -72,11 +75,10 @@ fn palette_points(g: &mut Gen, palette: &[FeatureVector], min: usize, max: usize
     (0..n).map(|_| palette[g.index(palette.len())]).collect()
 }
 
-/// The parallel + pruned + indexed search equals the faithful serial
-/// Algorithm 1 loop *and* the explicit-matrix reference for every
-/// configuration — index modes Scan/Pruned/Partitioned, thread counts
-/// 1/2/8, several candidate-list lengths and cell counts — including on
-/// tie-heavy instances.
+/// The parallel indexed search equals the faithful serial Algorithm 1
+/// loop *and* the explicit-matrix reference for every configuration —
+/// thread counts 1/2/8, several candidate-list lengths and cell counts —
+/// including on tie-heavy instances.
 #[test]
 fn configs_agree_with_serial_and_matrix() {
     check("configs_agree_with_serial_and_matrix", CASES, |g| {
@@ -92,26 +94,25 @@ fn configs_agree_with_serial_and_matrix() {
             .map(|s| wild.iter().map(|w| squared_euclidean(s, w)).collect())
             .collect();
         assert_eq!(reference, nearest_link_search_matrix(&matrix), "serial vs matrix");
-        // Each case draws one cell count; the mode × threads × k_best
-        // grid is swept exhaustively within it.
+        // Each case draws one cell count; the threads × k_best grid is
+        // swept exhaustively within it.
         let cells = g.usize_in(0, 6);
-        for index in MODES {
-            for threads in [1usize, 2, 8] {
-                for k_best in [1usize, 4] {
-                    let cfg = NlsConfig { threads, k_best, index, cells };
-                    assert_eq!(
-                        nearest_link_search_with(&sec, &wild, &cfg),
-                        reference,
-                        "index={index:?} threads={threads} k_best={k_best} cells={cells}"
-                    );
-                }
+        for threads in [1usize, 2, 8] {
+            for k_best in [1usize, 4] {
+                let cfg = NlsConfig { threads, k_best, cells };
+                assert_eq!(
+                    nearest_link_search_with(&sec, &wild, &cfg),
+                    reference,
+                    "threads={threads} k_best={k_best} cells={cells}"
+                );
             }
         }
     });
 }
 
 /// A masked search over the full pool equals a plain search over the
-/// physically compacted pool, in every index mode — the equivalence the
+/// physically compacted pool, at every cell count, and both equal the
+/// serial loop over the compacted pool — the equivalence the
 /// augmentation driver's alive-bitmap (and cross-round index reuse)
 /// stands on.
 #[test]
@@ -137,12 +138,14 @@ fn masked_search_equals_compacted_search() {
         // full-pool index → compacted-pool index
         let to_full: Vec<usize> =
             (0..wild.len()).filter(|&i| !dead[i]).collect();
-        for index in MODES {
-            let cfg = NlsConfig { index, ..NlsConfig::auto() };
+        let serial = nearest_link_search_serial(&sec, &compacted);
+        for cells in CELLS {
+            let cfg = NlsConfig { cells, ..NlsConfig::auto() };
             let masked = nearest_link_search_indexed(&sec, &wild, &cfg, None, Some(&dead));
             let compact_links = nearest_link_search_with(&sec, &compacted, &cfg);
+            assert_eq!(compact_links, serial, "cells {cells}: compacted vs serial");
             let remapped: Vec<usize> = compact_links.iter().map(|&l| to_full[l]).collect();
-            assert_eq!(masked, remapped, "mode {index:?}");
+            assert_eq!(masked, remapped, "cells {cells}");
         }
     });
 }
@@ -165,25 +168,43 @@ fn prebuilt_index_matches_fresh_build() {
     });
 }
 
-/// The init pass (`row_minima`) is bitwise identical across
-/// configurations: same argmin columns, same squared distances.
+/// The literal Algorithm 1 init pass (lines 1–3): per-row minimum
+/// squared distance and argmin, first strict minimum wins.
+fn serial_init(sec: &[FeatureVector], wild: &[FeatureVector]) -> (Vec<f64>, Vec<usize>) {
+    sec.iter()
+        .map(|s| {
+            let (mut u, mut v) = (f64::INFINITY, 0usize);
+            for (n, w) in wild.iter().enumerate() {
+                let d = squared_euclidean(s, w);
+                if d < u {
+                    u = d;
+                    v = n;
+                }
+            }
+            (u, v)
+        })
+        .unzip()
+}
+
+/// The indexed init pass (`row_minima`) is bitwise identical to the
+/// serial init loop under every configuration: same argmin columns,
+/// same squared distances.
 #[test]
 fn row_minima_bitwise_stable() {
     check("row_minima_bitwise_stable", CASES, |g| {
         let sec = points(g, 1, 10);
         let wild = points(g, 12, 47);
-        let (u0, v0) = row_minima(&sec, &wild, &NlsConfig::serial());
-        for index in MODES {
-            for threads in [2usize, 8] {
-                let cfg = NlsConfig { threads, k_best: 8, index, ..NlsConfig::serial() };
-                let (u, v) = row_minima(&sec, &wild, &cfg);
-                assert_eq!(v0, v, "argmin drift: index={index:?} threads={threads}");
+        let (u0, v0) = serial_init(&sec, &wild);
+        let cells = g.usize_in(0, 6);
+        for threads in [1usize, 2, 8] {
+            for k_best in [1usize, 8] {
+                let cfg = NlsConfig { threads, k_best, cells };
+                let ix = WildIndex::build(&wild, &cfg);
+                let (u, v) = row_minima(&sec, &ix, &cfg);
+                let tag = format!("threads={threads} k_best={k_best} cells={cells}");
+                assert_eq!(v0, v, "argmin drift: {tag}");
                 for (a, b) in u0.iter().zip(&u) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "distance drift: index={index:?} threads={threads}"
-                    );
+                    assert_eq!(a.to_bits(), b.to_bits(), "distance drift: {tag}");
                 }
             }
         }

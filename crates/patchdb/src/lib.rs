@@ -46,5 +46,5 @@ pub use taxonomy::classify_patch;
 // Re-exports so downstream users need only this crate.
 pub use patchdb_corpus::{CategoryMix, PatchCategory, ALL_CATEGORIES};
 pub use patchdb_features::{FeatureVector, FEATURE_DIM, FEATURE_NAMES};
-pub use patchdb_nls::{AugmentationRound, IndexMode, NlsConfig};
+pub use patchdb_nls::AugmentationRound;
 pub use patchdb_rt::json::{Json, JsonError};

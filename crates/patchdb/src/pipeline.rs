@@ -56,10 +56,6 @@ pub struct BuildOptions {
     /// defers to `PATCHDB_THREADS` / available parallelism. Output bytes
     /// are identical at every thread count.
     pub threads: Option<usize>,
-    /// Nearest-link-search configuration for the augmentation stage;
-    /// `None` uses [`NlsConfig::auto`]. Output bytes are identical for
-    /// every configuration — the index modes only change wall time.
-    pub nls: Option<NlsConfig>,
 }
 
 impl BuildOptions {
@@ -78,7 +74,6 @@ impl BuildOptions {
             synth_cap: 4,
             seed,
             threads: None,
-            nls: None,
         }
     }
 
@@ -99,7 +94,6 @@ impl BuildOptions {
             synth_cap: 2,
             seed,
             threads: None,
-            nls: None,
         }
     }
 
@@ -143,14 +137,6 @@ impl BuildOptions {
     /// (overriding `PATCHDB_THREADS`); `0` clamps to `1`.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Replaces the augmentation-stage NLS configuration (index mode,
-    /// cell count, candidate-list length). A [`BuildOptions::threads`] override
-    /// still wins over the config's own thread count.
-    pub fn nls(mut self, config: NlsConfig) -> Self {
-        self.nls = Some(config);
         self
     }
 }
@@ -299,10 +285,7 @@ impl PatchDb {
         let oracle = VerificationOracle::new(options.expert_error, options.seed ^ 0x0c1e);
         let seed_features: Vec<FeatureVector> =
             nvd_records.iter().map(|r| r.features).collect();
-        let mut nls_cfg = options.nls.clone().unwrap_or_else(NlsConfig::auto);
-        if let Some(t) = options.threads {
-            nls_cfg.threads = t.max(1);
-        }
+        let nls_cfg = NlsConfig { threads, ..NlsConfig::auto() };
         let (rounds, sec_idx, nonsec_idx) =
             augment_rounds_with(&seed_features, &universe_features, &pools, &nls_cfg, |i| {
                 oracle.verify(universe[i].commit)

@@ -3,7 +3,7 @@
 //! exports on every run — the property the hermetic `patchdb-rt` runtime
 //! exists to guarantee (no external RNG or serializer to drift).
 
-use patchdb::{BuildOptions, IndexMode, NlsConfig, PatchDb};
+use patchdb::{BuildOptions, PatchDb};
 
 /// Two builds from the same seed agree on every headline statistic.
 #[test]
@@ -107,46 +107,17 @@ fn trace_toggle_does_not_change_output() {
     }
 }
 
-/// The NLS index modes steer wall time only: builds through the plain
-/// scan, the norm-pruned scan, and the partitioned index export
-/// byte-identical JSON and bit-identical round tables. This is the
-/// pipeline-level face of the byte-identity contract the property suites
-/// pin at the search level.
-#[test]
-fn index_mode_does_not_change_output() {
-    let build_with = |mode: IndexMode| {
-        PatchDb::build(&BuildOptions::tiny(1234).nls(NlsConfig::auto().index(mode)))
-    };
-    let scan = build_with(IndexMode::Scan);
-    for mode in [IndexMode::Pruned, IndexMode::Partitioned] {
-        let indexed = build_with(mode);
-        assert_eq!(
-            scan.db.to_json().expect("export scan"),
-            indexed.db.to_json().expect("export indexed"),
-            "{mode:?} changed output bytes"
-        );
-        assert_eq!(scan.verification_effort, indexed.verification_effort, "{mode:?}");
-        assert_eq!(scan.rounds.len(), indexed.rounds.len(), "{mode:?}");
-        for (ra, rb) in scan.rounds.iter().zip(&indexed.rounds) {
-            assert_eq!(ra.search_range, rb.search_range, "{mode:?}");
-            assert_eq!(ra.candidates, rb.candidates, "{mode:?}");
-            assert_eq!(ra.verified_security, rb.verified_security, "{mode:?}");
-            assert_eq!(ra.ratio.to_bits(), rb.ratio.to_bits(), "{mode:?}");
-        }
-    }
-}
-
-/// The unmodified production NLS configuration ([`NlsConfig::auto`],
-/// the partitioned index) at `PATCHDB_THREADS=1` vs `8` produces
+/// The unmodified production NLS configuration (`NlsConfig::auto`, the
+/// partitioned index) at `PATCHDB_THREADS=1` vs `8` produces
 /// byte-identical stats, rounds and JSON — the deterministic k-means
 /// seeding and the order-preserving parallel scans compose into a
-/// thread-invariant end-to-end build. `auto()` reads the variable, so
-/// the config is built inside each run.
+/// thread-invariant end-to-end build. The build reads the variable, so
+/// it is set around each run.
 #[test]
 fn default_index_is_thread_invariant() {
     let run_with = |threads: &str| {
         std::env::set_var("PATCHDB_THREADS", threads);
-        let report = PatchDb::build(&BuildOptions::tiny(1234).nls(NlsConfig::auto()));
+        let report = PatchDb::build(&BuildOptions::tiny(1234));
         std::env::remove_var("PATCHDB_THREADS");
         report
     };

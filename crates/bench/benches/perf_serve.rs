@@ -313,9 +313,7 @@ fn main() {
     let bodies: Vec<String> = db
         .records()
         .take(64)
-        .map(|r| {
-            format!("commit {}\n{}", r.commit, r.patch.to_unified_string())
-        })
+        .map(|r| r.patch.to_unified_string())
         .collect();
     assert!(!bodies.is_empty(), "tiny build produced no records");
 

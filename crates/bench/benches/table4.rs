@@ -71,7 +71,7 @@ fn run_condition(
     // With synthetic data derived from *training* records only (the
     // paper's "generated solely based on the training set").
     let train_ids: std::collections::HashSet<_> =
-        pos_train.iter().chain(&neg_train).map(|r| r.commit).collect();
+        pos_train.iter().chain(&neg_train).map(|r| r.patch.commit).collect();
     let mut augmented = train.clone();
     let mut n_sec = 0usize;
     let mut n_nonsec = 0usize;

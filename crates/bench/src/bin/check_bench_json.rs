@@ -39,8 +39,8 @@
 //! * `*.snapshot` binary indexes (`patchdb snapshot`) — also
 //!   extension-dispatched (the file is binary, never UTF-8) and decoded
 //!   in full by `patchdb_serve::Snapshot::decode`, the loader
-//!   `serve --snapshot` uses: the current schema only (a
-//!   `patchdb-snapshot/v1` file fails with the rebuild message), a
+//!   `serve --snapshot` uses: `patchdb_serve::Snapshot::SCHEMA` only
+//!   (a file of an older layout fails with the rebuild message), a
 //!   valid checksum, and every section, count and model state intact.
 //! * `patchdb-profile/v1` (`GET /debug/profile`) — positive `hz`,
 //!   non-negative `samples`, and a `folded` field passing the same
@@ -67,7 +67,7 @@
 //! Retired report formats no producer writes any more —
 //! `patchdb-serve/v1`, `patchdb-bench-nls/v1`, and the untagged
 //! pre-schema bench report — are refused with the command that
-//! regenerates them, as a `patchdb-snapshot/v1` file is. Exits non-zero
+//! regenerates them, as an older snapshot file is. Exits non-zero
 //! with a diagnostic on any violation.
 
 use std::process::ExitCode;

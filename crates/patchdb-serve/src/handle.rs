@@ -109,7 +109,7 @@ pub enum ReloadSource {
     /// Re-read a built dataset JSON file and re-run the index pipeline
     /// (weights, forest, signatures).
     Dataset(String),
-    /// Re-read a `patchdb-snapshot/v2` file (no pipeline at all).
+    /// Re-read a binary snapshot file (no pipeline at all).
     Snapshot(String),
 }
 

@@ -15,10 +15,10 @@ use patchdb_rt::obs;
 
 use crate::snapshot::Snapshot;
 
-/// One precompiled signature plus the provenance the scan response needs.
+/// One precompiled signature plus the CVE id the scan response needs;
+/// the commit is the signature's own.
 #[derive(Debug, Clone)]
 pub(crate) struct SignatureEntry {
-    pub(crate) commit: CommitId,
     pub(crate) cve_id: Option<String>,
     pub(crate) signature: PatchSignature,
 }
@@ -100,11 +100,9 @@ impl ServeIndex {
             let _s = obs::span("serve.index.compile_signatures");
             db.security_patches()
                 .flat_map(|r| {
-                    signatures_of(&r.patch).into_iter().map(|signature| SignatureEntry {
-                        commit: r.commit,
-                        cve_id: r.cve_id.clone(),
-                        signature,
-                    })
+                    signatures_of(&r.patch)
+                        .into_iter()
+                        .map(|signature| SignatureEntry { cve_id: r.cve_id.clone(), signature })
                 })
                 .collect()
         };
@@ -130,21 +128,22 @@ impl ServeIndex {
         (&self.db, &self.weights, self.forest.as_ref(), &self.signatures)
     }
 
-    /// Persists the built index as a `patchdb-snapshot/v2` file; a
-    /// server booted from it answers byte-identically to this one.
+    /// Persists the built index as a binary snapshot
+    /// ([`Snapshot::SCHEMA`]); a server booted from it answers
+    /// byte-identically to this one.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), Error> {
         Snapshot::encode(self).write_to(path)
     }
 
-    /// Loads an index from a `patchdb-snapshot/v2` file without running
-    /// any of the learning pipeline.
+    /// Loads an index from a binary snapshot ([`Snapshot::SCHEMA`])
+    /// without running any of the learning pipeline.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] when the file cannot be read; [`Error::Schema`]
-    /// when it is not a well-formed snapshot (wrong magic, a retired
-    /// `patchdb-snapshot/v1` or unknown schema, truncated, a count
-    /// larger than the file, or failing its checksum).
+    /// when it is not a well-formed snapshot (wrong magic, an older or
+    /// unknown schema, truncated, a count larger than the file, failing
+    /// its checksum, or a record under another source's list).
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<ServeIndex, Error> {
         Snapshot::read_from(path)?.decode()
     }
@@ -183,7 +182,7 @@ impl ServeIndex {
         for entry in &self.signatures {
             match compiled.test_presence(&entry.signature) {
                 PresenceVerdict::Vulnerable => outcome.matches.push(ScanMatch {
-                    commit: entry.commit,
+                    commit: entry.signature.commit,
                     cve_id: entry.cve_id.clone(),
                 }),
                 PresenceVerdict::Patched => outcome.patched += 1,
@@ -247,14 +246,14 @@ fn render_patch(r: &patchdb::PatchRecord) -> Json {
         Source::NonSecurity => "non-security",
     };
     Json::Obj(vec![
-        ("commit".into(), Json::Str(r.commit.to_string())),
+        ("commit".into(), Json::Str(r.patch.commit.to_string())),
         ("repo".into(), Json::Str(r.repo.clone())),
         (
             "cve_id".into(),
             r.cve_id.as_ref().map_or(Json::Null, |c| Json::Str(c.clone())),
         ),
         ("source".into(), Json::Str(source.into())),
-        ("message".into(), Json::Str(r.message.clone())),
+        ("message".into(), Json::Str(r.patch.message.clone())),
         (
             "category".into(),
             r.truth_category
@@ -343,7 +342,7 @@ mod tests {
     fn patch_lookup_round_trips_by_prefix() {
         let ix = index();
         let first = ix.db().nvd.first().expect("tiny build has NVD records");
-        let hex = first.commit.to_string();
+        let hex = first.patch.commit.to_string();
         let json = ix.patch_json(&hex[..12]).expect("unique 12-char prefix resolves");
         assert_eq!(json.get("commit").and_then(Json::as_str), Some(hex.as_str()));
         assert!(ix.patch_json("zz").is_none());

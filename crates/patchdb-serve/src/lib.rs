@@ -68,10 +68,11 @@
 //!
 //! The served index lives behind an [`IndexHandle`] — an atomically
 //! swappable, generation-counted pointer. A built [`ServeIndex`] can be
-//! persisted as a `patchdb-snapshot/v2` binary file ([`Snapshot`],
-//! `ServeIndex::save_snapshot` / `ServeIndex::load_snapshot`) and a
-//! server boots from it without running any of the learning pipeline,
-//! decoding its binary records straight from the file bytes. Snapshots
+//! persisted as a binary snapshot ([`Snapshot`], schema
+//! [`Snapshot::SCHEMA`], `ServeIndex::save_snapshot` /
+//! `ServeIndex::load_snapshot`) and a server boots from it without
+//! running any of the learning pipeline, decoding its binary records
+//! straight from the file bytes. Snapshots
 //! are caches: a file of an older layout is refused with the command
 //! that rebuilds it.
 //! `POST /admin/reload` (or SIGHUP) rebuilds the next generation from

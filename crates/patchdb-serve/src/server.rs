@@ -809,7 +809,7 @@ mod tests {
     fn diff_bodies(db: &PatchDb, n: usize) -> Vec<String> {
         db.security_patches()
             .take(n)
-            .map(|r| format!("commit {}\n{}", r.commit, r.patch.to_unified_string()))
+            .map(|r| r.patch.to_unified_string())
             .collect()
     }
 

@@ -1,4 +1,4 @@
-//! The `patchdb-snapshot/v2` binary index format.
+//! The binary snapshot format, [`Snapshot::SCHEMA`].
 //!
 //! A snapshot persists a fully built [`ServeIndex`] — dataset, learned
 //! Table I weights, fitted random forest, and compiled vulnerability
@@ -12,17 +12,17 @@
 //!
 //! ```text
 //! magic     8 bytes  "PDBSNAP1"
-//! schema    str      "patchdb-snapshot/v2"
+//! schema    str      "patchdb-snapshot/v3"
 //! sections  u32      always 4, in fixed order, each a u64 length + payload
 //!   [0] records      list<natural> x 3 (nvd, wild, non_security), list<synthetic>
 //!   [1] weights      list<f64>
 //!   [2] forest       opt<n_trees u64, max_depth u64, seed u64, list<tree>>
-//!   [3] signatures   list<commit[20], cve_id opt<str>, sig_commit[20],
+//!   [3] signatures   list<cve_id opt<str>, commit[20],
 //!                         vulnerable list<str>, fixed list<str>>
 //! checksum  u64      word-at-a-time checksum over every preceding byte
 //!
-//! natural    commit[20] repo:str cve_id:opt<str> message:str patch
-//!            features:60 x f64 source:u8 truth_category:opt<u8>
+//! natural    repo:str cve_id:opt<str> patch features:60 x f64
+//!            source:u8 truth_category:opt<u8>
 //! synthetic  patch derived_from[20] is_security:u8 features:60 x f64
 //! patch      commit[20] message:str list<file>
 //! file       old_path:str new_path:str index:opt<str> list<hunk>
@@ -36,20 +36,25 @@
 //! 2 non-security; `truth_category` the Table V row, 0–11; `kind`
 //! 0 context, 1 added, 2 removed; `criterion` 0 Gini, 1 entropy.
 //!
+//! A natural record's commit and message are its patch's, and a
+//! signature's commit is the one it was compiled from, so each is
+//! stored once.
+//!
 //! Decoding reads straight out of the file bytes. Every count is
 //! checked against the bytes left in its section, at the smallest
 //! encoding of one item, before anything is allocated for it; a
 //! corrupt or hostile length is a schema error, never an allocation
-//! failure.
+//! failure. The decoded dataset passes [`PatchDb::check_sources`], as
+//! an imported JSON dataset does.
 //!
 //! The magic and schema string are checked before the checksum, so a
-//! file of the retired `patchdb-snapshot/v1` layout (the records as one
-//! JSON text) is named as such and asks for a rebuild with
-//! `patchdb snapshot`. Snapshots are caches, so no older layout is
-//! read. Every decode failure — wrong magic or schema, truncation, an
-//! out-of-range count or tag, bad UTF-8, bad checksum, a
-//! forward-pointing tree node — reports [`Error::Schema`]; only a
-//! failed read is [`Error::Io`].
+//! file of any other `patchdb-snapshot/*` layout is named as such and
+//! asks for a rebuild with `patchdb snapshot`. Snapshots are caches, so
+//! no older layout is read. Every decode failure — wrong magic or
+//! schema, truncation, an out-of-range count or tag, bad UTF-8, bad
+//! checksum, a forward-pointing tree node, a record filed under another
+//! source's list — reports [`Error::Schema`]; only a failed read is
+//! [`Error::Io`].
 
 use std::path::Path;
 
@@ -65,14 +70,12 @@ use crate::index::{ServeIndex, SignatureEntry};
 
 /// Leading magic of every snapshot file, whatever its schema.
 const MAGIC: &[u8; 8] = b"PDBSNAP1";
-/// The retired JSON-records layout, recognised only to name it.
-const RETIRED_SCHEMA: &str = "patchdb-snapshot/v1";
 /// Fixed section count of the layout.
 const SECTIONS: u32 = 4;
 
-/// An encoded `patchdb-snapshot/v2` document: the bytes that live on
-/// disk, plus [`Snapshot::encode`]/[`Snapshot::decode`] between those
-/// bytes and a [`ServeIndex`].
+/// An encoded snapshot document: the bytes that live on disk, plus
+/// [`Snapshot::encode`]/[`Snapshot::decode`] between those bytes and a
+/// [`ServeIndex`].
 pub struct Snapshot {
     bytes: Vec<u8>,
 }
@@ -80,7 +83,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// The schema tag embedded right after the magic: the one layout
     /// this build writes and reads.
-    pub const SCHEMA: &'static str = "patchdb-snapshot/v2";
+    pub const SCHEMA: &'static str = "patchdb-snapshot/v3";
 
     /// Encodes a built index. Infallible: every part of a `ServeIndex`
     /// has a representation.
@@ -103,10 +106,10 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// [`Error::Schema`] on any malformation: wrong magic, a retired or
+    /// [`Error::Schema`] on any malformation: wrong magic, an older or
     /// unknown schema string, checksum mismatch, truncated or oversized
-    /// sections and counts, trailing garbage, or model state that fails
-    /// validation.
+    /// sections and counts, trailing garbage, a record whose source
+    /// disagrees with its list, or model state that fails validation.
     pub fn decode(&self) -> Result<ServeIndex, Error> {
         let bytes = self.bytes.as_slice();
         let mut r = Reader { buf: bytes, at: 0, end: bytes.len() };
@@ -115,9 +118,9 @@ impl Snapshot {
         }
         match r.str()? {
             Self::SCHEMA => {}
-            RETIRED_SCHEMA => {
+            old if old.starts_with("patchdb-snapshot/") => {
                 return Err(schema(format!(
-                    "{RETIRED_SCHEMA} is no longer read; rebuild with `patchdb snapshot`"
+                    "{old} is no longer read; rebuild with `patchdb snapshot`"
                 )))
             }
             other => return Err(schema(format!("unsupported snapshot schema {other:?}"))),
@@ -140,6 +143,7 @@ impl Snapshot {
             return Err(schema(format!("expected {SECTIONS} sections, found {sections}")));
         }
         let db: PatchDb = r.section()?.whole()?;
+        db.check_sources()?;
         let weights = Weights::from_values(r.section()?.whole()?).map_err(schema)?;
         let forest = match r.section()?.whole::<Option<ForestState>>()? {
             Some(state) => Some(RandomForest::from_state(state).map_err(schema)?),
@@ -371,10 +375,8 @@ struct_codec!(FileDiff {
 });
 struct_codec!(Patch { commit: CommitId, message: String, files: Vec<FileDiff> });
 struct_codec!(PatchRecord {
-    commit: CommitId,
     repo: String,
     cve_id: Option<String>,
-    message: String,
     patch: Patch,
     features: FeatureVector,
     source: Source,
@@ -405,11 +407,7 @@ struct_codec!(ForestState {
     trees: Vec<TreeState>,
 });
 struct_codec!(PatchSignature { commit: CommitId, vulnerable: Vec<String>, fixed: Vec<String> });
-struct_codec!(SignatureEntry {
-    commit: CommitId,
-    cve_id: Option<String>,
-    signature: PatchSignature,
-});
+struct_codec!(SignatureEntry { cve_id: Option<String>, signature: PatchSignature });
 
 impl Codec for NodeState {
     const MIN_BYTES: usize = 1 + 8;
@@ -638,7 +636,7 @@ mod tests {
         let rows: Vec<Vec<f64>> =
             index.db().records().take(16).map(|r| index.weighted_features(&r.patch)).collect();
         assert_eq!(index.score_rows(&rows), loaded.score_rows(&rows));
-        let id = index.db().nvd[0].commit.to_string();
+        let id = index.db().nvd[0].patch.commit.to_string();
         assert_eq!(
             index.patch_json(&id).map(|j| j.to_pretty_string()),
             loaded.patch_json(&id).map(|j| j.to_pretty_string())
@@ -681,12 +679,12 @@ mod tests {
             other => panic!("a flipped byte must fail the checksum, got {:?}", other.err()),
         }
 
-        // A wrong version string (checksum re-stamped so only the
-        // version check can object).
+        // A schema string of another format (checksum re-stamped so only
+        // the schema check can object).
         let mut wrong = bytes.clone();
         let tag = Snapshot::SCHEMA.as_bytes();
         let pos = wrong.windows(tag.len()).position(|w| w == tag).expect("schema tag present");
-        wrong[pos + tag.len() - 1] = b'9';
+        wrong[pos] = b'q';
         match decode(restamp(wrong)) {
             Err(Error::Schema(msg)) => assert!(msg.contains("unsupported"), "{msg}"),
             Err(e) => panic!("wrong version must be Error::Schema, got {e}"),
@@ -703,18 +701,33 @@ mod tests {
 
     #[test]
     fn retired_v1_layout_asks_for_a_rebuild() {
-        // A v1 header over filler: the schema check answers before the
+        // An old header over filler: the schema check answers before the
         // checksum (which this file does not carry) is looked at.
-        let mut v1 = MAGIC.to_vec();
-        v1.extend_from_slice(&(RETIRED_SCHEMA.len() as u32).to_le_bytes());
-        v1.extend_from_slice(RETIRED_SCHEMA.as_bytes());
-        v1.extend_from_slice(&[0xAB; 64]);
-        match decode(v1) {
-            Err(Error::Schema(msg)) => {
-                assert!(msg.contains("patchdb-snapshot/v1"), "{msg}");
-                assert!(msg.contains("rebuild with `patchdb snapshot`"), "{msg}");
+        for old in ["patchdb-snapshot/v1", "patchdb-snapshot/v2"] {
+            let mut file = MAGIC.to_vec();
+            file.extend_from_slice(&(old.len() as u32).to_le_bytes());
+            file.extend_from_slice(old.as_bytes());
+            file.extend_from_slice(&[0xAB; 64]);
+            let want = format!("{old} is no longer read; rebuild with `patchdb snapshot`");
+            match decode(file) {
+                Err(Error::Schema(msg)) => assert!(msg.contains(&want), "{msg}"),
+                other => panic!("a {old} file must be Error::Schema, got {:?}", other.err()),
             }
-            other => panic!("a v1 file must be Error::Schema, got {:?}", other.err()),
+        }
+    }
+
+    /// A record filed under `nvd` but tagged non-security would count as
+    /// NVD in the stats yet train the identifier as a negative.
+    #[test]
+    fn record_under_another_source_list_is_a_schema_error() {
+        let (db, weights, forest, signatures) = built_index().parts();
+        let mut db = db.clone();
+        db.nvd[0].source = Source::NonSecurity;
+        let index =
+            ServeIndex::from_parts(db, weights.clone(), forest.cloned(), signatures.to_vec());
+        match Snapshot::encode(&index).decode() {
+            Err(Error::Schema(msg)) => assert!(msg.contains("nvd[0]: field 'source'"), "{msg}"),
+            other => panic!("a misfiled record must be Error::Schema, got {:?}", other.err()),
         }
     }
 

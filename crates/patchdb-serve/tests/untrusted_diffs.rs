@@ -211,8 +211,8 @@ fn crlf_bodies_parse_and_score_like_lf() {
         let text = r.patch.to_unified_string();
         let lf = Patch::parse(&text).expect("printed patch parses");
         let crlf = Patch::parse(&text.replace('\n', "\r\n")).expect("CRLF patch parses");
-        assert_eq!(lf, crlf, "{}", r.commit);
-        assert_eq!(lf, r.patch, "{}: print/parse round trip", r.commit);
-        assert_eq!(ix.weighted_features(&lf), ix.weighted_features(&crlf), "{}", r.commit);
+        assert_eq!(lf, crlf, "{}", r.patch.commit);
+        assert_eq!(lf, r.patch, "{}: print/parse round trip", r.patch.commit);
+        assert_eq!(ix.weighted_features(&lf), ix.weighted_features(&crlf), "{}", r.patch.commit);
     }
 }

@@ -6,7 +6,7 @@ use std::fmt;
 use patch_core::{CommitId, Patch};
 use patchdb_corpus::PatchCategory;
 use patchdb_features::FeatureVector;
-use patchdb_rt::json::{self, FromJson, Json};
+use patchdb_rt::json::{self, FromJson, Json, JsonError, ToJson, Writer};
 
 use crate::error::Error;
 
@@ -21,18 +21,16 @@ pub enum Source {
     NonSecurity,
 }
 
-/// One natural patch in the dataset.
+/// One natural patch in the dataset. Its commit hash (every natural
+/// patch is "accessible on GitHub") and commit message are those of
+/// [`PatchRecord::patch`], stored there only.
 #[derive(Debug, Clone)]
 pub struct PatchRecord {
-    /// Commit hash — every natural patch is "accessible on GitHub".
-    pub commit: CommitId,
     /// Repository the commit lives in.
     pub repo: String,
     /// CVE id, for NVD-sourced records.
     pub cve_id: Option<String>,
-    /// Commit message.
-    pub message: String,
-    /// The cleaned (C/C++-only) patch.
+    /// The cleaned (C/C++-only) patch, with its commit hash and message.
     pub patch: Patch,
     /// Table I features, unweighted.
     pub features: FeatureVector,
@@ -166,7 +164,35 @@ impl PatchDb {
     /// [`Error::Schema`] when it is JSON of the wrong shape.
     pub fn from_json(text: &str) -> Result<Self, Error> {
         let json = Json::parse(text).map_err(Error::Parse)?;
-        FromJson::from_json(&json).map_err(|e| Error::Schema(e.to_string()))
+        let db: PatchDb = FromJson::from_json(&json).map_err(|e| Error::Schema(e.to_string()))?;
+        db.check_sources()?;
+        Ok(db)
+    }
+
+    /// Checks that every natural record sits in the list its `source`
+    /// names: the one fact both a record and its list state. Every
+    /// importer runs it, since a record filed under `nvd` but tagged
+    /// `NonSecurity` would count as NVD in [`PatchDb::stats`] yet train
+    /// the served identifier as a negative.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Schema`] naming the first record whose `source`
+    /// disagrees with its list.
+    pub fn check_sources(&self) -> Result<(), Error> {
+        for (list, records, want) in [
+            ("nvd", &self.nvd, Source::Nvd),
+            ("wild", &self.wild, Source::Wild),
+            ("non_security", &self.non_security, Source::NonSecurity),
+        ] {
+            if let Some(i) = records.iter().position(|r| r.source != want) {
+                return Err(Error::Schema(format!(
+                    "{list}[{i}]: field 'source' is {:?} in the {list} list",
+                    records[i].source
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Every natural record — NVD, wild, and non-security — in stable
@@ -184,7 +210,8 @@ impl PatchDb {
         if id.len() < 4 {
             return None;
         }
-        let mut hits = self.records().filter(|r| hex_starts_with(&r.commit, id.as_bytes()));
+        let mut hits =
+            self.records().filter(|r| hex_starts_with(&r.patch.commit, id.as_bytes()));
         let first = hits.next()?;
         hits.next().is_none().then_some(first)
     }
@@ -204,23 +231,86 @@ fn hex_starts_with(commit: &CommitId, prefix: &[u8]) -> bool {
 }
 
 patchdb_rt::impl_json_unit_enum!(Source { Nvd, Wild, NonSecurity });
-patchdb_rt::impl_to_from_json!(PatchRecord {
-    commit,
-    repo,
-    cve_id,
-    message,
-    patch,
-    features,
-    source,
-    truth_category,
-});
+
+/// The export keeps serde's record shape, `commit` and `message` keys
+/// included; both are written from the patch.
+impl ToJson for PatchRecord {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("commit", &self.patch.commit);
+        w.field("repo", &self.repo);
+        w.field("cve_id", &self.cve_id);
+        w.field("message", &self.patch.message);
+        w.field("patch", &self.patch);
+        w.field("features", &self.features);
+        w.field("source", &self.source);
+        w.field("truth_category", &self.truth_category);
+        w.end_object();
+    }
+}
+
+/// Rejects a record whose `commit` or `message` key differs from its
+/// patch's: one of the two copies would otherwise be silently dropped.
+impl FromJson for PatchRecord {
+    fn from_json(v: &Json) -> json::Result<Self> {
+        let patch: Patch = json::field(v, "patch")?;
+        let commit: CommitId = json::field(v, "commit")?;
+        if commit != patch.commit {
+            return Err(JsonError::new(format!(
+                "field 'commit': {commit} differs from the patch's {}",
+                patch.commit
+            )));
+        }
+        if json::field::<String>(v, "message")? != patch.message {
+            return Err(JsonError::new("field 'message' differs from the patch's message"));
+        }
+        Ok(PatchRecord {
+            repo: json::field(v, "repo")?,
+            cve_id: json::field(v, "cve_id")?,
+            patch,
+            features: json::field(v, "features")?,
+            source: json::field(v, "source")?,
+            truth_category: json::field(v, "truth_category")?,
+        })
+    }
+}
 patchdb_rt::impl_to_from_json!(SyntheticRecord { patch, derived_from, is_security, features });
 patchdb_rt::impl_to_from_json!(PatchDb { nvd, wild, non_security, synthetic });
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use patch_core::diff_files;
+    use patchdb_rt::check::check;
+
+    fn tiny_db() -> &'static PatchDb {
+        static DB: OnceLock<PatchDb> = OnceLock::new();
+        DB.get_or_init(|| PatchDb::build(&crate::BuildOptions::tiny(5).synthesize(false)).db)
+    }
+
+    /// The member `key` of a JSON object.
+    fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        match obj {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            other => panic!("expected an object, got {}", other.kind()),
+        }
+    }
+
+    fn list<'a>(doc: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
+        match member(doc, key) {
+            Json::Arr(items) => items,
+            other => panic!("expected an array, got {}", other.kind()),
+        }
+    }
+
+    fn string<'a>(obj: &'a mut Json, key: &str) -> &'a mut String {
+        match member(obj, key) {
+            Json::Str(s) => s,
+            other => panic!("expected a string, got {}", other.kind()),
+        }
+    }
 
     fn record(source: Source, cat: Option<PatchCategory>) -> PatchRecord {
         let patch = Patch::builder("a".repeat(40))
@@ -228,10 +318,8 @@ mod tests {
             .file(diff_files("x.c", "a();\n", "b();\n", 3))
             .build();
         PatchRecord {
-            commit: patch.commit,
             repo: "r".into(),
             cve_id: None,
-            message: "m".into(),
             features: patchdb_features::extract(&patch, None),
             patch,
             source,
@@ -277,7 +365,7 @@ mod tests {
             ..PatchDb::default()
         };
         assert_eq!(db.records().count(), 2);
-        let full = db.nvd[0].commit.to_string();
+        let full = db.nvd[0].patch.commit.to_string();
         // Full id and an 8-char prefix resolve; both test records share
         // the same commit ("a"*40), so the shared prefix is ambiguous
         // across components and must return None.
@@ -298,15 +386,15 @@ mod tests {
     /// and with a non-hex last character.
     #[test]
     fn find_patch_matches_the_rendered_hex_rule() {
-        let db = PatchDb::build(&crate::BuildOptions::tiny(5).synthesize(false)).db;
-        let rendered: Vec<String> = db.records().map(|r| r.commit.to_string()).collect();
+        let db = tiny_db();
+        let rendered: Vec<String> = db.records().map(|r| r.patch.commit.to_string()).collect();
         let old_rule = |id: &str| {
             if id.len() < 4 {
                 return None;
             }
             let mut hits = db.records().zip(&rendered).filter(|(_, hex)| hex.starts_with(id));
             let (first, _) = hits.next()?;
-            hits.next().is_none().then_some(first.commit)
+            hits.next().is_none().then_some(first.patch.commit)
         };
         let mut resolved = 0;
         for (i, hex) in rendered.iter().enumerate() {
@@ -314,7 +402,7 @@ mod tests {
             let mut non_hex = prefix[..prefix.len() - 1].to_owned();
             non_hex.push('g');
             for id in [prefix.to_owned(), prefix.to_uppercase(), non_hex, hex[..4].to_owned()] {
-                let got = db.find_patch(&id).map(|r| r.commit);
+                let got = db.find_patch(&id).map(|r| r.patch.commit);
                 assert_eq!(got, old_rule(&id), "prefix {id:?}");
                 resolved += got.is_some() as usize;
             }
@@ -329,6 +417,70 @@ mod tests {
         assert!(matches!(PatchDb::from_json("{\"nvd\": 3}"), Err(Error::Schema(_))));
     }
 
+    /// The copies a record's JSON still carries must agree: a tiny
+    /// build's export with one record's `commit` or `message` key
+    /// changed, or one record moved to another source's list, is a
+    /// schema error naming that field; the export left as it is
+    /// re-exports byte for byte.
+    #[test]
+    fn import_rejects_disagreeing_copies_and_round_trips_the_rest() {
+        const LISTS: [&str; 3] = ["nvd", "wild", "non_security"];
+        let text = tiny_db().to_json().unwrap();
+        let parsed = Json::parse(&text).unwrap();
+        check("import_copies", 48, |g| {
+            let mut doc = parsed.clone();
+            let from = g.index(LISTS.len());
+            let records = list(&mut doc, LISTS[from]);
+            let i = g.index(records.len());
+            let field = match g.usize_in(0, 3) {
+                0 => None,
+                1 => {
+                    let hex = string(&mut records[i], "commit");
+                    let at = g.index(hex.len());
+                    let flipped = if hex.as_bytes()[at] == b'0' { "1" } else { "0" };
+                    hex.replace_range(at..=at, flipped);
+                    Some("commit")
+                }
+                2 => {
+                    string(&mut records[i], "message").push(*g.pick(&['x', '\n', ' ']));
+                    Some("message")
+                }
+                _ => {
+                    let moved = records.remove(i);
+                    let to = (from + g.usize_in(1, 2)) % LISTS.len();
+                    let target = list(&mut doc, LISTS[to]);
+                    let at = g.usize_in(0, target.len());
+                    target.insert(at, moved);
+                    Some("source")
+                }
+            };
+            let got = PatchDb::from_json(&doc.to_pretty_string());
+            match (field, got) {
+                (None, Ok(db)) => {
+                    assert!(db.to_json().unwrap() == text, "round trip changed bytes")
+                }
+                (Some(f), Err(Error::Schema(msg))) => {
+                    assert!(msg.contains(&format!("field '{f}'")), "{f}: {msg}")
+                }
+                (f, got) => panic!("mutation {f:?} gave {:?}", got.map(|_| "a dataset")),
+            }
+        });
+    }
+
+    /// A record filed under `nvd` but tagged non-security would count as
+    /// NVD in the stats yet train the served identifier as a negative.
+    #[test]
+    fn from_json_rejects_a_record_under_another_source_list() {
+        let db = PatchDb {
+            nvd: vec![record(Source::NonSecurity, None)],
+            ..PatchDb::default()
+        };
+        match PatchDb::from_json(&db.to_json().unwrap()) {
+            Err(Error::Schema(msg)) => assert!(msg.contains("nvd[0]: field 'source'"), "{msg}"),
+            other => panic!("a misfiled record must be Error::Schema, got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
     fn json_round_trip() {
         let db = PatchDb {
@@ -338,7 +490,7 @@ mod tests {
         let json = db.to_json().unwrap();
         let back = PatchDb::from_json(&json).unwrap();
         assert_eq!(back.nvd.len(), 1);
-        assert_eq!(back.nvd[0].commit, db.nvd[0].commit);
+        assert_eq!(back.nvd[0].patch.commit, db.nvd[0].patch.commit);
         assert_eq!(back.nvd[0].patch, db.nvd[0].patch);
     }
 }

@@ -231,10 +231,8 @@ impl PatchDb {
                 .find_commit(&m.repo, &m.commit)
                 .and_then(|(_, c)| c.kind.category());
             nvd_records.push(PatchRecord {
-                commit: m.commit,
                 repo: m.repo.clone(),
                 cve_id: Some(m.cve_id.clone()),
-                message: m.patch.message.clone(),
                 features: extract(&m.patch, ctx),
                 patch: m.patch.clone(),
                 source: Source::Nvd,
@@ -299,10 +297,8 @@ impl PatchDb {
             let w = universe[i];
             let patch = universe_patches[i].clone();
             PatchRecord {
-                commit: w.commit.id,
                 repo: w.repo.name.clone(),
                 cve_id: None,
-                message: patch.message.clone(),
                 features: universe_features[i],
                 patch,
                 source,
@@ -335,7 +331,7 @@ impl PatchDb {
                 .collect();
             let batches: Vec<Vec<SyntheticRecord>> =
                 par::map_chunked(&jobs, threads, |&(record, is_security)| {
-                    let Some((_, commit)) = forge.find_commit(&record.repo, &record.commit)
+                    let Some((_, commit)) = forge.find_commit(&record.repo, &record.patch.commit)
                     else {
                         return Vec::new();
                     };
@@ -351,7 +347,7 @@ impl PatchDb {
                         let features = extract(&s.patch, contexts.get(record.repo.as_str()));
                         SyntheticRecord {
                             patch: s.patch,
-                            derived_from: record.commit,
+                            derived_from: record.patch.commit,
                             is_security,
                             features,
                         }
@@ -440,8 +436,8 @@ mod tests {
         let b = PatchDb::build(&BuildOptions::tiny(4));
         assert_eq!(a.db.stats(), b.db.stats());
         assert_eq!(
-            a.db.wild.iter().map(|p| p.commit).collect::<Vec<_>>(),
-            b.db.wild.iter().map(|p| p.commit).collect::<Vec<_>>()
+            a.db.wild.iter().map(|p| p.patch.commit).collect::<Vec<_>>(),
+            b.db.wild.iter().map(|p| p.patch.commit).collect::<Vec<_>>()
         );
     }
 

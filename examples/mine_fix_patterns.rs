@@ -27,7 +27,7 @@ fn main() {
             .find(|r| mine_fix_patterns(&r.patch).contains(&want));
         match hit {
             Some(record) => {
-                println!("\n== example: {} ({}) ==", want.label(), record.commit.short());
+                println!("\n== example: {} ({}) ==", want.label(), record.patch.commit.short());
                 for line in record
                     .patch
                     .to_unified_string()

@@ -74,7 +74,7 @@ fn main() {
     if !quiet {
         // Every natural patch is a real unified diff; print one.
         if let Some(example) = db.wild.first() {
-            println!("\n== a wild-based security patch ({}) ==", example.commit.short());
+            println!("\n== a wild-based security patch ({}) ==", example.patch.commit.short());
             println!("{}", example.patch.to_unified_string());
         }
 

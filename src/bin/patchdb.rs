@@ -24,7 +24,7 @@ commands:
   analyze   most discriminative Table I features
   scan      vulnerability-signature scan of a C file
   serve     long-lived HTTP query server over a dataset or snapshot
-  snapshot  compile a dataset into a binary patchdb-snapshot/v2 file
+  snapshot  compile a dataset into a binary snapshot file
   help      show usage for a command
 
 `patchdb help <command>` prints per-command flags; `--version` prints
@@ -80,11 +80,11 @@ walks them at --hz, and the aggregate lands as folded stacks —
             "usage: patchdb snapshot <FILE> [--out PATH]
 
 Builds the full serve index (weights, forest, signatures) once and
-writes it as a binary patchdb-snapshot/v2 file. `patchdb serve
---snapshot PATH` boots from it without re-running any of the pipeline,
-answering byte-identically to a fresh build. A snapshot is a cache of
-the dataset: rerun this command after an upgrade that changes the
-layout (a patchdb-snapshot/v1 file is refused).
+writes it as a binary snapshot file. `patchdb serve --snapshot PATH`
+boots from it without re-running any of the pipeline, answering
+byte-identically to a fresh build. A snapshot is a cache of the
+dataset: rerun this command after an upgrade that changes the layout
+(a file of an older layout is refused).
 
   <FILE>      dataset JSON from `patchdb build --out`
   --out PATH  snapshot output path (default patchdb.snapshot)"
@@ -99,11 +99,11 @@ layout (a patchdb-snapshot/v1 file is refused).
 
   <FILE>              dataset JSON to index and serve (optional when
                       --snapshot is given)
-  --snapshot PATH     boot from a patchdb-snapshot/v2 file written by
+  --snapshot PATH     boot from a binary snapshot written by
                       `patchdb snapshot` — skips the learning pipeline
                       entirely; responses are byte-identical to a fresh
-                      build of the same dataset. A v1 file is refused:
-                      rebuild it with `patchdb snapshot`
+                      build of the same dataset. A file of an older
+                      layout is refused: rebuild it with `patchdb snapshot`
   --addr HOST:PORT    bind address (default 127.0.0.1:7979; port 0 = ephemeral)
   --threads N         worker pool size (default 0 = auto)
   --max-inflight N    admission bound; beyond it requests get 503 (default 128)
@@ -472,7 +472,7 @@ fn cmd_scan(args: &[String]) -> CliResult {
                     vulnerable += 1;
                     println!(
                         "VULNERABLE clone of {} ({})",
-                        record.commit.short(),
+                        record.patch.commit.short(),
                         record.cve_id.as_deref().unwrap_or("silent fix")
                     );
                 }
@@ -601,7 +601,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 }
 
 /// `patchdb snapshot`: build the serve index once and persist it as a
-/// binary patchdb-snapshot/v2 file for instant `serve --snapshot` boots.
+/// binary snapshot file for instant `serve --snapshot` boots.
 fn cmd_snapshot(args: &[String]) -> CliResult {
     let mut path: Option<&String> = None;
     let mut out = "patchdb.snapshot".to_owned();

@@ -33,7 +33,7 @@ fn every_natural_patch_is_c_only_and_valid() {
     let report = build();
     for record in report.db.security_patches() {
         assert!(record.patch.files.iter().all(|f| f.is_c_family()));
-        assert!(record.patch.validate().is_ok(), "{}", record.commit);
+        assert!(record.patch.validate().is_ok(), "{}", record.patch.commit);
     }
 }
 
@@ -75,7 +75,7 @@ fn dataset_json_round_trips() {
     let json = report.db.to_json().expect("serializes");
     let back = PatchDb::from_json(&json).expect("deserializes");
     assert_eq!(back.stats(), report.db.stats());
-    assert_eq!(back.nvd[0].commit, report.db.nvd[0].commit);
+    assert_eq!(back.nvd[0].patch.commit, report.db.nvd[0].patch.commit);
 }
 
 #[test]
@@ -101,8 +101,8 @@ fn builds_are_deterministic_across_processes() {
     let a = build();
     let b = build();
     assert_eq!(
-        a.db.wild.iter().map(|r| r.commit).collect::<Vec<_>>(),
-        b.db.wild.iter().map(|r| r.commit).collect::<Vec<_>>()
+        a.db.wild.iter().map(|r| r.patch.commit).collect::<Vec<_>>(),
+        b.db.wild.iter().map(|r| r.patch.commit).collect::<Vec<_>>()
     );
     assert_eq!(a.rounds.len(), b.rounds.len());
     for (x, y) in a.rounds.iter().zip(&b.rounds) {

@@ -40,7 +40,7 @@ fn ephemeral() -> ServeConfig {
 
 /// The body of a real record as an identify/classify request.
 fn diff_body(record: &PatchRecord) -> String {
-    format!("commit {}\n{}", record.commit, record.patch.to_unified_string())
+    record.patch.to_unified_string()
 }
 
 #[test]
@@ -90,7 +90,7 @@ fn endpoints_round_trip_on_loopback() {
     let scan_json = Json::parse(&scan.body_text()).unwrap();
     assert!(scan_json.get("matches").is_some());
 
-    let hex = record.commit.to_string();
+    let hex = record.patch.commit.to_string();
     let patch = client::request(addr, "GET", &format!("/v1/patch/{}", &hex[..12]), b"").unwrap();
     assert_eq!(patch.status, 200);
     let patch_json = Json::parse(&patch.body_text()).unwrap();
@@ -410,7 +410,7 @@ fn responses_identical_at_1_and_8_workers() {
         requests.push(("POST", "/v1/classify".into(), diff_body(record).into_bytes()));
         requests.push((
             "GET",
-            format!("/v1/patch/{}", record.commit),
+            format!("/v1/patch/{}", record.patch.commit),
             Vec::new(),
         ));
     }
@@ -580,7 +580,7 @@ fn pipelined_responses_arrive_in_request_order() {
     let addr = server.addr();
     let record = shared_db().nvd.first().expect("tiny build has NVD records");
     let body = diff_body(record).into_bytes();
-    let hex = record.commit.to_string();
+    let hex = record.patch.commit.to_string();
     let patch_path = format!("/v1/patch/{}", &hex[..12]);
     let batch: Vec<(&str, &str, &[u8])> = vec![
         ("GET", "/healthz", b""),
@@ -1148,7 +1148,7 @@ fn observability_toggles_never_change_response_bytes() {
     for record in db.records().take(8) {
         requests.push(("POST", "/v1/identify".into(), diff_body(record).into_bytes()));
         requests.push(("POST", "/v1/classify".into(), diff_body(record).into_bytes()));
-        requests.push(("GET", format!("/v1/patch/{}", record.commit), Vec::new()));
+        requests.push(("GET", format!("/v1/patch/{}", record.patch.commit), Vec::new()));
     }
     // The dark server (no profile session) answers every request
     // before the lit server's profile turns span mirroring on.
@@ -1201,7 +1201,7 @@ fn assert_servers_identical(
     for record in db.records().take(10) {
         requests.push(("POST", "/v1/identify".into(), diff_body(record).into_bytes()));
         requests.push(("POST", "/v1/classify".into(), diff_body(record).into_bytes()));
-        requests.push(("GET", format!("/v1/patch/{}", record.commit), Vec::new()));
+        requests.push(("GET", format!("/v1/patch/{}", record.patch.commit), Vec::new()));
     }
     // Scan with real pre-patch code so signatures actually match.
     for record in db.security_patches().take(5) {

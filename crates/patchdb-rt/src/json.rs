@@ -643,7 +643,7 @@ pub trait FromJson: Sized {
 /// Propagates the field's conversion error, prefixed with its name.
 pub fn field<T: FromJson>(v: &Json, name: &str) -> Result<T> {
     let inner = v.get(name).unwrap_or(&Json::Null);
-    T::from_json(inner).map_err(|e| JsonError::new(format!("field '{name}': {e}")))
+    T::from_json(inner).map_err(|e| JsonError::new(format!("field '{name}': {}", e.message)))
 }
 
 fn expect_num(v: &Json) -> Result<f64> {
@@ -754,12 +754,19 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
+/// An item's conversion error is prefixed with its position, `[i]: `.
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Json) -> Result<Self> {
         let items = v
             .as_arr()
             .ok_or_else(|| JsonError::new(format!("expected array, got {}", v.kind())))?;
-        items.iter().map(T::from_json).collect()
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                T::from_json(item).map_err(|e| JsonError::new(format!("[{i}]: {}", e.message)))
+            })
+            .collect()
     }
 }
 

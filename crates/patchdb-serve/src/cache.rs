@@ -43,8 +43,8 @@ struct Inner {
     bytes: usize,
 }
 
-/// Bounded body-bytes → score map shared by the workers (lookup, and
-/// insert after scoring a miss).
+/// Bounded body-bytes → score map shared by the event loop (lookup at
+/// admission) and the workers (insert after scoring a miss).
 pub(crate) struct IdentifyCache {
     inner: Mutex<Inner>,
     max_entries: usize,

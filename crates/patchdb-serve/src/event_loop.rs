@@ -5,19 +5,25 @@
 //! Division of labor:
 //!
 //! * **This loop** accepts, reads, frames (via the incremental parser in
-//!   [`crate::http`]), admits *complete* requests to the bounded worker
-//!   queue, and writes responses — so a worker never blocks on a slow
-//!   or stalled client, in either direction.
+//!   [`crate::http`]), answers `/v1/identify` cache hits itself
+//!   ([`crate::server::identify_hit`]), admits every other *complete*
+//!   request to the bounded worker queue, and writes responses — so a
+//!   worker never blocks on a slow or stalled client, in either
+//!   direction, and a hit costs a lookup, not a queue hop.
 //! * **Workers** pop framed requests, run the endpoint, and hand the
 //!   rendered response back through [`LoopShared::complete`], which
 //!   wakes the loop via the self-pipe [`net::Waker`].
 //!
 //! Pipelining: requests on one connection are assigned ascending
 //! sequence numbers at admission; completions may arrive out of order
-//! (workers race) and park in a per-connection `BTreeMap` until their
-//! turn, so response *bytes* are always written in request order. Each response goes out with one
-//! `write_vectored` of `[head, body]`; unread remainders wait in the
-//! connection's outbox for `POLLOUT`.
+//! (workers race, hits answer at once) and park in a per-connection
+//! `BTreeMap` until their turn, so response *bytes* are always written
+//! in request order. Answers made while framing (hits, sheds, framing
+//! errors) are only staged; the read handler flushes them once framing
+//! is done, so `write_ready` never re-enters itself however deep the
+//! pipeline. Each response goes out with one `write_vectored` of
+//! `[head, body]`; unread remainders wait in the connection's outbox for
+//! `POLLOUT`.
 //!
 //! Lifecycle per connection:
 //!
@@ -50,7 +56,7 @@ use patchdb_rt::queue::BoundedQueue;
 
 use crate::handle::{reload, IndexHandle, ReloadSource};
 use crate::http::{render_head, RequestParser, Response};
-use crate::server::{ServeConfig, Work};
+use crate::server::{identify_hit, identify_key, ServeConfig, Work};
 use crate::telemetry::{elapsed_ns, elapsed_since, RequestRecord, Telemetry};
 
 /// Upper bound on admitted-but-unanswered requests per connection; a
@@ -173,6 +179,10 @@ struct Conn {
     /// Last time response bytes left the socket (write-stall guard).
     last_progress: Instant,
     deadline_at: Option<Instant>,
+    /// The earliest instant this connection has a wheel entry for
+    /// (`None` once it popped): a later deadline needs no entry of its
+    /// own, the lazy re-check moves it when this one pops.
+    wheel_at: Option<Instant>,
 }
 
 impl Conn {
@@ -259,6 +269,8 @@ pub(crate) struct EventLoop {
     /// Last process second the tsdb sampler and SLO evaluation ran for;
     /// the loop drives both once per second from its own thread.
     last_sampled_s: u64,
+    /// Set while `write_ready` runs: it must never re-enter itself.
+    flushing: bool,
 }
 
 impl EventLoop {
@@ -297,6 +309,7 @@ impl EventLoop {
             handle,
             reload: config.reload.clone(),
             last_sampled_s: u64::MAX,
+            flushing: false,
         }
     }
 
@@ -501,9 +514,7 @@ impl EventLoop {
     }
 
     fn begin_drain(&mut self) {
-        let now = Instant::now();
-        self.draining = Some(now);
-        let drain_deadline = now + self.deadline;
+        self.draining = Some(Instant::now());
         let slots: Vec<usize> =
             (0..self.conns.len()).filter(|&s| self.conns[s].is_some()).collect();
         for slot in slots {
@@ -517,11 +528,7 @@ impl EventLoop {
                 self.close_conn(slot, CloseReason::Clean);
                 continue;
             }
-            let conn = self.conns[slot].as_mut().expect("live slot");
-            let at = conn.deadline_at.map_or(drain_deadline, |d| d.min(drain_deadline));
-            conn.deadline_at = Some(at);
-            let generation = conn.generation;
-            self.wheel.schedule(at, slot, generation);
+            self.refresh_deadline(slot);
         }
     }
 
@@ -571,6 +578,7 @@ impl EventLoop {
             idle_since: accepted,
             last_progress: accepted,
             deadline_at: None,
+            wheel_at: None,
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -597,13 +605,13 @@ impl EventLoop {
         obs::gauge_add("serve.inflight", 1);
         let mut rec = RequestRecord::admitted(self.telemetry.next_id(), 0);
         rec.endpoint = "shed";
-        self.answer_local(slot, seq, started, rec, Response::overloaded(1));
+        self.answer_local(slot, seq, started, rec, Response::overloaded(1), true);
+        self.write_ready(slot);
     }
 
-    /// Answers request `seq` on `slot` from the loop itself and closes
-    /// the connection after it, exactly as if a worker had sent the
-    /// completion: status counter, client trace echo, head. Then tries to
-    /// flush. Returns whether the connection is still open.
+    /// Answers request `seq` on `slot` from the loop itself, exactly as
+    /// if a worker had sent the completion: status counter, client trace
+    /// echo, head. The answer is only staged; the caller flushes.
     fn answer_local(
         &mut self,
         slot: usize,
@@ -611,17 +619,20 @@ impl EventLoop {
         started: Instant,
         mut rec: RequestRecord,
         mut response: Response,
-    ) -> bool {
+        close_after: bool,
+    ) {
         let conn = self.conns[slot].as_mut().expect("live slot");
-        conn.close_after = Some(seq);
+        if close_after {
+            conn.close_after = Some(seq);
+        }
         let generation = conn.generation;
         rec.status = response.status;
         if rec.trace_supplied {
             response = response.with_trace(&rec.trace);
         }
-        let head = render_head(&response, false, Some((rec.id, &rec.trace)));
+        let head = render_head(&response, !close_after, Some((rec.id, &rec.trace)));
         obs::counter_add(&crate::server::status_counter(rec.status), 1);
-        self.park(Completion {
+        self.stage(Completion {
             slot,
             generation,
             seq,
@@ -629,9 +640,8 @@ impl EventLoop {
             head,
             body: response.body,
             rec,
-            close_after: true,
+            close_after,
         });
-        self.generation_of(slot) == Some(generation)
     }
 
     fn drain_completions(&mut self) {
@@ -646,15 +656,16 @@ impl EventLoop {
                 self.telemetry.observe(rec);
                 continue;
             }
-            self.park(completion);
+            let slot = completion.slot;
+            self.stage(completion);
+            self.write_ready(slot);
         }
     }
 
-    /// Parks a completion until its turn in the response order, promotes
-    /// every in-order response to the outbox, and attempts the write.
-    fn park(&mut self, completion: Completion) {
-        let slot = completion.slot;
-        let conn = self.conns[slot].as_mut().expect("generation checked");
+    /// Parks a completion until its turn in the response order and
+    /// promotes every in-order response to the outbox. Writes nothing.
+    fn stage(&mut self, completion: Completion) {
+        let conn = self.conns[completion.slot].as_mut().expect("generation checked");
         conn.parked.insert(
             completion.seq,
             Outgoing {
@@ -671,7 +682,6 @@ impl EventLoop {
             conn.outbox.push_back(next);
             conn.next_out += 1;
         }
-        self.write_ready(slot);
     }
 
     fn read_ready(&mut self, slot: usize, buf: &mut [u8]) {
@@ -703,9 +713,7 @@ impl EventLoop {
                         conn.req_started = Some(now);
                     }
                     conn.parser.feed(&buf[..n]);
-                    if !self.pump_parser(slot) {
-                        return; // connection closed during admission
-                    }
+                    self.pump_parser(slot);
                     if n < buf.len() {
                         break; // short read: the socket is drained
                     }
@@ -726,19 +734,21 @@ impl EventLoop {
                 }
             }
         }
-        self.refresh_deadline(slot);
+        // One flush for everything framing answered on the loop.
+        self.write_ready(slot);
     }
 
-    /// Frames and admits every complete request buffered on `slot`.
-    /// Returns false if the connection was closed.
-    fn pump_parser(&mut self, slot: usize) -> bool {
+    /// Frames and admits every complete request buffered on `slot`,
+    /// answering identify cache hits in place. Every answer made here is
+    /// staged, never written: the caller flushes.
+    fn pump_parser(&mut self, slot: usize) {
         loop {
             let conn = self.conns[slot].as_mut().expect("live slot");
             if conn.pending >= MAX_PIPELINED {
-                return true; // backpressure: stop framing until writes drain
+                return; // backpressure: stop framing until writes drain
             }
             match conn.parser.next_request() {
-                Ok(None) => return true,
+                Ok(None) => return,
                 Ok(Some(parsed)) => {
                     let now = Instant::now();
                     let started = conn.req_started.take().unwrap_or(now);
@@ -770,21 +780,33 @@ impl EventLoop {
                         rec.trace_supplied = true;
                     }
                     obs::gauge_add("serve.inflight", 1);
-                    obs::gauge_add("serve.queue_depth", 1);
                     // Pin the index generation at admission: this
                     // request answers from this exact index/cache no
                     // matter when a swap lands.
                     let index_gen = self.handle.load();
                     rec.generation = index_gen.number;
+                    let deadline = started + self.deadline;
+                    // The body is hashed once: a hit answers here, a miss
+                    // carries the key to its worker.
+                    let identify_key = identify_key(&parsed.request);
+                    if let Some(key) = identify_key.filter(|_| now < deadline) {
+                        let body = &parsed.request.body;
+                        if let Some(response) = identify_hit(body, key, &index_gen, &mut rec) {
+                            self.answer_local(slot, seq, started, rec, response, close_after);
+                            continue;
+                        }
+                    }
+                    obs::gauge_add("serve.queue_depth", 1);
                     let work = Work {
                         request: parsed.request,
                         slot,
                         generation,
                         seq,
                         started,
-                        deadline: started + self.deadline,
+                        deadline,
                         close_after,
                         enqueued: Instant::now(),
+                        identify_key,
                         rec,
                         index_gen,
                     };
@@ -797,7 +819,8 @@ impl EventLoop {
                         let mut work = refused.into_inner();
                         work.rec.endpoint = "shed";
                         let response = Response::overloaded(1);
-                        return self.answer_local(slot, seq, work.started, work.rec, response);
+                        self.answer_local(slot, seq, work.started, work.rec, response, true);
+                        return;
                     }
                 }
                 Err(frame_error) => {
@@ -814,13 +837,23 @@ impl EventLoop {
                     rec.endpoint = "parse";
                     rec.parse_ns = elapsed_ns(started).saturating_sub(accept_ns);
                     obs::gauge_add("serve.inflight", 1);
-                    return self.answer_local(slot, seq, started, rec, frame_error.response());
+                    self.answer_local(slot, seq, started, rec, frame_error.response(), true);
+                    return;
                 }
             }
         }
     }
 
+    /// Writes the connection's outbox until it empties or the socket
+    /// would block, then re-arms its deadline. May close the connection.
     fn write_ready(&mut self, slot: usize) {
+        debug_assert!(!self.flushing, "write_ready re-entered");
+        self.flushing = true;
+        self.flush(slot);
+        self.flushing = false;
+    }
+
+    fn flush(&mut self, slot: usize) {
         loop {
             let conn = self.conns[slot].as_mut().expect("live slot");
             let Some(out) = conn.outbox.front_mut() else { break };
@@ -865,11 +898,10 @@ impl EventLoop {
                     let conn = self.conns[slot].as_mut().expect("live slot");
                     // Leaving backpressure: requests already buffered
                     // past the cap get no readable event of their own.
-                    if conn.pending + 1 == MAX_PIPELINED
-                        && conn.close_after.is_none()
-                        && !self.pump_parser(slot)
-                    {
-                        return;
+                    // What the pump answers lands in the outbox this
+                    // loop is draining.
+                    if conn.pending + 1 == MAX_PIPELINED && conn.close_after.is_none() {
+                        self.pump_parser(slot);
                     }
                     let conn = self.conns[slot].as_mut().expect("live slot");
                     if conn.pending == 0
@@ -893,9 +925,11 @@ impl EventLoop {
         self.refresh_deadline(slot);
     }
 
-    /// Recomputes the connection's earliest deadline and (re)schedules
-    /// it on the wheel. Cheap enough to call after every state change;
-    /// stale wheel entries re-validate lazily.
+    /// Recomputes the connection's earliest deadline and schedules it on
+    /// the wheel when it is earlier than the connection's live entry.
+    /// Cheap enough to call after every state change: a connection holds
+    /// one live entry, however many requests it serves, and stale
+    /// entries re-validate lazily.
     fn refresh_deadline(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) else {
             return;
@@ -920,8 +954,10 @@ impl EventLoop {
         }
         conn.deadline_at = deadline;
         if let Some(at) = deadline {
-            let generation = conn.generation;
-            self.wheel.schedule(at, slot, generation);
+            if conn.wheel_at.is_none_or(|scheduled| at < scheduled) {
+                conn.wheel_at = Some(at);
+                self.wheel.schedule(at, slot, conn.generation);
+            }
         }
     }
 
@@ -929,12 +965,13 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) else {
             return;
         };
+        conn.wheel_at = None;
         match conn.deadline_at {
             None => {}
             Some(at) if at > now => {
                 // The deadline moved since this entry was scheduled.
-                let generation = conn.generation;
-                self.wheel.schedule(at, slot, generation);
+                conn.wheel_at = Some(at);
+                self.wheel.schedule(at, slot, conn.generation);
             }
             Some(_) => {
                 let reason = if conn.parser.has_partial() || !conn.outbox.is_empty() {
@@ -998,5 +1035,70 @@ impl EventLoop {
         // In-flight requests still at the workers complete into a stale
         // generation and are banked by drain_completions.
         drop(conn);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::ServeIndex;
+    use patchdb::PatchDb;
+
+    #[test]
+    fn keep_alive_cycles_hold_one_wheel_entry() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let queue = Arc::new(BoundedQueue::new(8));
+        let (waker, wake_rx) = net::Waker::new().unwrap();
+        let shared = Arc::new(LoopShared::new(waker));
+        let config = ServeConfig::default();
+        let mut event_loop = EventLoop::new(
+            listener,
+            Arc::clone(&queue),
+            Arc::clone(&shared),
+            wake_rx,
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(Telemetry::new(&config).unwrap()),
+            &config,
+            IndexHandle::from(ServeIndex::build(PatchDb::default())),
+        );
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        while event_loop.open == 0 {
+            event_loop.accept_ready();
+        }
+        let slot = event_loop.conns.iter().position(Option::is_some).unwrap();
+
+        // The test plays the worker: each request is popped and answered
+        // with a fixed completion, so the loop runs the same read, park
+        // and write steps as under a pool.
+        const HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n";
+        let mut buf = vec![0u8; 4096];
+        let mut answer = vec![0u8; HEAD.len()];
+        for _ in 0..1000 {
+            client.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            while queue.is_empty() {
+                let stream = &event_loop.conns[slot].as_ref().unwrap().stream;
+                net::poll(&mut [PollFd::new(stream, POLLIN)], 10_000).unwrap();
+                event_loop.read_ready(slot, &mut buf);
+            }
+            let work = queue.pop().unwrap();
+            shared.complete(Completion {
+                slot: work.slot,
+                generation: work.generation,
+                seq: work.seq,
+                started: work.started,
+                head: HEAD.to_vec(),
+                body: Vec::new(),
+                rec: work.rec,
+                close_after: false,
+            });
+            event_loop.drain_completions();
+            client.read_exact(&mut answer).unwrap();
+            assert_eq!(answer, HEAD);
+        }
+        let entries: usize = event_loop.wheel.slots.iter().map(Vec::len).sum();
+        assert_eq!(entries, 1, "1000 keep-alive cycles left {entries} wheel entries");
     }
 }

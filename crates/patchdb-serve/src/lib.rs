@@ -37,10 +37,12 @@
 //! Architecture (DESIGN.md §9): a single event-loop thread owns the
 //! listener and every connection in non-blocking mode, multiplexed over
 //! `poll(2)` (`rt::net`). The loop frames requests incrementally —
-//! partial reads never occupy a worker — and admits only *complete*
-//! requests to a **bounded** queue (`rt::queue::BoundedQueue`); when the
-//! queue (or the `--max-conns` cap) is full the request is answered
-//! `503` + `Retry-After` immediately instead of queueing unboundedly.
+//! partial reads never occupy a worker — answers an identify whose body
+//! the identify cache already holds on the spot, and admits every
+//! other *complete* request to a **bounded** queue
+//! (`rt::queue::BoundedQueue`); when the queue (or the `--max-conns`
+//! cap) is full the request is answered `503` + `Retry-After`
+//! immediately instead of queueing unboundedly.
 //! A fixed worker pool drains the queue under per-request deadlines;
 //! each worker runs its request's endpoint to the end — an identify
 //! miss is scored through the forest on that worker as a batch of one —

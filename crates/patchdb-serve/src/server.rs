@@ -2,11 +2,14 @@
 //! fixed worker pool, with per-request deadlines and graceful drain.
 //!
 //! The event loop (see [`crate::event_loop`]) owns every socket and
-//! frames complete requests; workers only ever see [`Work`] items that
-//! already carry a parsed request, run the endpoint, and complete back
-//! into the loop's mailbox. Every endpoint, `/v1/identify` included,
-//! finishes on the worker that popped it: an identify miss is parsed,
-//! extracted and scored through the forest as a batch of one right here.
+//! frames complete requests. A `/v1/identify` whose body the pinned
+//! generation has already scored is answered by the loop itself at
+//! admission ([`identify_hit`]): a hit costs a hash and a lookup, so it
+//! never waits in the queue or wakes a worker. Everything else reaches
+//! a worker as a [`Work`] item that already carries a parsed request;
+//! the worker runs the endpoint and completes back into the loop's
+//! mailbox. An identify miss is parsed, extracted and scored through
+//! the forest as a batch of one right here.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -222,6 +225,9 @@ pub(crate) struct Work {
     /// When the loop pushed the work; the worker reads the queue-wait
     /// stage off this at dequeue.
     pub enqueued: Instant,
+    /// The body's cache key when this is a `POST /v1/identify` that
+    /// missed at admission; `None` for every other request.
+    pub identify_key: Option<u64>,
     pub rec: RequestRecord,
     /// The index generation pinned at admission: this request answers
     /// from this exact index and cache no matter how many swaps land
@@ -463,8 +469,8 @@ fn handle_work(mut work: Work, ctx: &Ctx) {
         return;
     }
 
-    if work.request.path == "/v1/identify" && work.request.method == "POST" {
-        let response = identify(&mut work);
+    if let Some(key) = work.identify_key {
+        let response = identify_miss(&mut work, key);
         reply(work, "identify", response, ctx);
         return;
     }
@@ -491,26 +497,45 @@ fn identify_response(score: f64) -> Response {
     )
 }
 
-/// `POST /v1/identify` against the generation the request pinned at
-/// admission. A body scored before answers from that generation's
-/// cache without parsing — identify is pure in the body bytes, so the
-/// response is byte-identical to the full pipeline's. A miss is parsed,
-/// extracted, and scored through the forest as a batch of one, and its
-/// score lands in the same generation's cache. The record's `compute`
-/// stage covers lookup, parse, and extraction; its `batch` stage times
-/// the forest pass.
-fn identify(work: &mut Work) -> Response {
+/// The cache key of `request`'s body when it is a `POST /v1/identify`;
+/// `None` routes the request like any other endpoint.
+pub(crate) fn identify_key(request: &Request) -> Option<u64> {
+    (request.method == "POST" && request.path == "/v1/identify")
+        .then(|| cache_key(&request.body))
+}
+
+/// Answers a `POST /v1/identify` from the cache of the generation it
+/// pinned at admission, or `None` on a miss. The event loop calls this
+/// before queueing, so a hit never waits for a worker. Identify is pure
+/// in the body bytes, so the cached score renders byte-identically to
+/// the miss that scored it. `key` is [`identify_key`]'s; the record's
+/// `compute` stage covers the lookup.
+pub(crate) fn identify_hit(
+    body: &[u8],
+    key: u64,
+    gen: &Generation,
+    rec: &mut RequestRecord,
+) -> Option<Response> {
+    let started = Instant::now();
+    let score = gen.cache.lookup(key, body)?;
+    let lookup_ns = elapsed_ns(started);
+    rec.endpoint = "identify";
+    rec.compute_ns = lookup_ns;
+    rec.cache = Some(true);
+    obs::counter_add("serve.identify.requests", 1);
+    obs::counter_add("serve.identify.cache_hits", 1);
+    obs::hist_record("serve.identify.ns", lookup_ns);
+    Some(identify_response(score))
+}
+
+/// `POST /v1/identify` for a body the pinned generation's cache missed
+/// at admission: parsed, extracted, and scored through the forest as a
+/// batch of one, and its score lands in the same generation's cache
+/// under `key`. The record's `compute` stage covers parse and
+/// extraction; its `batch` stage times the forest pass.
+fn identify_miss(work: &mut Work, key: u64) -> Response {
     let started = Instant::now();
     let gen = &work.index_gen;
-    let key = cache_key(&work.request.body);
-    if let Some(score) = gen.cache.lookup(key, &work.request.body) {
-        work.rec.compute_ns = elapsed_ns(started);
-        work.rec.cache = Some(true);
-        obs::counter_add("serve.identify.requests", 1);
-        obs::counter_add("serve.identify.cache_hits", 1);
-        obs::hist_record("serve.identify.ns", elapsed_ns(started));
-        return identify_response(score);
-    }
     work.rec.cache = Some(false);
     let patch = match parse_patch_body(&work.request) {
         Ok(patch) => patch,
@@ -791,6 +816,7 @@ mod tests {
             deadline: now + Duration::from_secs(60),
             close_after: false,
             enqueued: now,
+            identify_key: Some(cache_key(body.as_bytes())),
             rec: RequestRecord::admitted(slot as u64, 0),
             index_gen: Arc::clone(index_gen),
         }
@@ -868,11 +894,17 @@ mod tests {
         assert_eq!(pinned.cache.lookup(key, body.as_bytes()), Some(want));
 
         let hits_before = obs::counter_value("serve.identify.cache_hits");
-        let hit = serve_one(identify_work(1, &body, &pinned), &ctx);
-        assert_eq!(hit.rec.cache, Some(true));
-        assert_eq!(hit.rec.batch_ns, 0, "a cache hit never reaches the forest");
+        let mut rec = RequestRecord::admitted(1, 0);
+        let hit = identify_hit(body.as_bytes(), key, &pinned, &mut rec).expect("a hit");
+        assert_eq!(rec.cache, Some(true));
+        assert_eq!(rec.endpoint, "identify");
+        assert_eq!(rec.batch_ns, 0, "a cache hit never reaches the forest");
         assert_eq!(hit.body, miss.body, "a hit answers the miss's bytes");
         assert!(obs::counter_value("serve.identify.cache_hits") > hits_before);
+        let other = b"not a cached body";
+        let mut rec = RequestRecord::admitted(2, 0);
+        assert!(identify_hit(other, cache_key(other), &pinned, &mut rec).is_none());
+        assert_eq!(rec.cache, None, "a miss leaves the record to its worker");
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub(crate) struct RequestRecord {
     pub total_ns: u64,
     /// Accept thread: TCP accept to admission-queue push.
     pub accept_ns: u64,
-    /// Admission-queue wait: push to worker dequeue.
+    /// Admission-queue wait: push to worker dequeue (zero for an
+    /// identify cache hit, which the event loop answers itself).
     pub queue_ns: u64,
     /// Socket read + HTTP parse.
     pub parse_ns: u64,

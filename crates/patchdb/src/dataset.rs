@@ -467,6 +467,28 @@ mod tests {
         });
     }
 
+    /// A rejected import names the list and position of the record at
+    /// fault, under one `json error:` prefix.
+    #[test]
+    fn import_error_names_the_record_position() {
+        let text = tiny_db().to_json().unwrap();
+        let mut doc = Json::parse(&text).unwrap();
+        let records = list(&mut doc, "wild");
+        let k = records.len() - 1;
+        assert!(k > 0, "the tiny export has several wild records");
+        let hex = string(&mut records[k], "commit");
+        let flipped = if hex.starts_with('0') { "1" } else { "0" };
+        hex.replace_range(0..1, flipped);
+        match PatchDb::from_json(&doc.to_pretty_string()) {
+            Err(Error::Schema(msg)) => {
+                let want = format!("json error: field 'wild': [{k}]: field 'commit': ");
+                assert!(msg.starts_with(&want), "{msg}");
+                assert_eq!(msg.matches("json error:").count(), 1, "{msg}");
+            }
+            other => panic!("a flipped commit gave {:?}", other.map(|_| "a dataset")),
+        }
+    }
+
     /// A record filed under `nvd` but tagged non-security would count as
     /// NVD in the stats yet train the served identifier as a negative.
     #[test]

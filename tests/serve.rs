@@ -613,24 +613,61 @@ fn pipelined_responses_arrive_in_request_order() {
     server.shutdown();
 }
 
-#[test]
-fn pipelined_burst_deeper_than_the_cap_is_answered_in_full() {
-    let server = start(ephemeral().threads(2));
-    let addr = server.addr();
-    let expected = client::request(addr, "GET", "/v1/stats", b"").unwrap();
-    assert_eq!(expected.status, 200);
+/// Reads one framed response: its status line, echoed trace id and
+/// body.
+fn read_traced_reply(reader: &mut impl BufRead) -> std::io::Result<(String, String, Vec<u8>)> {
+    let mut status = String::new();
+    reader.read_line(&mut status)?;
+    let (mut length, mut trace) = (0usize, String::new());
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line)?;
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        let (key, value) = line.split_once(": ").expect("header line");
+        match key.to_ascii_lowercase().as_str() {
+            "content-length" => length = value.parse().unwrap(),
+            "x-patchdb-trace-id" => trace = value.to_owned(),
+            _ => {}
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body)?;
+    Ok((status.trim_end().to_owned(), trace, body))
+}
 
-    // 200 requests in one write, past the loop's 128-deep pipelining
-    // cap: the ones framed after the cap lifts must not wait for a
-    // readable event that never comes. Each carries its index as the
-    // client trace id, so the echoed ids pin the response order.
-    const BURST: usize = 200;
+/// One request carrying `trace` as its client trace id, as wire bytes.
+fn traced_request(method: &str, path: &str, trace: &str, body: &[u8]) -> Vec<u8> {
+    let mut bytes = format!(
+        "{method} {path} HTTP/1.1\r\nHost: x\r\nX-Patchdb-Trace-Id: {trace}\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// Writes `n` copies of one request in a single write, each carrying
+/// its index as the client trace id, and only then reads: every answer
+/// must arrive, in order (the echoed ids pin it), with `expected` as
+/// its body, within five seconds. A `lead` GET path goes first and must
+/// answer `200`.
+fn assert_burst_answered(
+    addr: std::net::SocketAddr,
+    lead: Option<&str>,
+    (method, path, body): (&str, &str, &[u8]),
+    n: usize,
+    expected: &[u8],
+) {
     let mut burst = Vec::new();
-    for i in 0..BURST {
-        burst.extend_from_slice(
-            format!("GET /v1/stats HTTP/1.1\r\nHost: x\r\nX-Patchdb-Trace-Id: burst-{i}\r\n\r\n")
-                .as_bytes(),
-        );
+    if let Some(lead) = lead {
+        burst.extend(traced_request("GET", lead, "burst-lead", b""));
+    }
+    for i in 0..n {
+        burst.extend(traced_request(method, path, &format!("burst-{i}"), body));
     }
     let started = Instant::now();
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -638,37 +675,136 @@ fn pipelined_burst_deeper_than_the_cap_is_answered_in_full() {
     stream.write_all(&burst).unwrap();
 
     let mut reader = BufReader::new(stream);
-    for i in 0..BURST {
-        let mut status = String::new();
-        reader
-            .read_line(&mut status)
-            .unwrap_or_else(|e| panic!("response #{i}: {e} after {:?}", started.elapsed()));
-        assert!(status.starts_with("HTTP/1.1 200"), "response #{i}: {status:?}");
-        let (mut length, mut trace) = (0usize, String::new());
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            let (key, value) = line.split_once(": ").expect("header line");
-            match key.to_ascii_lowercase().as_str() {
-                "content-length" => length = value.parse().unwrap(),
-                "x-patchdb-trace-id" => trace = value.to_owned(),
-                _ => {}
-            }
-        }
-        let mut body = vec![0u8; length];
-        reader.read_exact(&mut body).unwrap();
-        assert_eq!(trace, format!("burst-{i}"), "response #{i} out of order");
-        assert_eq!(body, expected.body, "response #{i} body");
+    if let Some(lead) = lead {
+        let (status, trace, _) = read_traced_reply(&mut reader).unwrap();
+        assert!(status.starts_with("HTTP/1.1 200"), "{lead}: {status:?}");
+        assert_eq!(trace, "burst-lead");
+    }
+    for i in 0..n {
+        let (status, trace, got) = read_traced_reply(&mut reader).unwrap_or_else(|e| {
+            panic!("{path} response #{i}: {e} after {:?}", started.elapsed())
+        });
+        assert!(status.starts_with("HTTP/1.1 200"), "{path} response #{i}: {status:?}");
+        assert_eq!(trace, format!("burst-{i}"), "{path} response #{i} out of order");
+        assert_eq!(got, expected, "{path} response #{i} body");
     }
     assert!(
         started.elapsed() < Duration::from_secs(5),
-        "burst took {:?}",
+        "{n} × {path} took {:?}",
         started.elapsed()
     );
+}
+
+#[test]
+fn pipelined_burst_deeper_than_the_cap_is_answered_in_full() {
+    // Runs a profile session.
+    let _guard = obs_lock().lock().unwrap();
+    let server = start(ephemeral().threads(2));
+    let addr = server.addr();
+    let expected = client::request(addr, "GET", "/v1/stats", b"").unwrap();
+    assert_eq!(expected.status, 200);
+
+    // 200 requests in one write, past the loop's 128-deep pipelining
+    // cap: the ones framed after the cap lifts must not wait for a
+    // readable event that never comes.
+    assert_burst_answered(addr, None, ("GET", "/v1/stats", b""), 200, &expected.body);
+
+    // 1,000 copies of one cached identify body behind a one-second
+    // profile: the loop answers each hit at admission, but they park
+    // behind the profile until the cap stops framing. Once the profile
+    // answers, every hit framed as the cap lifts is staged behind the
+    // write that lifted it, never written from inside it (`write_ready`
+    // asserts it is not re-entered), so the burst costs no recursion.
+    let body = shared_db()
+        .records()
+        .map(diff_body)
+        .min_by_key(String::len)
+        .expect("tiny build has records");
+    let miss = client::request(addr, "POST", "/v1/identify", body.as_bytes()).unwrap();
+    assert_eq!(miss.status, 200);
+    let lead = Some("/debug/profile?seconds=1&hz=97");
+    let hits = ("POST", "/v1/identify", body.as_bytes());
+    assert_burst_answered(addr, lead, hits, 1000, &miss.body);
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_identify_misses_and_hits_answer_in_request_order() {
+    let server = start(ephemeral().threads(2));
+    let addr = server.addr();
+    let bodies: Vec<String> = shared_db().nvd.iter().take(4).map(diff_body).collect();
+    let (hot, cold) = bodies.split_at(2);
+    let warmed: Vec<Vec<u8>> = hot
+        .iter()
+        .map(|b| client::request(addr, "POST", "/v1/identify", b.as_bytes()).unwrap().body)
+        .collect();
+
+    // A miss, hits, a miss, hits on one connection in one write: the
+    // hits answer at admission while each miss is still at a worker,
+    // yet every response must come back in request order.
+    let order = [(&cold[0], false), (&hot[0], true), (&hot[1], true), (&cold[1], false)];
+    let order = [&order[..], &[(&hot[1], true), (&hot[0], true)]].concat();
+    let mut wire = Vec::new();
+    for (i, (body, _)) in order.iter().enumerate() {
+        wire.extend(traced_request("POST", "/v1/identify", &format!("mixed-{i}"), body.as_bytes()));
+    }
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(&wire).unwrap();
+    let mut reader = BufReader::new(stream);
+    let replies: Vec<_> =
+        (0..order.len()).map(|_| read_traced_reply(&mut reader).unwrap()).collect();
+
+    for (i, ((body, hit), (status, trace, got))) in order.iter().zip(&replies).enumerate() {
+        assert!(status.starts_with("HTTP/1.1 200"), "reply #{i}: {status}");
+        assert_eq!(trace, &format!("mixed-{i}"), "reply #{i} out of order");
+        let want = match hot.iter().position(|h| h == *body) {
+            Some(k) => warmed[k].clone(),
+            None => client::request(addr, "POST", "/v1/identify", body.as_bytes()).unwrap().body,
+        };
+        assert_eq!(got, &want, "reply #{i} body");
+        let record = client::request(addr, "GET", &format!("/debug/trace/mixed-{i}"), b"").unwrap();
+        let json = Json::parse(&record.body_text()).expect("/debug/trace is JSON");
+        let cache = json.get("request").and_then(|r| r.get("cache")).and_then(Json::as_str);
+        assert_eq!(cache, Some(if *hit { "hit" } else { "miss" }), "reply #{i}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn identify_cache_hits_never_wait_for_the_worker() {
+    // Runs a profile session.
+    let _guard = obs_lock().lock().unwrap();
+    let server = start(ephemeral().threads(1));
+    let addr = server.addr();
+    let body = diff_body(shared_db().nvd.first().expect("tiny build has NVD records"));
+    let miss = client::request(addr, "POST", "/v1/identify", body.as_bytes()).unwrap();
+    assert_eq!(miss.status, 200);
+
+    // The profile holds the only worker for three seconds, yet the
+    // cached body is answered at once, byte for byte.
+    let profiler = profile_in_background(addr, 3, 97);
+    assert!(await_mirroring(), "the profile never started");
+    let asked = Instant::now();
+    let (status, _, hit) = raw_exchange(
+        addr,
+        "POST",
+        "/v1/identify",
+        &[("X-Patchdb-Trace-Id", "it-hit-1")],
+        body.as_bytes(),
+    );
+    let waited = asked.elapsed();
+    assert!(waited < Duration::from_millis(1500), "the hit waited {waited:?} for the worker");
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(hit, miss.body, "a hit answers the miss's bytes");
+    assert_eq!(profiler.join().unwrap().expect("profile scrape").status, 200);
+
+    let reply = client::request(addr, "GET", "/debug/trace/it-hit-1", b"").unwrap();
+    let json = Json::parse(&reply.body_text()).expect("/debug/trace is JSON");
+    let request = json.get("request").expect("embedded request record");
+    assert_eq!(request.get("cache").and_then(Json::as_str), Some("hit"));
+    assert_eq!(request.get("queue_ns").and_then(Json::as_f64), Some(0.0));
+    assert_eq!(request.get("endpoint").and_then(Json::as_str), Some("identify"));
     server.shutdown();
 }
 
@@ -1042,14 +1178,16 @@ fn debug_profile_round_trip() {
     assert!(!sampler::mirroring(), "a server with no profile running mirrors span paths");
 
     // An on-demand profile blocks one worker for a second while a client
-    // keeps the loop and the other worker busy with identify requests.
+    // keeps the loop and the other worker busy with classify requests
+    // (repeated identify bodies would answer from the cache on the loop
+    // and leave the worker idle).
     let done = AtomicBool::new(false);
     let (mirrored, profile, served) = std::thread::scope(|scope| {
         let load = scope.spawn(|| {
             let mut ka = Client::connect(addr, Duration::from_secs(10)).unwrap();
             let mut served = 0;
             while !done.load(Ordering::Relaxed) {
-                assert_eq!(ka.send("POST", "/v1/identify", body.as_bytes()).unwrap().status, 200);
+                assert_eq!(ka.send("POST", "/v1/classify", body.as_bytes()).unwrap().status, 200);
                 served += 1;
             }
             served
@@ -1063,7 +1201,7 @@ fn debug_profile_round_trip() {
     });
     assert!(mirrored, "a running /debug/profile never turned mirroring on");
     assert!(!sampler::mirroring(), "mirroring outlived the /debug/profile scrape");
-    assert!(served > 0, "no identify request was answered during the profile");
+    assert!(served > 0, "no classify request was answered during the profile");
     assert_eq!(profile.status, 200);
     let pjson = Json::parse(&profile.body_text()).expect("/debug/profile is JSON");
     assert_eq!(pjson.get("schema").and_then(Json::as_str), Some("patchdb-profile/v1"));

@@ -125,7 +125,9 @@ impl<T> BoundedQueue<T> {
     /// already-queued items remain poppable, and every consumer blocked
     /// in [`pop`](Self::pop) wakes up. Idempotent.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        // Setting the flag is valid whatever a panicking holder left
+        // behind, and a close from a drop guard must not panic again.
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();

@@ -21,9 +21,13 @@
 //! in request order. Answers made while framing (hits, sheds, framing
 //! errors) are only staged; the read handler flushes them once framing
 //! is done, so `write_ready` never re-enters itself however deep the
-//! pipeline. Each response goes out with one `write_vectored` of
-//! `[head, body]`; unread remainders wait in the connection's outbox for
-//! `POLLOUT`.
+//! pipeline. Completions a wake drains are staged first too, so each
+//! connection is flushed once per wake. A flush gathers the whole
+//! outbox, up to and including a close-after response, into one
+//! `write_vectored` of every unwritten head and body: eight pipelined
+//! hits cost one syscall, not eight. The returned byte count is spread
+//! over the front responses; a partly written one stays at the front
+//! for `POLLOUT`.
 //!
 //! Lifecycle per connection:
 //!
@@ -63,6 +67,12 @@ use crate::telemetry::{elapsed_ns, elapsed_since, RequestRecord, Telemetry};
 /// client pipelining deeper than this stops being read until responses
 /// drain (read-side backpressure, not an error).
 const MAX_PIPELINED: usize = 128;
+
+/// Upper bound on the slices one gathered write carries: a head and a
+/// body for each of a connection's at most `MAX_PIPELINED` responses.
+/// `writev` rejects more than `IOV_MAX` (1024 on Linux and the BSDs).
+const GATHER_SLICES: usize = 2 * MAX_PIPELINED;
+const _: () = assert!(GATHER_SLICES <= 1024);
 
 /// Timer-wheel granularity. Deadlines fire at most one tick late.
 const TICK_MS: u64 = 50;
@@ -130,11 +140,61 @@ impl LoopShared {
 struct Outgoing {
     head: Vec<u8>,
     body: Vec<u8>,
+    /// Bytes of `head` then `body` already on the wire.
     written: usize,
     started: Instant,
+    /// When the first write call that carried this response's bytes
+    /// started (`None` until one did).
     write_started: Option<Instant>,
     rec: RequestRecord,
     close_after: bool,
+}
+
+impl Outgoing {
+    fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+
+    /// The unwritten rest of the head and of the body.
+    fn unwritten(&self) -> (&[u8], &[u8]) {
+        let head = &self.head[self.written.min(self.head.len())..];
+        let body = &self.body[self.written.saturating_sub(self.head.len())..];
+        (head, body)
+    }
+
+    /// The record of a response whose last byte went out with the write
+    /// call that returned at `returned`: its write stage runs from the
+    /// first call that carried its bytes to that return.
+    fn finish(self, returned: Instant) -> RequestRecord {
+        let mut rec = self.rec;
+        let write_started = self.write_started.expect("spread marks every response it advances");
+        rec.write_ns = elapsed_since(write_started, returned);
+        rec.total_ns = elapsed_since(self.started, returned);
+        rec
+    }
+}
+
+/// Spreads `n` bytes, which one write call started at `call_started`
+/// just sent from the front of `outbox`, over its responses in order.
+/// Returns how many front responses are now fully written; a partly
+/// written one stays at the front with its offset advanced.
+fn spread(outbox: &mut VecDeque<Outgoing>, mut n: usize, call_started: Instant) -> usize {
+    let mut done = 0;
+    for out in outbox.iter_mut() {
+        if n == 0 {
+            break;
+        }
+        out.write_started.get_or_insert(call_started);
+        let step = n.min(out.len() - out.written);
+        out.written += step;
+        n -= step;
+        if out.written < out.len() {
+            break;
+        }
+        done += 1;
+    }
+    debug_assert_eq!(n, 0, "a write returned more bytes than it was given");
+    done
 }
 
 /// Why a connection is being torn down; selects the terminal counter
@@ -243,6 +303,15 @@ impl TimerWheel {
     }
 }
 
+/// Closes the worker queue when dropped.
+struct CloseOnDrop(Arc<BoundedQueue<Work>>);
+
+impl Drop for CloseOnDrop {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 pub(crate) struct EventLoop {
     listener: TcpListener,
     queue: Arc<BoundedQueue<Work>>,
@@ -271,6 +340,9 @@ pub(crate) struct EventLoop {
     last_sampled_s: u64,
     /// Set while `write_ready` runs: it must never re-enter itself.
     flushing: bool,
+    /// Responses finished per write call since the last merge into
+    /// `serve.write.responses` (once per loop iteration).
+    write_responses: obs::Hist,
 }
 
 impl EventLoop {
@@ -310,11 +382,12 @@ impl EventLoop {
             reload: config.reload.clone(),
             last_sampled_s: u64::MAX,
             flushing: false,
+            write_responses: obs::Hist::default(),
         }
     }
 
-    /// Runs until shutdown completes; closes the worker queue on exit so
-    /// the pool drains and joins.
+    /// Runs until shutdown completes; closes the worker queue on exit,
+    /// normal or by panic, so the pool drains and joins.
     ///
     /// Each iteration is instrumented for the loop-health report:
     /// `serve.loop.poll_wait_ns` vs `serve.loop.work_ns` split the
@@ -324,6 +397,9 @@ impl EventLoop {
     /// each tick, and `serve.loop.lag_ns` measures how long a ready fd
     /// waited behind its siblings before its handler ran.
     pub fn run(mut self) {
+        // Closes the queue on every exit, a panic included: a worker
+        // blocked in `pop` on a queue nobody closes hangs shutdown.
+        let _close_queue = CloseOnDrop(Arc::clone(&self.queue));
         let mut read_buf = vec![0u8; 64 * 1024];
         let mut pollfds: Vec<PollFd> = Vec::new();
         // (slot, generation) for each conn entry in `pollfds`, in order.
@@ -473,6 +549,7 @@ impl EventLoop {
                 obs::hist_merge("serve.loop.lag_ns", &lag);
             }
             obs::hist_record("serve.loop.dispatched_fds", dispatched);
+            obs::hist_merge("serve.write.responses", &std::mem::take(&mut self.write_responses));
             let now = Instant::now();
             let due = self.wheel.take_due(now);
             if !due.is_empty() {
@@ -484,9 +561,8 @@ impl EventLoop {
                 }
             }
         }
-        // Workers drain the remaining queue (requests from connections
-        // that died waiting) and exit.
-        self.queue.close();
+        // Dropping `_close_queue` lets the workers drain the remaining
+        // queue (requests from connections that died waiting) and exit.
     }
 
     fn generation_of(&self, slot: usize) -> Option<u64> {
@@ -644,7 +720,11 @@ impl EventLoop {
         });
     }
 
+    /// Stages every completion workers published, then flushes each
+    /// connection they touched once: one write per connection per wake,
+    /// however many of its responses came back.
     fn drain_completions(&mut self) {
+        let mut touched: Vec<(usize, u64)> = Vec::new();
         for completion in self.shared.take() {
             if self.generation_of(completion.slot) != Some(completion.generation) {
                 // The connection died while its request was in flight.
@@ -656,9 +736,15 @@ impl EventLoop {
                 self.telemetry.observe(rec);
                 continue;
             }
-            let slot = completion.slot;
+            touched.push((completion.slot, completion.generation));
             self.stage(completion);
-            self.write_ready(slot);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for (slot, generation) in touched {
+            if self.generation_of(slot) == Some(generation) {
+                self.write_ready(slot);
+            }
         }
     }
 
@@ -744,12 +830,26 @@ impl EventLoop {
     fn pump_parser(&mut self, slot: usize) {
         loop {
             let conn = self.conns[slot].as_mut().expect("live slot");
+            // Nothing is framed past a request that closes the
+            // connection (RFC 9112 §9.6): its response is the last one,
+            // so work behind it would run only to be thrown away. The
+            // bytes are dropped too: they are no request in progress, so
+            // no partial-request deadline may close the connection
+            // before that last response is out.
+            if conn.close_after.is_some() {
+                conn.parser = RequestParser::default();
+                return;
+            }
             if conn.pending >= MAX_PIPELINED {
                 return; // backpressure: stop framing until writes drain
             }
             match conn.parser.next_request() {
                 Ok(None) => return,
                 Ok(Some(parsed)) => {
+                    #[cfg(test)]
+                    if parsed.request.path == tests::PANIC_PATH {
+                        panic!("event-loop panic requested by a test");
+                    }
                     let now = Instant::now();
                     let started = conn.req_started.take().unwrap_or(now);
                     let accept_ns = if conn.first_request { conn.accept_ns } else { 0 };
@@ -856,51 +956,62 @@ impl EventLoop {
     fn flush(&mut self, slot: usize) {
         loop {
             let conn = self.conns[slot].as_mut().expect("live slot");
-            let Some(out) = conn.outbox.front_mut() else { break };
-            if out.write_started.is_none() {
-                out.write_started = Some(Instant::now());
+            if conn.outbox.is_empty() {
+                break;
             }
-            let head_remaining = out.head.len().saturating_sub(out.written);
-            let total = out.head.len() + out.body.len();
-            let result = if head_remaining > 0 {
-                conn.stream.write_vectored(&[
-                    IoSlice::new(&out.head[out.written..]),
-                    IoSlice::new(&out.body),
-                ])
-            } else {
-                conn.stream.write(&out.body[out.written - out.head.len()..])
-            };
+            // Gather every staged response's unwritten bytes, in order,
+            // up to and including the one that closes the connection.
+            let mut slices = Vec::with_capacity((2 * conn.outbox.len()).min(GATHER_SLICES));
+            for out in &conn.outbox {
+                if slices.len() + 2 > GATHER_SLICES {
+                    break;
+                }
+                let (head, body) = out.unwritten();
+                if !head.is_empty() {
+                    slices.push(IoSlice::new(head));
+                }
+                slices.push(IoSlice::new(body));
+                if out.close_after {
+                    break;
+                }
+            }
+            let call_started = Instant::now();
+            let result = conn.stream.write_vectored(&slices);
+            // Read once per call, before any record is observed: every
+            // response this call finishes ends at this instant.
+            let returned = Instant::now();
             match result {
                 Ok(0) => {
                     self.close_conn(slot, CloseReason::WriteFailed);
                     return;
                 }
                 Ok(n) => {
-                    out.written += n;
-                    conn.last_progress = Instant::now();
-                    if out.written < total {
+                    conn.last_progress = returned;
+                    let was_capped = conn.pending >= MAX_PIPELINED;
+                    let done = spread(&mut conn.outbox, n, call_started);
+                    self.write_responses.record(done as u64);
+                    if done == 0 {
                         continue; // partial write: try once more, then POLLOUT
                     }
-                    let mut finished = conn.outbox.pop_front().expect("front exists");
-                    conn.pending -= 1;
+                    conn.pending -= done;
                     if conn.pending == 0 {
-                        conn.idle_since = Instant::now();
+                        conn.idle_since = returned;
                     }
-                    finished.rec.write_ns =
-                        finished.write_started.map_or(0, elapsed_ns);
-                    finished.rec.total_ns = elapsed_ns(finished.started);
-                    obs::gauge_add("serve.inflight", -1);
-                    self.telemetry.observe(finished.rec);
-                    if finished.close_after {
+                    obs::gauge_add("serve.inflight", -(done as i64));
+                    let mut closing = false;
+                    for out in conn.outbox.drain(..done) {
+                        closing |= out.close_after;
+                        self.telemetry.observe(out.finish(returned));
+                    }
+                    if closing {
                         self.close_conn(slot, CloseReason::Clean);
                         return;
                     }
-                    let conn = self.conns[slot].as_mut().expect("live slot");
                     // Leaving backpressure: requests already buffered
                     // past the cap get no readable event of their own.
                     // What the pump answers lands in the outbox this
                     // loop is draining.
-                    if conn.pending + 1 == MAX_PIPELINED && conn.close_after.is_none() {
+                    if was_capped && conn.pending < MAX_PIPELINED {
                         self.pump_parser(slot);
                     }
                     let conn = self.conns[slot].as_mut().expect("live slot");
@@ -1039,17 +1150,26 @@ impl EventLoop {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::index::ServeIndex;
     use patchdb::PatchDb;
 
-    #[test]
-    fn keep_alive_cycles_hold_one_wheel_entry() {
+    /// A request for this path panics the loop thread (test builds only).
+    pub(crate) const PANIC_PATH: &str = "/test/panic-loop";
+
+    const HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n";
+
+    /// A loop over an empty index with one accepted client connection
+    /// and an admission queue of `capacity`; the test plays both the
+    /// poll loop and the worker.
+    fn loop_with_client(
+        capacity: usize,
+    ) -> (EventLoop, TcpStream, Arc<BoundedQueue<Work>>, Arc<LoopShared>, usize) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         listener.set_nonblocking(true).unwrap();
-        let queue = Arc::new(BoundedQueue::new(8));
+        let queue = Arc::new(BoundedQueue::new(capacity));
         let (waker, wake_rx) = net::Waker::new().unwrap();
         let shared = Arc::new(LoopShared::new(waker));
         let config = ServeConfig::default();
@@ -1063,42 +1183,250 @@ mod tests {
             &config,
             IndexHandle::from(ServeIndex::build(PatchDb::default())),
         );
-        let mut client = TcpStream::connect(addr).unwrap();
+        let client = TcpStream::connect(addr).unwrap();
         client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         while event_loop.open == 0 {
             event_loop.accept_ready();
         }
         let slot = event_loop.conns.iter().position(Option::is_some).unwrap();
+        (event_loop, client, queue, shared, slot)
+    }
 
-        // The test plays the worker: each request is popped and answered
-        // with a fixed completion, so the loop runs the same read, park
-        // and write steps as under a pool.
-        const HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n";
+    /// Reads and frames until `n` requests wait in the queue.
+    fn admit(event_loop: &mut EventLoop, slot: usize, queue: &BoundedQueue<Work>, n: usize) {
         let mut buf = vec![0u8; 4096];
-        let mut answer = vec![0u8; HEAD.len()];
+        while queue.len() < n {
+            let stream = &event_loop.conns[slot].as_ref().unwrap().stream;
+            net::poll(&mut [PollFd::new(stream, POLLIN)], 10_000).unwrap();
+            event_loop.read_ready(slot, &mut buf);
+        }
+    }
+
+    /// The fixed answer the tests' worker sends for `work`.
+    fn answer(work: Work) -> Completion {
+        Completion {
+            slot: work.slot,
+            generation: work.generation,
+            seq: work.seq,
+            started: work.started,
+            head: HEAD.to_vec(),
+            body: Vec::new(),
+            rec: work.rec,
+            close_after: false,
+        }
+    }
+
+    #[test]
+    fn keep_alive_cycles_hold_one_wheel_entry() {
+        let (mut event_loop, mut client, queue, shared, slot) = loop_with_client(8);
+        let mut answered = vec![0u8; HEAD.len()];
         for _ in 0..1000 {
             client.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-            while queue.is_empty() {
-                let stream = &event_loop.conns[slot].as_ref().unwrap().stream;
-                net::poll(&mut [PollFd::new(stream, POLLIN)], 10_000).unwrap();
-                event_loop.read_ready(slot, &mut buf);
-            }
-            let work = queue.pop().unwrap();
-            shared.complete(Completion {
-                slot: work.slot,
-                generation: work.generation,
-                seq: work.seq,
-                started: work.started,
-                head: HEAD.to_vec(),
-                body: Vec::new(),
-                rec: work.rec,
-                close_after: false,
-            });
+            admit(&mut event_loop, slot, &queue, 1);
+            shared.complete(answer(queue.pop().unwrap()));
             event_loop.drain_completions();
-            client.read_exact(&mut answer).unwrap();
-            assert_eq!(answer, HEAD);
+            client.read_exact(&mut answered).unwrap();
+            assert_eq!(answered, HEAD);
         }
         let entries: usize = event_loop.wheel.slots.iter().map(Vec::len).sum();
         assert_eq!(entries, 1, "1000 keep-alive cycles left {entries} wheel entries");
+    }
+
+    #[test]
+    fn completions_drained_in_one_wake_go_out_in_one_write() {
+        let (mut event_loop, mut client, queue, shared, slot) = loop_with_client(8);
+        client.write_all(&b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".repeat(3)).unwrap();
+        admit(&mut event_loop, slot, &queue, 3);
+        let mut works: Vec<Option<Work>> = (0..3).map(|_| queue.pop()).collect();
+        // Completed out of order, as racing workers would: a flush per
+        // completion would write twice, once 0 lets 1 through, then 2.
+        for seq in [1, 0, 2] {
+            shared.complete(answer(works[seq].take().unwrap()));
+        }
+        event_loop.drain_completions();
+        let calls = &event_loop.write_responses;
+        assert_eq!((calls.count(), calls.sum()), (1, 3), "three responses, one write call");
+        let mut answered = vec![0u8; 3 * HEAD.len()];
+        client.read_exact(&mut answered).unwrap();
+        assert_eq!(answered, HEAD.repeat(3));
+        let conn = event_loop.conns[slot].as_ref().unwrap();
+        assert_eq!((conn.pending, conn.outbox.len()), (0, 0));
+    }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const SOL_SOCKET: i32 = 1;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const SO_SNDBUF: i32 = 7;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const SO_RCVBUF: i32 = 8;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const SOL_SOCKET: i32 = 0xffff;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const SO_SNDBUF: i32 = 0x1001;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const SO_RCVBUF: i32 = 0x1002;
+
+    /// Sets a socket's `SO_SNDBUF` or `SO_RCVBUF` (`name`) to `bytes`.
+    fn set_buffer(stream: &TcpStream, name: i32, bytes: i32) {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        }
+        // SAFETY: the descriptor stays open for the borrow of `stream`,
+        // and `value` points at a live `i32` whose size is `len`.
+        let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, name, &bytes, 4) };
+        assert_eq!(rc, 0, "setsockopt: {}", std::io::Error::last_os_error());
+    }
+
+    /// Short gathered writes on a real socket: with an 8 KiB send
+    /// buffer, a 64 KiB receive buffer and a slow reader, writes stop
+    /// inside heads and inside bodies, and the bytes still arrive whole
+    /// and in order. (A receive buffer below the loopback MSS would stall
+    /// on zero-window probes instead.)
+    #[test]
+    fn short_gathered_writes_resume_where_they_stopped() {
+        const N: usize = 128;
+        let (mut event_loop, mut client, queue, shared, slot) = loop_with_client(N);
+        set_buffer(&event_loop.conns[slot].as_ref().unwrap().stream, SO_SNDBUF, 4096);
+        client.write_all(&b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".repeat(N)).unwrap();
+        set_buffer(&client, SO_RCVBUF, 32768);
+        admit(&mut event_loop, slot, &queue, N);
+
+        // Heads and bodies of about three kilobytes each, no two alike.
+        let mut expected = Vec::new();
+        for i in 0..N {
+            let mut completion = answer(queue.pop().unwrap());
+            completion.body = format!("body {i};").repeat(400 + i).into_bytes();
+            completion.head = format!(
+                "HTTP/1.1 200 OK\r\nX-Pad: {}\r\nContent-Length: {}\r\n\r\n",
+                "h".repeat(3000 + 7 * i),
+                completion.body.len()
+            )
+            .into_bytes();
+            expected.extend_from_slice(&completion.head);
+            expected.extend_from_slice(&completion.body);
+            shared.complete(completion);
+        }
+
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut got = Vec::new();
+                let mut chunk = [0u8; 700];
+                while got.len() < expected.len() {
+                    let n = client.read(&mut chunk).unwrap();
+                    assert!(n > 0, "EOF after {} bytes", got.len());
+                    got.extend_from_slice(&chunk[..n]);
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                got
+            });
+            let (mut in_head, mut in_body) = (0, 0);
+            event_loop.drain_completions();
+            loop {
+                let conn = event_loop.conns[slot].as_ref().unwrap();
+                let Some(front) = conn.outbox.front() else {
+                    break;
+                };
+                match front.written {
+                    0 => {}
+                    w if w < front.head.len() => in_head += 1,
+                    _ => in_body += 1,
+                }
+                net::poll(&mut [PollFd::new(&conn.stream, POLLOUT)], 10_000).unwrap();
+                event_loop.write_ready(slot);
+            }
+            assert!(
+                in_head > 0 && in_body > 0,
+                "short writes: {in_head} in heads, {in_body} in bodies"
+            );
+            assert_eq!(reader.join().unwrap(), expected);
+        });
+        let conn = event_loop.conns[slot].as_ref().unwrap();
+        assert_eq!(conn.pending, 0);
+        assert_eq!(event_loop.write_responses.sum(), N as u64);
+    }
+
+    fn outgoing(id: u64, started: Instant) -> Outgoing {
+        let mut rec = RequestRecord::admitted(id, 0);
+        rec.parse_ns = 100;
+        rec.compute_ns = 200;
+        Outgoing {
+            head: vec![b'h'; 10],
+            body: vec![b'b'; 20],
+            written: 0,
+            started,
+            write_started: None,
+            rec,
+            close_after: false,
+        }
+    }
+
+    #[test]
+    fn spread_finishes_whole_responses_and_keeps_a_partial_one_at_the_front() {
+        let t0 = Instant::now();
+        let mut outbox: VecDeque<Outgoing> = (0..3).map(|id| outgoing(id, t0)).collect();
+        let calls: Vec<Instant> = (1..=3).map(|ms| t0 + Duration::from_millis(ms)).collect();
+
+        // A short write inside the first head.
+        assert_eq!(spread(&mut outbox, 5, calls[0]), 0);
+        assert_eq!(outbox[0].unwritten(), (&[b'h'; 5][..], &[b'b'; 20][..]));
+        assert_eq!(outbox[0].write_started, Some(calls[0]));
+        assert_eq!(outbox[1].write_started, None, "no byte of the second went out");
+
+        // Then one inside its body: the write clock keeps its first call.
+        assert_eq!(spread(&mut outbox, 15, calls[1]), 0);
+        assert_eq!(outbox[0].unwritten(), (&[][..], &[b'b'; 10][..]));
+        assert_eq!(outbox[0].write_started, Some(calls[0]));
+
+        // Then one that ends exactly on the second response's last byte.
+        assert_eq!(spread(&mut outbox, 10 + 30, calls[2]), 2);
+        assert_eq!(outbox[1].write_started, Some(calls[2]));
+        assert_eq!((outbox[2].written, outbox[2].write_started), (0, None));
+
+        let returned = calls[2] + Duration::from_micros(7);
+        let first = outbox.pop_front().unwrap().finish(returned);
+        let second = outbox.pop_front().unwrap().finish(returned);
+        assert_eq!(first.write_ns, elapsed_since(calls[0], returned));
+        assert_eq!(second.write_ns, elapsed_since(calls[2], returned));
+    }
+
+    #[test]
+    fn responses_finished_by_one_call_share_its_end_instant() {
+        let t0 = Instant::now();
+        let started: Vec<Instant> = (0..3).map(|i| t0 + Duration::from_micros(i)).collect();
+        let mut outbox: VecDeque<Outgoing> =
+            started.iter().enumerate().map(|(i, &s)| outgoing(i as u64, s)).collect();
+        let call_started = t0 + Duration::from_millis(1);
+        assert_eq!(spread(&mut outbox, 3 * 30, call_started), 3);
+        let returned = call_started + Duration::from_micros(9);
+        for (out, started) in outbox.drain(..).zip(started) {
+            let rec = out.finish(returned);
+            assert_eq!(started + Duration::from_nanos(rec.total_ns), returned);
+            assert_eq!(rec.write_ns, 9_000, "the write stage is the shared call");
+            assert!(rec.stage_sum_ns() <= rec.total_ns, "stages overrun the request");
+        }
+    }
+
+    #[test]
+    fn a_panicking_loop_thread_does_not_hang_shutdown() {
+        let config = ServeConfig::default().addr("127.0.0.1:0").threads(2);
+        let server =
+            crate::server::Server::start(ServeIndex::build(PatchDb::default()), &config).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        client
+            .write_all(format!("GET {PANIC_PATH} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+            .unwrap();
+        // The panic unwinds through the loop, which drops every socket.
+        let _ = client.read(&mut [0u8; 64]);
+
+        let (done, finished) = std::sync::mpsc::channel();
+        let shutdown = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        let returned = finished.recv_timeout(Duration::from_secs(10));
+        assert!(returned.is_ok(), "shutdown still blocked 10 s after the loop thread panicked");
+        shutdown.join().unwrap();
     }
 }

@@ -8,7 +8,8 @@
 //! connection's first request), `queue` (admission queue wait), `parse`
 //! (first byte to complete frame in the event loop), `batch` (the
 //! identify forest pass, a batch of one), `compute` (the rest of the
-//! endpoint work), and `write` (first write attempt to last byte out).
+//! endpoint work), and `write` (first write call that carried the
+//! response's bytes to the return of the call that carried its last).
 //! The six stages are disjoint sub-intervals of the request's lifetime,
 //! so their sum never exceeds `total_ns` — the invariant the access-log
 //! validator in `check_bench_json` enforces.
@@ -70,7 +71,11 @@ pub(crate) struct RequestRecord {
     pub batch_ns: u64,
     /// Endpoint work, the forest pass excluded.
     pub compute_ns: u64,
-    /// Response write + flush.
+    /// Response write: from the start of the first write call that
+    /// carried any of the response's bytes to the return of the call
+    /// that carried its last byte. One gathered call can finish several
+    /// pipelined responses; its return is read once, before any of
+    /// their records is observed, so they all end at that instant.
     pub write_ns: u64,
     /// The trace id: a client-supplied `X-Patchdb-Trace-Id`, else the
     /// admission id rendered as 16 hex digits.

@@ -833,6 +833,209 @@ fn half_closed_pipeline_still_gets_all_responses() {
     server.shutdown();
 }
 
+/// A `patchdb serve` child process booted from a snapshot of the shared
+/// tiny dataset. Its `/metrics` counters and gauges live in its own
+/// process, so they count this test's traffic and nothing else. Killed
+/// on drop.
+struct ChildServer {
+    child: std::process::Child,
+    addr: std::net::SocketAddr,
+    snapshot: std::path::PathBuf,
+}
+
+impl ChildServer {
+    fn start(name: &str) -> ChildServer {
+        let snapshot = std::env::temp_dir()
+            .join(format!("patchdb_child_{name}_{}.snapshot", std::process::id()));
+        ServeIndex::build(shared_db().clone()).save_snapshot(&snapshot).expect("snapshot written");
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_patchdb"))
+            .args(["serve", "--snapshot", snapshot.to_str().unwrap()])
+            .args(["--addr", "127.0.0.1:0", "--threads", "2"])
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn patchdb serve");
+        let mut line = String::new();
+        BufReader::new(child.stdout.take().unwrap()).read_line(&mut line).unwrap();
+        let addr = line
+            .strip_prefix("listening on http://")
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|addr| addr.parse().ok())
+            .unwrap_or_else(|| panic!("patchdb serve printed {line:?}"));
+        ChildServer { child, addr, snapshot }
+    }
+
+    fn metrics(&self) -> String {
+        client::request(self.addr, "GET", "/metrics", b"").unwrap().body_text()
+    }
+}
+
+impl Drop for ChildServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.snapshot);
+    }
+}
+
+#[test]
+fn nothing_is_framed_past_a_connection_close_request() {
+    let server = ChildServer::start("close_after");
+    let before = server.metrics();
+
+    // Two requests buffered behind `Connection: close` in the same
+    // write: the connection ends with the first answer, so the two must
+    // never run (RFC 9112 §9.6).
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut wire = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".to_vec();
+    wire.extend(b"GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n".repeat(2));
+    stream.write_all(&wire).unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("one response, then EOF");
+    let text = String::from_utf8_lossy(&raw);
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+    assert!(text.starts_with("HTTP/1.1 200 OK") && text.contains("\r\n\r\nok gen=1"), "{text}");
+
+    let after = server.metrics();
+    assert_eq!(
+        counter_in(&after, "serve.write_failed"),
+        counter_in(&before, "serve.write_failed"),
+        "responses were thrown away"
+    );
+    // The `/healthz` answer and the first scrape's own: the stats
+    // requests never ran.
+    let ok = counter_in(&after, "serve.status.200") - counter_in(&before, "serve.status.200");
+    assert_eq!(ok, 2, "serve.status.200 counted requests past the close");
+}
+
+#[test]
+fn bytes_trailing_a_close_request_never_start_a_deadline() {
+    // Runs a profile session.
+    let _guard = obs_lock().lock().unwrap();
+    let server = start(ephemeral().threads(1).deadline_ms(200));
+
+    // A one-second profile that closes the connection, trailed by half
+    // a request in the same write. The trailing bytes are discarded,
+    // not timed as a partial request: the profile is answered in full
+    // although it outlives the 200 ms deadline.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .write_all(
+            b"GET /debug/profile?seconds=1&hz=97 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n\
+              GET /heal",
+        )
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("the profile, then EOF");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+    server.shutdown();
+}
+
+/// Response bytes with every server-assigned request id masked: the one
+/// header that differs between two sends of the same request.
+fn mask_request_ids(raw: &[u8]) -> String {
+    String::from_utf8_lossy(raw)
+        .split("\r\n")
+        .map(|line| match line.strip_prefix("X-Patchdb-Request-Id: ") {
+            Some(_) => "X-Patchdb-Request-Id: _",
+            None => line,
+        })
+        .collect::<Vec<_>>()
+        .join("\r\n")
+}
+
+/// One gathered write carries responses of every kind, up to the
+/// close-after one, byte for byte as they come one at a time. (Short
+/// gathered writes are covered in `event_loop`'s unit tests: loopback
+/// send buffers are sized to megabytes when a connection opens, so
+/// 128 responses of a few kilobytes never come back short here.)
+#[test]
+fn mixed_pipeline_ending_in_close_matches_one_by_one_bytes() {
+    let server = ChildServer::start("mixed_close");
+    let addr = server.addr;
+    let bodies: Vec<String> = shared_db().records().take(8).map(diff_body).collect();
+    let (hot, cold) = bodies.split_at(4);
+    for body in hot {
+        client::request(addr, "POST", "/v1/identify", body.as_bytes()).unwrap();
+    }
+    let hex = shared_db().nvd[0].patch.commit.to_string();
+    let patch = format!("/v1/patch/{}", &hex[..12]);
+
+    // 128 requests: identify hits answered on the loop, misses, stats
+    // and patch lookups answered by workers; the last one closes the
+    // connection.
+    let mut wire = Vec::new();
+    for i in 0..128 {
+        let (method, path, body) = match i % 4 {
+            0 => ("POST", "/v1/identify", hot[i / 4 % hot.len()].as_bytes()),
+            1 => ("GET", "/v1/stats", &b""[..]),
+            2 => ("POST", "/v1/identify", cold[i / 4 % cold.len()].as_bytes()),
+            _ => ("GET", patch.as_str(), &b""[..]),
+        };
+        let close = if i == 127 { "Connection: close\r\n" } else { "" };
+        let mut request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: x\r\nX-Patchdb-Trace-Id: mixed-{i}\r\n{close}\
+             Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        wire.push(request);
+    }
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream.write_all(&wire.concat()).unwrap();
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).expect("128 responses, then EOF");
+
+    // The same requests one at a time on one connection.
+    let mut one_by_one = TcpStream::connect(addr).unwrap();
+    one_by_one.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut reader = BufReader::new(one_by_one.try_clone().unwrap());
+    let mut expected = Vec::new();
+    for request in &wire {
+        one_by_one.write_all(request).unwrap();
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            expected.extend_from_slice(line.as_bytes());
+            if let Some(value) = line.strip_prefix("Content-Length: ") {
+                length = value.trim_end().parse().unwrap();
+            }
+            if line == "\r\n" {
+                break;
+            }
+        }
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).unwrap();
+        expected.extend_from_slice(&body);
+    }
+    assert_eq!(mask_request_ids(&got), mask_request_ids(&expected), "pipelined bytes differ");
+
+    // Every connection closed and every request finished: the scrape
+    // itself is the one open connection and the one request in flight.
+    let mut metrics = server.metrics();
+    for _ in 0..100 {
+        if gauge_in(&metrics, "serve.open_conns") == Some(1)
+            && gauge_in(&metrics, "serve.inflight") == Some(1)
+        {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        metrics = server.metrics();
+    }
+    assert_eq!(gauge_in(&metrics, "serve.open_conns"), Some(1), "a connection leaked");
+    assert_eq!(gauge_in(&metrics, "serve.inflight"), Some(1), "a request never finished");
+    assert_eq!(counter_in(&metrics, "serve.write_failed"), 0);
+}
+
 #[test]
 fn oversized_header_flood_answers_431() {
     let server = start(ephemeral().threads(1));

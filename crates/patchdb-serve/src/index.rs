@@ -5,8 +5,8 @@ use std::path::Path;
 
 use patch_core::{CommitId, Patch};
 use patchdb::{
-    classify_patch, signatures_of, Error, PatchDb, PatchSignature, PresenceVerdict,
-    ScanTarget, Source, ALL_CATEGORIES,
+    classify_patch, signatures_of, DatasetStats, Error, PatchDb, PatchRecord, PatchSignature,
+    PresenceVerdict, ScanTarget, Source, ALL_CATEGORIES,
 };
 use patchdb_features::{apply_weights, extract, learn_weights, Weights};
 use patchdb_ml::{Classifier, Dataset, RandomForest};
@@ -41,13 +41,81 @@ pub struct ScanOutcome {
     pub patched: usize,
 }
 
-/// The server's read-only view of a built dataset: the dataset itself, a
-/// pre-fit random-forest security identifier over weighted Table I
-/// features, and the precompiled vulnerability-signature index.
+/// The part of a dataset a server answers from: its natural records
+/// and the counts of its synthetic ones.
+///
+/// Synthetic records are Table IV training data that no endpoint
+/// returns; `/v1/stats` reads only how many there are. So they are
+/// counted and dropped, and [`ServedDb::stats`] still equals
+/// [`PatchDb::stats`] of the dataset this view was made from.
+#[derive(Debug, Clone)]
+pub struct ServedDb {
+    /// The natural records; its `synthetic` list is always empty.
+    pub(crate) natural: PatchDb,
+    pub(crate) synthetic_security: usize,
+    pub(crate) synthetic_non_security: usize,
+}
+
+impl ServedDb {
+    /// Counts `db`'s synthetic records, then frees them.
+    pub(crate) fn new(mut db: PatchDb) -> ServedDb {
+        let stats = db.stats();
+        db.synthetic = Vec::new();
+        ServedDb {
+            natural: db,
+            synthetic_security: stats.synthetic_security,
+            synthetic_non_security: stats.synthetic_non_security,
+        }
+    }
+
+    /// Headline counts of the source dataset, synthetic counts included.
+    pub fn stats(&self) -> DatasetStats {
+        DatasetStats {
+            synthetic_security: self.synthetic_security,
+            synthetic_non_security: self.synthetic_non_security,
+            ..self.natural.stats()
+        }
+    }
+
+    /// NVD-based security patches.
+    pub fn nvd(&self) -> &[PatchRecord] {
+        &self.natural.nvd
+    }
+
+    /// Wild-based security patches.
+    pub fn wild(&self) -> &[PatchRecord] {
+        &self.natural.wild
+    }
+
+    /// Cleaned non-security patches.
+    pub fn non_security(&self) -> &[PatchRecord] {
+        &self.natural.non_security
+    }
+
+    /// Every natural record, as [`PatchDb::records`].
+    pub fn records(&self) -> impl Iterator<Item = &PatchRecord> {
+        self.natural.records()
+    }
+
+    /// All natural security patches (NVD + wild).
+    pub fn security_patches(&self) -> impl Iterator<Item = &PatchRecord> {
+        self.natural.security_patches()
+    }
+
+    /// Looks up a natural record as [`PatchDb::find_patch`].
+    pub(crate) fn find_patch(&self, id: &str) -> Option<&PatchRecord> {
+        self.natural.find_patch(id)
+    }
+}
+
+/// The server's read-only view of a built dataset: its natural records
+/// and headline counts ([`ServedDb`]), a pre-fit random-forest security
+/// identifier over weighted Table I features, and the precompiled
+/// vulnerability-signature index.
 ///
 /// Built once at load time; shared immutably by every worker thread.
 pub struct ServeIndex {
-    db: PatchDb,
+    db: ServedDb,
     weights: Weights,
     forest: Option<RandomForest>,
     signatures: Vec<SignatureEntry>,
@@ -63,12 +131,14 @@ impl ServeIndex {
     /// configuration.
     const FOREST_SHAPE: (usize, usize) = (24, 10);
 
-    /// Precomputes the index from a built dataset: learns the Table I
-    /// feature weights over the natural records, fits the random-forest
-    /// identifier (security vs non-security), and compiles the
-    /// vulnerability signatures of every security patch.
+    /// Precomputes the index from a built dataset: counts and frees the
+    /// synthetic records, learns the Table I feature weights over the
+    /// natural records, fits the random-forest identifier (security vs
+    /// non-security), and compiles the vulnerability signatures of every
+    /// security patch.
     pub fn build(db: PatchDb) -> ServeIndex {
         let _build = obs::span("serve.index.build");
+        let db = ServedDb::new(db);
         let weights = {
             let _s = obs::span("serve.index.learn_weights");
             learn_weights(db.records().map(|r| &r.features))
@@ -113,7 +183,7 @@ impl ServeIndex {
     /// Reassembles an index from already-built parts — the snapshot
     /// loader, which must never re-run the learning pipeline.
     pub(crate) fn from_parts(
-        db: PatchDb,
+        db: ServedDb,
         weights: Weights,
         forest: Option<RandomForest>,
         signatures: Vec<SignatureEntry>,
@@ -124,7 +194,7 @@ impl ServeIndex {
     /// Read access to every built part, for the snapshot encoder.
     pub(crate) fn parts(
         &self,
-    ) -> (&PatchDb, &Weights, Option<&RandomForest>, &[SignatureEntry]) {
+    ) -> (&ServedDb, &Weights, Option<&RandomForest>, &[SignatureEntry]) {
         (&self.db, &self.weights, self.forest.as_ref(), &self.signatures)
     }
 
@@ -148,8 +218,8 @@ impl ServeIndex {
         Snapshot::read_from(path)?.decode()
     }
 
-    /// The indexed dataset.
-    pub fn db(&self) -> &PatchDb {
+    /// The indexed dataset: its natural records and headline counts.
+    pub fn db(&self) -> &ServedDb {
         &self.db
     }
 
@@ -239,7 +309,7 @@ impl ServeIndex {
 }
 
 /// The `/v1/patch/<id>` record document.
-fn render_patch(r: &patchdb::PatchRecord) -> Json {
+fn render_patch(r: &PatchRecord) -> Json {
     let source = match r.source {
         Source::Nvd => "nvd",
         Source::Wild => "wild",
@@ -269,11 +339,18 @@ mod tests {
     use patchdb::BuildOptions;
     use std::sync::OnceLock;
 
-    fn index() -> &'static ServeIndex {
-        static INDEX: OnceLock<ServeIndex> = OnceLock::new();
-        INDEX.get_or_init(|| {
-            ServeIndex::build(PatchDb::build(&BuildOptions::tiny(5).synthesize(false)).db)
+    /// The tiny seed-5 dataset's own counts and its index. Synthesis
+    /// stays on, so the synthetic counts the index keeps are nonzero.
+    fn fixture() -> &'static (DatasetStats, ServeIndex) {
+        static FIXTURE: OnceLock<(DatasetStats, ServeIndex)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let db = PatchDb::build(&BuildOptions::tiny(5)).db;
+            (db.stats(), ServeIndex::build(db))
         })
+    }
+
+    fn index() -> &'static ServeIndex {
+        &fixture().1
     }
 
     #[test]
@@ -286,7 +363,7 @@ mod tests {
             .collect();
         let nonsec_rows: Vec<Vec<f64>> = ix
             .db()
-            .non_security
+            .non_security()
             .iter()
             .map(|r| ix.weighted_features(&r.patch))
             .collect();
@@ -324,24 +401,28 @@ mod tests {
 
     #[test]
     fn stats_json_counts_match_the_dataset() {
-        let ix = index();
+        let (input, ix) = fixture();
+        assert!(input.synthetic_security > 0 && input.synthetic_non_security > 0, "{input}");
+        assert_eq!(ix.db().stats(), *input);
         let json = ix.stats_json();
-        let stats = ix.db().stats();
-        assert_eq!(
-            json.get("nvd_security").and_then(Json::as_f64),
-            Some(stats.nvd_security as f64)
-        );
-        assert_eq!(
-            json.get("signatures").and_then(Json::as_f64),
-            Some(ix.signature_count() as f64)
-        );
+        let count = |key: &str| json.get(key).and_then(Json::as_f64);
+        for (key, want) in [
+            ("nvd_security", input.nvd_security),
+            ("wild_security", input.wild_security),
+            ("non_security", input.non_security),
+            ("synthetic_security", input.synthetic_security),
+            ("synthetic_non_security", input.synthetic_non_security),
+            ("signatures", ix.signature_count()),
+        ] {
+            assert_eq!(count(key), Some(want as f64), "{key}");
+        }
         assert!(ix.signature_count() > 0);
     }
 
     #[test]
     fn patch_lookup_round_trips_by_prefix() {
         let ix = index();
-        let first = ix.db().nvd.first().expect("tiny build has NVD records");
+        let first = ix.db().nvd().first().expect("tiny build has NVD records");
         let hex = first.patch.commit.to_string();
         let json = ix.patch_json(&hex[..12]).expect("unique 12-char prefix resolves");
         assert_eq!(json.get("commit").and_then(Json::as_str), Some(hex.as_str()));

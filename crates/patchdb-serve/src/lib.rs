@@ -116,6 +116,6 @@ mod telemetry;
 
 pub use handle::{IndexHandle, ReloadSource};
 pub use http::{Request, Response};
-pub use index::{ScanMatch, ScanOutcome, ServeIndex};
+pub use index::{ScanMatch, ScanOutcome, ServeIndex, ServedDb};
 pub use server::{ServeConfig, Server};
 pub use snapshot::Snapshot;

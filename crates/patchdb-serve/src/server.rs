@@ -12,6 +12,7 @@
 //! the forest as a batch of one right here.
 
 use std::net::{SocketAddr, TcpListener};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -460,7 +461,19 @@ fn reply(work: Work, endpoint: &'static str, response: Response, ctx: &Ctx) {
 
 /// Worker entry for one framed request: closes out the queue stage,
 /// runs the endpoint, and completes back to the loop.
-fn handle_work(mut work: Work, ctx: &Ctx) {
+fn handle_work(work: Work, ctx: &Ctx) {
+    run_contained(work, ctx, route);
+}
+
+/// Answers `work` through `handler` unless its deadline has passed. A
+/// panicking handler is answered `500` and counted in
+/// `serve.handler_panics`, and the worker lives on to pop the next
+/// request.
+fn run_contained(
+    mut work: Work,
+    ctx: &Ctx,
+    handler: impl FnOnce(&mut Work, &Ctx) -> (&'static str, Response),
+) {
     obs::gauge_add("serve.queue_depth", -1);
     work.rec.queue_ns = elapsed_ns(work.enqueued);
     if Instant::now() >= work.deadline {
@@ -468,20 +481,28 @@ fn handle_work(mut work: Work, ctx: &Ctx) {
         reply(work, "deadline", Response::overloaded(1), ctx);
         return;
     }
+    let (endpoint, response) =
+        std::panic::catch_unwind(AssertUnwindSafe(|| handler(&mut work, ctx)))
+            .unwrap_or_else(|_| {
+                obs::counter_add("serve.handler_panics", 1);
+                let endpoint = if work.identify_key.is_some() { "identify" } else { "other" };
+                (endpoint, Response::error(500, "internal", "the request handler panicked"))
+            });
+    reply(work, endpoint, response, ctx);
+}
 
+/// Runs the endpoint `work` asked for.
+fn route(work: &mut Work, ctx: &Ctx) -> (&'static str, Response) {
     if let Some(key) = work.identify_key {
-        let response = identify_miss(&mut work, key);
-        reply(work, "identify", response, ctx);
-        return;
+        return ("identify", identify_miss(work, key));
     }
-
     let started = Instant::now();
     let (endpoint, response) = dispatch(&work.request, &work.index_gen, ctx);
     let dispatch_ns = elapsed_ns(started);
     work.rec.compute_ns = dispatch_ns;
     obs::counter_add(&format!("serve.{endpoint}.requests"), 1);
     obs::hist_record(&format!("serve.{endpoint}.ns"), dispatch_ns);
-    reply(work, endpoint, response, ctx);
+    (endpoint, response)
 }
 
 /// The identify response document for one score — the single rendering
@@ -905,6 +926,30 @@ mod tests {
         let mut rec = RequestRecord::admitted(2, 0);
         assert!(identify_hit(other, cache_key(other), &pinned, &mut rec).is_none());
         assert_eq!(rec.cache, None, "a miss leaves the record to its worker");
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_500_and_the_worker_serves_on() {
+        obs::set_enabled(true);
+        let db = tiny_db(3);
+        let handle = IndexHandle::from(ServeIndex::build(db.clone()));
+        let pinned = handle.load();
+        let ctx = ctx(&handle);
+        let body = diff_bodies(&db, 1).pop().unwrap();
+        let panics_before = obs::counter_value("serve.handler_panics");
+
+        run_contained(identify_work(0, &body, &pinned), &ctx, |_, _| panic!("handler bug"));
+        let failed = ctx.shared.take_for_test().pop().expect("the panic is answered");
+        let head = String::from_utf8(failed.head).unwrap();
+        assert!(head.starts_with("HTTP/1.1 500 "), "{head}");
+        let envelope = Json::parse(std::str::from_utf8(&failed.body).unwrap()).unwrap();
+        let code = envelope.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+        assert_eq!(code, Some("internal"));
+        assert_eq!(obs::counter_value("serve.handler_panics"), panics_before + 1);
+
+        // The same thread, still alive, answers the next request.
+        let next = serve_one(identify_work(1, &body, &pinned), &ctx);
+        assert_eq!(next.body, identify_response(direct_score(&pinned, &body)).body);
     }
 
     #[test]

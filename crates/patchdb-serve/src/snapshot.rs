@@ -1,9 +1,10 @@
 //! The binary snapshot format, [`Snapshot::SCHEMA`].
 //!
-//! A snapshot persists a fully built [`ServeIndex`] — dataset, learned
-//! Table I weights, fitted random forest, and compiled vulnerability
-//! signatures — so a server can boot without running any of the
-//! learning pipeline, answering byte-identically to a fresh build.
+//! A snapshot persists a fully built [`ServeIndex`] — natural records
+//! and synthetic counts, learned Table I weights, fitted random forest,
+//! and compiled vulnerability signatures — so a server can boot without
+//! running any of the learning pipeline, answering byte-identically to
+//! a fresh build.
 //!
 //! Layout. Integers are little-endian and floats are `f64::to_bits`, so
 //! round-trips are bit-exact. `str` is a `u32` byte length plus UTF-8,
@@ -12,9 +13,10 @@
 //!
 //! ```text
 //! magic     8 bytes  "PDBSNAP1"
-//! schema    str      "patchdb-snapshot/v3"
+//! schema    str      "patchdb-snapshot/v4"
 //! sections  u32      always 4, in fixed order, each a u64 length + payload
-//!   [0] records      list<natural> x 3 (nvd, wild, non_security), list<synthetic>
+//!   [0] records      list<natural> x 3 (nvd, wild, non_security),
+//!                    synthetic_security u64, synthetic_non_security u64
 //!   [1] weights      list<f64>
 //!   [2] forest       opt<n_trees u64, max_depth u64, seed u64, list<tree>>
 //!   [3] signatures   list<cve_id opt<str>, commit[20],
@@ -23,7 +25,6 @@
 //!
 //! natural    repo:str cve_id:opt<str> patch features:60 x f64
 //!            source:u8 truth_category:opt<u8>
-//! synthetic  patch derived_from[20] is_security:u8 features:60 x f64
 //! patch      commit[20] message:str list<file>
 //! file       old_path:str new_path:str index:opt<str> list<hunk>
 //! hunk       old_start old_count new_start new_count:u64 section:str list<line>
@@ -38,14 +39,15 @@
 //!
 //! A natural record's commit and message are its patch's, and a
 //! signature's commit is the one it was compiled from, so each is
-//! stored once.
+//! stored once. Synthetic records are not stored: no endpoint serves
+//! them, and `/v1/stats` reads only their two counts.
 //!
 //! Decoding reads straight out of the file bytes. Every count is
 //! checked against the bytes left in its section, at the smallest
 //! encoding of one item, before anything is allocated for it; a
 //! corrupt or hostile length is a schema error, never an allocation
-//! failure. The decoded dataset passes [`PatchDb::check_sources`], as
-//! an imported JSON dataset does.
+//! failure. The decoded natural records pass [`PatchDb::check_sources`],
+//! as an imported JSON dataset does.
 //!
 //! The magic and schema string are checked before the checksum, so a
 //! file of any other `patchdb-snapshot/*` layout is named as such and
@@ -61,12 +63,12 @@ use std::path::Path;
 use patch_core::{CommitId, FileDiff, Hunk, Line, LineKind, Patch};
 use patchdb::{
     Error, FeatureVector, PatchCategory, PatchDb, PatchRecord, PatchSignature, Source,
-    SyntheticRecord, ALL_CATEGORIES, FEATURE_DIM,
+    ALL_CATEGORIES, FEATURE_DIM,
 };
 use patchdb_features::Weights;
 use patchdb_ml::{ForestState, NodeState, RandomForest, SplitCriterion, TreeState};
 
-use crate::index::{ServeIndex, SignatureEntry};
+use crate::index::{ServeIndex, ServedDb, SignatureEntry};
 
 /// Leading magic of every snapshot file, whatever its schema.
 const MAGIC: &[u8; 8] = b"PDBSNAP1";
@@ -83,7 +85,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// The schema tag embedded right after the magic: the one layout
     /// this build writes and reads.
-    pub const SCHEMA: &'static str = "patchdb-snapshot/v3";
+    pub const SCHEMA: &'static str = "patchdb-snapshot/v4";
 
     /// Encodes a built index. Infallible: every part of a `ServeIndex`
     /// has a representation.
@@ -142,8 +144,8 @@ impl Snapshot {
         if sections != SECTIONS {
             return Err(schema(format!("expected {SECTIONS} sections, found {sections}")));
         }
-        let db: PatchDb = r.section()?.whole()?;
-        db.check_sources()?;
+        let db: ServedDb = r.section()?.whole()?;
+        db.natural.check_sources()?;
         let weights = Weights::from_values(r.section()?.whole()?).map_err(schema)?;
         let forest = match r.section()?.whole::<Option<ForestState>>()? {
             Some(state) => Some(RandomForest::from_state(state).map_err(schema)?),
@@ -241,16 +243,6 @@ impl Codec for f64 {
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.u64().map(f64::from_bits)
-    }
-}
-
-impl Codec for bool {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, w: &mut Writer) {
-        w.u8(*self as u8);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
-        r.tag("bool", &[false, true])
     }
 }
 
@@ -382,18 +374,6 @@ struct_codec!(PatchRecord {
     source: Source,
     truth_category: Option<PatchCategory>,
 });
-struct_codec!(SyntheticRecord {
-    patch: Patch,
-    derived_from: CommitId,
-    is_security: bool,
-    features: FeatureVector,
-});
-struct_codec!(PatchDb {
-    nvd: Vec<PatchRecord>,
-    wild: Vec<PatchRecord>,
-    non_security: Vec<PatchRecord>,
-    synthetic: Vec<SyntheticRecord>,
-});
 struct_codec!(TreeState {
     criterion: SplitCriterion,
     max_depth: usize,
@@ -408,6 +388,30 @@ struct_codec!(ForestState {
 });
 struct_codec!(PatchSignature { commit: CommitId, vulnerable: Vec<String>, fixed: Vec<String> });
 struct_codec!(SignatureEntry { cve_id: Option<String>, signature: PatchSignature });
+
+/// The three natural lists, then the two synthetic counts.
+impl Codec for ServedDb {
+    const MIN_BYTES: usize = 3 * 4 + 2 * 8;
+    fn put(&self, w: &mut Writer) {
+        w.list(self.nvd());
+        w.list(self.wild());
+        w.list(self.non_security());
+        self.synthetic_security.put(w);
+        self.synthetic_non_security.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(ServedDb {
+            natural: PatchDb {
+                nvd: r.get()?,
+                wild: r.get()?,
+                non_security: r.get()?,
+                synthetic: Vec::new(),
+            },
+            synthetic_security: r.get()?,
+            synthetic_non_security: r.get()?,
+        })
+    }
+}
 
 impl Codec for NodeState {
     const MIN_BYTES: usize = 1 + 8;
@@ -582,8 +586,9 @@ mod tests {
     use std::sync::OnceLock;
 
     use super::*;
-    use patchdb::BuildOptions;
+    use patchdb::{BuildOptions, DatasetStats};
     use patchdb_rt::check::check;
+    use patchdb_rt::json;
 
     thread_local! {
         static LENGTH_FIELDS: RefCell<Option<Vec<(usize, usize)>>> = const { RefCell::new(None) };
@@ -607,9 +612,18 @@ mod tests {
         LENGTH_FIELDS.with(|f| f.borrow_mut().take().expect("listening"))
     }
 
+    /// The tiny seed-5 dataset's own counts, synthetic ones included,
+    /// and its index.
+    fn fixture() -> &'static (DatasetStats, ServeIndex) {
+        static FIXTURE: OnceLock<(DatasetStats, ServeIndex)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let db = PatchDb::build(&BuildOptions::tiny(5)).db;
+            (db.stats(), ServeIndex::build(db))
+        })
+    }
+
     fn built_index() -> &'static ServeIndex {
-        static INDEX: OnceLock<ServeIndex> = OnceLock::new();
-        INDEX.get_or_init(|| ServeIndex::build(PatchDb::build(&BuildOptions::tiny(5)).db))
+        &fixture().1
     }
 
     /// Replaces the trailing checksum so only the structural checks can
@@ -627,7 +641,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_every_endpoint_document() {
-        let index = built_index();
+        let (source_stats, index) = fixture();
         let snap = Snapshot::encode(index);
         let loaded = snap.decode().expect("decode");
         assert_eq!(index.stats_json().to_pretty_string(), loaded.stats_json().to_pretty_string());
@@ -636,15 +650,20 @@ mod tests {
         let rows: Vec<Vec<f64>> =
             index.db().records().take(16).map(|r| index.weighted_features(&r.patch)).collect();
         assert_eq!(index.score_rows(&rows), loaded.score_rows(&rows));
-        let id = index.db().nvd[0].patch.commit.to_string();
+        let id = index.db().nvd()[0].patch.commit.to_string();
         assert_eq!(
             index.patch_json(&id).map(|j| j.to_pretty_string()),
             loaded.patch_json(&id).map(|j| j.to_pretty_string())
         );
-        // The whole dataset, synthetic records included, down to the
-        // exported JSON bytes; and the encoding is canonical.
-        assert!(!index.db().synthetic.is_empty());
-        assert_eq!(index.db().to_json().unwrap(), loaded.db().to_json().unwrap());
+        // Every natural record down to its exported JSON bytes, the
+        // source dataset's counts with its synthetic ones, and the
+        // encoding is canonical.
+        let natural = |ix: &ServeIndex| -> Vec<String> {
+            ix.db().records().map(json::to_pretty_string).collect()
+        };
+        assert_eq!(natural(index), natural(&loaded));
+        assert!(source_stats.synthetic_security > 0 && source_stats.synthetic_non_security > 0);
+        assert_eq!(loaded.db().stats(), *source_stats);
         assert_eq!(Snapshot::encode(&loaded).bytes, snap.bytes);
     }
 
@@ -703,7 +722,7 @@ mod tests {
     fn retired_v1_layout_asks_for_a_rebuild() {
         // An old header over filler: the schema check answers before the
         // checksum (which this file does not carry) is looked at.
-        for old in ["patchdb-snapshot/v1", "patchdb-snapshot/v2"] {
+        for old in ["patchdb-snapshot/v1", "patchdb-snapshot/v2", "patchdb-snapshot/v3"] {
             let mut file = MAGIC.to_vec();
             file.extend_from_slice(&(old.len() as u32).to_le_bytes());
             file.extend_from_slice(old.as_bytes());
@@ -722,7 +741,7 @@ mod tests {
     fn record_under_another_source_list_is_a_schema_error() {
         let (db, weights, forest, signatures) = built_index().parts();
         let mut db = db.clone();
-        db.nvd[0].source = Source::NonSecurity;
+        db.natural.nvd[0].source = Source::NonSecurity;
         let index =
             ServeIndex::from_parts(db, weights.clone(), forest.cloned(), signatures.to_vec());
         match Snapshot::encode(&index).decode() {

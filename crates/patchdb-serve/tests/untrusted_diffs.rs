@@ -206,8 +206,8 @@ fn untrusted_bodies_regression_collapsed_hunk_header() {
 #[test]
 fn crlf_bodies_parse_and_score_like_lf() {
     let ix = index();
-    assert!(!ix.db().nvd.is_empty());
-    for r in &ix.db().nvd {
+    assert!(!ix.db().nvd().is_empty());
+    for r in ix.db().nvd() {
         let text = r.patch.to_unified_string();
         let lf = Patch::parse(&text).expect("printed patch parses");
         let crlf = Patch::parse(&text.replace('\n', "\r\n")).expect("CRLF patch parses");

@@ -1996,6 +1996,48 @@ fn snapshot_reload_swaps_in_the_next_generation() {
     let _ = std::fs::remove_file(&snap_path);
 }
 
+/// The served index keeps only the counts of the synthetic records, so
+/// a reload from the dataset file must count them again, and
+/// `/v1/stats` keeps its bytes across the swap.
+#[test]
+fn dataset_reload_keeps_the_stats_bytes() {
+    // Swaps zero the identify-cache gauges; serialize with the tests
+    // that scrape them.
+    let _guard = obs_lock().lock().unwrap();
+    let db = PatchDb::build(&BuildOptions::tiny(17)).db;
+    let counts = db.stats();
+    assert!(counts.synthetic_security > 0 && counts.synthetic_non_security > 0, "{counts}");
+    let db_path = std::env::temp_dir()
+        .join(format!("patchdb_stats_reload_{}.json", std::process::id()));
+    std::fs::write(&db_path, db.to_json().expect("dataset serializes")).unwrap();
+    let server = Server::start(
+        ServeIndex::build(db),
+        &ephemeral()
+            .threads(2)
+            .reload_from(ReloadSource::Dataset(db_path.display().to_string())),
+    )
+    .expect("server binds");
+    let addr = server.addr();
+    let stats = client::request(addr, "GET", "/v1/stats", b"").unwrap();
+    assert_eq!(stats.status, 200);
+    let json = Json::parse(&stats.body_text()).expect("stats are JSON");
+    for (key, want) in [
+        ("synthetic_security", counts.synthetic_security),
+        ("synthetic_non_security", counts.synthetic_non_security),
+    ] {
+        assert_eq!(json.get(key).and_then(Json::as_f64), Some(want as f64), "{key}");
+    }
+
+    let reload = client::request(addr, "POST", "/admin/reload", b"").unwrap();
+    assert_eq!(reload.status, 200, "{}", reload.body_text());
+    let health = client::request(addr, "GET", "/healthz", b"").unwrap().body_text();
+    assert!(health.starts_with("ok gen=2 up="), "healthz after a dataset reload: {health}");
+    let again = client::request(addr, "GET", "/v1/stats", b"").unwrap();
+    assert_eq!((again.status, &again.body), (stats.status, &stats.body));
+    server.shutdown();
+    let _ = std::fs::remove_file(&db_path);
+}
+
 #[test]
 fn error_responses_share_the_json_envelope() {
     let server = start(ephemeral().threads(1));

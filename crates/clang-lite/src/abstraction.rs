@@ -292,6 +292,19 @@ impl Run<'_> {
             Shape::Ident => Canon::Var(a.numbering.number(id, VAR)),
         })
     }
+
+    /// `canon`, the token this run just yielded, as it abstracts when it
+    /// is the last token of a run: no `(` follows it there, so a `FUNCn`
+    /// is the `VARn` its identifier has, or would take next. The number
+    /// is looked up, not given, so the run goes on unchanged.
+    #[inline]
+    pub fn as_last(&self, canon: Canon) -> Canon {
+        let Canon::Func(_) = canon else {
+            return canon;
+        };
+        let ids = if self.relexed { &self.abstractor.relexed[..] } else { self.ids };
+        Canon::Var(self.abstractor.numbering.peek(ids[self.pos - 1], VAR))
+    }
 }
 
 impl Iterator for Run<'_> {
@@ -382,6 +395,17 @@ impl Numbering {
         if self.stamp == 0 {
             self.slots.fill([(0, 0); 2]);
             self.stamp = 1;
+        }
+    }
+
+    /// The number [`Numbering::number`] gives `id`, without giving it.
+    #[inline]
+    fn peek(&self, id: u32, which: usize) -> u32 {
+        let slot = self.slots[id as usize][which];
+        if slot.0 == self.stamp {
+            slot.1
+        } else {
+            self.next[which]
         }
     }
 
@@ -552,6 +576,30 @@ mod tests {
         n.reset();
         assert_eq!(n.stamp, 1);
         assert_eq!([n.number(9, VAR), n.number(0, VAR)], [0, 1]);
+    }
+
+    #[test]
+    fn as_last_is_how_each_token_ends_a_run() {
+        let mut a = Abstractor::new();
+        let ids: Vec<u32> = tokenize("x = f(x); x(g)").iter().map(|t| a.intern(t)).collect();
+        let mut last = Vec::new();
+        let mut run = a.joined(&ids);
+        while let Some(canon) = run.next_by_id() {
+            last.push(run.as_last(canon));
+        }
+        let spell = |a: &Abstractor, c: Canon| {
+            let mut s = String::new();
+            a.push_text(c, &mut s);
+            s
+        };
+        // `f` would take VAR1, the called `x` is VAR0 already, and `g`
+        // then takes VAR1, as `f` never did.
+        let texts: Vec<String> = last.iter().map(|&c| spell(&a, c)).collect();
+        assert_eq!(texts, ["VAR0", "=", "VAR1", "(", "VAR0", ")", ";", "VAR0", "(", "VAR1", ")"]);
+        for end in 1..=ids.len() {
+            let window: Vec<Canon> = a.joined(&ids[..end]).collect();
+            assert_eq!(window.last(), Some(&last[end - 1]), "run of {end}");
+        }
     }
 
     #[test]

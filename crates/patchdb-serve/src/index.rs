@@ -5,8 +5,8 @@ use std::path::Path;
 
 use patch_core::{CommitId, Patch};
 use patchdb::{
-    classify_patch, signatures_of, DatasetStats, Error, PatchDb, PatchRecord, PatchSignature,
-    PresenceVerdict, ScanTarget, Source, ALL_CATEGORIES,
+    classify_patch, signatures_of, DatasetStats, Error, PatchDb, PatchRecord, PresenceVerdict,
+    SignatureSet, Source, ALL_CATEGORIES,
 };
 use patchdb_features::{apply_weights, extract, learn_weights, Weights};
 use patchdb_ml::{Classifier, Dataset, RandomForest};
@@ -15,12 +15,21 @@ use patchdb_rt::obs;
 
 use crate::snapshot::Snapshot;
 
-/// One precompiled signature plus the CVE id the scan response needs;
-/// the commit is the signature's own.
+/// What a scan response names for one signature: the commit it was
+/// compiled from and that patch's CVE id.
 #[derive(Debug, Clone)]
 pub(crate) struct SignatureEntry {
+    pub(crate) commit: CommitId,
     pub(crate) cve_id: Option<String>,
-    pub(crate) signature: PatchSignature,
+}
+
+/// The served signatures: one entry each, and every shape compiled into
+/// one [`SignatureSet`] in the same order — the index's only copy of the
+/// shapes.
+#[derive(Debug, Clone)]
+pub(crate) struct Signatures {
+    pub(crate) entries: Vec<SignatureEntry>,
+    pub(crate) set: SignatureSet,
 }
 
 /// One vulnerable-clone hit from [`ServeIndex::scan`].
@@ -118,7 +127,7 @@ pub struct ServeIndex {
     db: ServedDb,
     weights: Weights,
     forest: Option<RandomForest>,
-    signatures: Vec<SignatureEntry>,
+    signatures: Signatures,
 }
 
 impl ServeIndex {
@@ -166,15 +175,20 @@ impl ServeIndex {
                 .flatten()
         };
 
-        let signatures: Vec<SignatureEntry> = {
+        let signatures = {
             let _s = obs::span("serve.index.compile_signatures");
-            db.security_patches()
-                .flat_map(|r| {
-                    signatures_of(&r.patch)
-                        .into_iter()
-                        .map(|signature| SignatureEntry { cve_id: r.cve_id.clone(), signature })
-                })
-                .collect()
+            let mut set = SignatureSet::builder();
+            let mut entries = Vec::new();
+            for r in db.security_patches() {
+                for signature in signatures_of(&r.patch) {
+                    set.push(&signature.vulnerable, &signature.fixed);
+                    entries.push(SignatureEntry {
+                        commit: signature.commit,
+                        cve_id: r.cve_id.clone(),
+                    });
+                }
+            }
+            Signatures { entries, set: set.build() }
         };
 
         ServeIndex { db, weights, forest, signatures }
@@ -186,7 +200,7 @@ impl ServeIndex {
         db: ServedDb,
         weights: Weights,
         forest: Option<RandomForest>,
-        signatures: Vec<SignatureEntry>,
+        signatures: Signatures,
     ) -> ServeIndex {
         ServeIndex { db, weights, forest, signatures }
     }
@@ -194,7 +208,7 @@ impl ServeIndex {
     /// Read access to every built part, for the snapshot encoder.
     pub(crate) fn parts(
         &self,
-    ) -> (&ServedDb, &Weights, Option<&RandomForest>, &[SignatureEntry]) {
+    ) -> (&ServedDb, &Weights, Option<&RandomForest>, &Signatures) {
         (&self.db, &self.weights, self.forest.as_ref(), &self.signatures)
     }
 
@@ -225,7 +239,7 @@ impl ServeIndex {
 
     /// Number of precompiled signatures.
     pub fn signature_count(&self) -> usize {
-        self.signatures.len()
+        self.signatures.entries.len()
     }
 
     /// The weighted feature row the identifier scores — the request-time
@@ -245,21 +259,23 @@ impl ServeIndex {
     }
 
     /// Tests a target source text against every precompiled vulnerability
-    /// signature, compiling the target once for all of them.
+    /// signature, in one walk of the compiled set per target token.
     pub fn scan(&self, target: &str) -> ScanOutcome {
+        let Signatures { entries, set } = &self.signatures;
+        let scan = set.scan(target);
         let mut outcome = ScanOutcome::default();
-        let mut compiled = ScanTarget::new(target);
-        for entry in &self.signatures {
-            match compiled.test_presence(&entry.signature) {
-                PresenceVerdict::Vulnerable => outcome.matches.push(ScanMatch {
-                    commit: entry.signature.commit,
-                    cve_id: entry.cve_id.clone(),
-                }),
+        for (entry, verdict) in entries.iter().zip(scan.verdicts) {
+            match verdict {
+                PresenceVerdict::Vulnerable => outcome
+                    .matches
+                    .push(ScanMatch { commit: entry.commit, cve_id: entry.cve_id.clone() }),
                 PresenceVerdict::Patched => outcome.patched += 1,
                 PresenceVerdict::NotApplicable => {}
             }
         }
-        obs::counter_add("serve.scan.signatures_tested", self.signatures.len() as u64);
+        obs::counter_add("serve.scan.signatures_tested", entries.len() as u64);
+        obs::counter_add("serve.scan.walk_steps", scan.walk_steps as u64);
+        obs::counter_add("serve.scan.relexed_windows", scan.relexed_windows as u64);
         obs::counter_add("serve.scan.matches", outcome.matches.len() as u64);
         outcome
     }
@@ -287,7 +303,7 @@ impl ServeIndex {
                 "synthetic_non_security".into(),
                 Json::Num(s.synthetic_non_security as f64),
             ),
-            ("signatures".into(), Json::Num(self.signatures.len() as f64)),
+            ("signatures".into(), Json::Num(self.signature_count() as f64)),
             ("categories".into(), Json::Obj(categories)),
         ])
     }
@@ -378,6 +394,15 @@ mod tests {
         );
     }
 
+    /// A record's pre-patch text: every line of its hunks but the added.
+    fn before_text(r: &PatchRecord) -> String {
+        r.patch
+            .hunks()
+            .flat_map(|h| h.lines.iter().filter(|l| l.kind != patch_core::LineKind::Added))
+            .map(|l| l.content.clone() + "\n")
+            .collect()
+    }
+
     #[test]
     fn scan_flags_a_vulnerable_clone_of_an_indexed_patch() {
         let ix = index();
@@ -386,17 +411,36 @@ mod tests {
         // vulnerable text must match its own signature.
         let mut hits = 0;
         for r in ix.db().security_patches().take(50) {
-            let before: String = r
-                .patch
-                .hunks()
-                .flat_map(|h| {
-                    h.lines.iter().filter(|l| l.kind != patch_core::LineKind::Added)
-                })
-                .map(|l| l.content.clone() + "\n")
-                .collect();
-            hits += usize::from(!ix.scan(&before).matches.is_empty());
+            hits += usize::from(!ix.scan(&before_text(r)).matches.is_empty());
         }
         assert!(hits > 0, "no record's own pre-patch body matched its signature");
+    }
+
+    #[test]
+    fn scan_names_what_each_signature_tests_alone() {
+        let ix = index();
+        let sigs: Vec<(&PatchRecord, patchdb::PatchSignature)> = ix
+            .db()
+            .security_patches()
+            .flat_map(|r| signatures_of(&r.patch).into_iter().map(move |s| (r, s)))
+            .collect();
+        let mut named = 0;
+        for r in ix.db().security_patches().step_by(5).take(8) {
+            let before = before_text(r);
+            let mut want = ScanOutcome::default();
+            for (r, s) in &sigs {
+                match patchdb::test_presence(s, &before) {
+                    PresenceVerdict::Vulnerable => want
+                        .matches
+                        .push(ScanMatch { commit: s.commit, cve_id: r.cve_id.clone() }),
+                    PresenceVerdict::Patched => want.patched += 1,
+                    PresenceVerdict::NotApplicable => {}
+                }
+            }
+            named += want.matches.len();
+            assert_eq!(ix.scan(&before), want);
+        }
+        assert!(named > 0, "no scan named a signature");
     }
 
     #[test]

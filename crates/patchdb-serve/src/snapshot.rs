@@ -62,13 +62,13 @@ use std::path::Path;
 
 use patch_core::{CommitId, FileDiff, Hunk, Line, LineKind, Patch};
 use patchdb::{
-    Error, FeatureVector, PatchCategory, PatchDb, PatchRecord, PatchSignature, Source,
+    Error, FeatureVector, PatchCategory, PatchDb, PatchRecord, SignatureSet, Source,
     ALL_CATEGORIES, FEATURE_DIM,
 };
 use patchdb_features::Weights;
 use patchdb_ml::{ForestState, NodeState, RandomForest, SplitCriterion, TreeState};
 
-use crate::index::{ServeIndex, ServedDb, SignatureEntry};
+use crate::index::{ServeIndex, ServedDb, SignatureEntry, Signatures};
 
 /// Leading magic of every snapshot file, whatever its schema.
 const MAGIC: &[u8; 8] = b"PDBSNAP1";
@@ -98,7 +98,7 @@ impl Snapshot {
         w.section(|w| db.put(w));
         w.section(|w| w.list(weights.as_slice()));
         w.section(|w| forest.map(RandomForest::export_state).put(w));
-        w.section(|w| w.list(signatures));
+        w.section(|w| signatures.put(w));
         let sum = checksum(&w.buf);
         w.u64(sum);
         Snapshot { bytes: w.buf }
@@ -151,7 +151,7 @@ impl Snapshot {
             Some(state) => Some(RandomForest::from_state(state).map_err(schema)?),
             None => None,
         };
-        let signatures: Vec<SignatureEntry> = r.section()?.whole()?;
+        let signatures: Signatures = r.section()?.whole()?;
         if r.at != r.end {
             return Err(schema(format!("{} trailing bytes after the last section", r.end - r.at)));
         }
@@ -386,8 +386,38 @@ struct_codec!(ForestState {
     seed: u64,
     trees: Vec<TreeState>,
 });
-struct_codec!(PatchSignature { commit: CommitId, vulnerable: Vec<String>, fixed: Vec<String> });
-struct_codec!(SignatureEntry { cve_id: Option<String>, signature: PatchSignature });
+
+/// Each signature's entry, then its vulnerable and fixed shapes as
+/// `list<str>`: the set spells its codes back into the strings, and
+/// decoding codes the strings straight into a new set.
+impl Codec for Signatures {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) {
+        w.len32(self.entries.len());
+        for (i, entry) in self.entries.iter().enumerate() {
+            entry.cve_id.put(w);
+            entry.commit.put(w);
+            for shape in self.set.texts(i) {
+                w.len32(shape.len());
+                shape.for_each(|text| w.str(&text));
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        const ENTRY_MIN_BYTES: usize = 1 + 20 + 4 + 4;
+        let n = r.count(ENTRY_MIN_BYTES)?;
+        let mut entries = Vec::with_capacity(n);
+        let mut set = SignatureSet::builder();
+        let (mut vulnerable, mut fixed) = (Vec::new(), Vec::new());
+        for _ in 0..n {
+            entries.push(SignatureEntry { cve_id: r.get()?, commit: r.get()? });
+            r.strs(&mut vulnerable)?;
+            r.strs(&mut fixed)?;
+            set.push(&vulnerable, &fixed);
+        }
+        Ok(Signatures { entries, set: set.build() })
+    }
+}
 
 /// The three natural lists, then the two synthetic counts.
 impl Codec for ServedDb {
@@ -542,6 +572,14 @@ impl<'a> Reader<'a> {
         }
         Ok(n)
     }
+    /// A `list<str>` into `out`, borrowing the file's bytes.
+    fn strs(&mut self, out: &mut Vec<&'a str>) -> Result<(), Error> {
+        out.clear();
+        for _ in 0..self.count(String::MIN_BYTES)? {
+            out.push(self.str()?);
+        }
+        Ok(())
+    }
     fn str(&mut self) -> Result<&'a str, Error> {
         let at = self.at;
         let n = self.length_field(4)?;
@@ -667,6 +705,38 @@ mod tests {
         assert_eq!(Snapshot::encode(&loaded).bytes, snap.bytes);
     }
 
+    /// The set holds the shapes only as codes, yet the signatures section
+    /// is byte for byte the string form: each signature's CVE id, commit
+    /// and both shapes as `signatures_of` spells them. Decoding codes the
+    /// strings, and encoding spells them back to the same bytes.
+    #[test]
+    fn signatures_section_is_the_string_form_byte_for_byte() {
+        let index = built_index();
+        let bytes = Snapshot::encode(index).bytes;
+        let mut w = Writer::default();
+        let mut n = 0;
+        for r in index.db().security_patches() {
+            for s in patchdb::signatures_of(&r.patch) {
+                r.cve_id.put(&mut w);
+                s.commit.put(&mut w);
+                w.list(&s.vulnerable);
+                w.list(&s.fixed);
+                n += 1;
+            }
+        }
+        assert!(n > 0 && n == index.signature_count());
+        let mut want = Writer::default();
+        want.section(|want| {
+            want.len32(n);
+            want.bytes(&w.buf);
+        });
+        // The last section, right before the checksum.
+        let body = &bytes[..bytes.len() - 8];
+        assert!(body.ends_with(&want.buf), "signatures section differs from its string form");
+        let decoded = Snapshot { bytes: bytes.clone() }.decode().expect("decode");
+        assert!(Snapshot::encode(&decoded).bytes == bytes, "decode then encode changed bytes");
+    }
+
     #[test]
     fn file_round_trip_and_rejections() {
         let dir = std::env::temp_dir().join(format!("patchdb-snap-{}", std::process::id()));
@@ -743,7 +813,7 @@ mod tests {
         let mut db = db.clone();
         db.natural.nvd[0].source = Source::NonSecurity;
         let index =
-            ServeIndex::from_parts(db, weights.clone(), forest.cloned(), signatures.to_vec());
+            ServeIndex::from_parts(db, weights.clone(), forest.cloned(), signatures.clone());
         match Snapshot::encode(&index).decode() {
             Err(Error::Schema(msg)) => assert!(msg.contains("nvd[0]: field 'source'"), "{msg}"),
             other => panic!("a misfiled record must be Error::Schema, got {:?}", other.err()),

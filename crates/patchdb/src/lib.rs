@@ -39,7 +39,10 @@ mod taxonomy;
 pub use dataset::{DatasetStats, PatchDb, PatchRecord, Source, SyntheticRecord};
 pub use error::Error;
 pub use patterns::{mine_fix_patterns, pattern_frequencies, FixPattern};
-pub use signatures::{signatures_of, test_presence, PatchSignature, PresenceVerdict, ScanTarget};
+pub use signatures::{
+    signatures_of, test_presence, PatchSignature, PresenceVerdict, SetScan, SignatureSet,
+    SignatureSetBuilder,
+};
 pub use pipeline::{BuildOptions, BuildReport, BuildTelemetry, PoolPlan};
 pub use taxonomy::classify_patch;
 

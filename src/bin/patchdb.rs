@@ -7,7 +7,7 @@ use std::process::ExitCode;
 
 use patchdb::{
     classify_patch, mine_fix_patterns, pattern_frequencies, signatures_of, BuildOptions,
-    BuildTelemetry, Error, PatchDb, PresenceVerdict, ScanTarget, ALL_CATEGORIES,
+    BuildTelemetry, Error, PatchDb, PresenceVerdict, SignatureSet, ALL_CATEGORIES,
 };
 use patchdb_rt::obs;
 use patchdb_serve::{ReloadSource, ServeConfig, ServeIndex, Server, Snapshot};
@@ -461,24 +461,30 @@ fn cmd_scan(args: &[String]) -> CliResult {
     let db_path = args.first().ok_or_else(|| Error::usage("expected a dataset JSON path"))?;
     let target_path = args.get(1).ok_or_else(|| Error::usage("expected a target .c file"))?;
     let db = load_db(db_path)?;
-    let mut target = ScanTarget::new(&std::fs::read_to_string(target_path)?);
+    let target = std::fs::read_to_string(target_path)?;
 
-    let mut vulnerable = 0usize;
-    let mut patched = 0usize;
+    let mut set = SignatureSet::builder();
+    let mut owners = Vec::new();
     for record in db.security_patches() {
         for sig in signatures_of(&record.patch) {
-            match target.test_presence(&sig) {
-                PresenceVerdict::Vulnerable => {
-                    vulnerable += 1;
-                    println!(
-                        "VULNERABLE clone of {} ({})",
-                        record.patch.commit.short(),
-                        record.cve_id.as_deref().unwrap_or("silent fix")
-                    );
-                }
-                PresenceVerdict::Patched => patched += 1,
-                PresenceVerdict::NotApplicable => {}
+            set.push(&sig.vulnerable, &sig.fixed);
+            owners.push(record);
+        }
+    }
+    let mut vulnerable = 0usize;
+    let mut patched = 0usize;
+    for (record, verdict) in owners.iter().zip(set.build().scan(&target).verdicts) {
+        match verdict {
+            PresenceVerdict::Vulnerable => {
+                vulnerable += 1;
+                println!(
+                    "VULNERABLE clone of {} ({})",
+                    record.patch.commit.short(),
+                    record.cve_id.as_deref().unwrap_or("silent fix")
+                );
             }
+            PresenceVerdict::Patched => patched += 1,
+            PresenceVerdict::NotApplicable => {}
         }
     }
     println!("\n{target_path}: {vulnerable} vulnerable-signature hits, {patched} patched-signature hits");

@@ -5,8 +5,10 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
-use patchdb::BuildTelemetry;
+use patch_core::LineKind;
+use patchdb::{BuildTelemetry, PatchDb};
 use patchdb_rt::json::Json;
+use patchdb_serve::ServeIndex;
 
 fn bin() -> PathBuf {
     // target/debug/patchdb, next to the test executable's parent dir.
@@ -75,12 +77,48 @@ fn cli_full_workflow() {
     assert!(ok, "{text}");
     assert!(text.contains("top discriminative"), "{text}");
 
-    // Scan a target file that is a clone of nothing.
+    // Scan a record's own BEFORE text: a clone of that record's
+    // vulnerable shape. The CLI names it and counts exactly what the
+    // server's index counts on the same dataset.
+    let json = std::fs::read_to_string(&db).unwrap();
+    let index = ServeIndex::build(PatchDb::from_json(&json).unwrap());
+    let (record, before, outcome) = index
+        .db()
+        .security_patches()
+        .find_map(|r| {
+            let before: String = r
+                .patch
+                .hunks()
+                .flat_map(|h| h.lines.iter().filter(|l| l.kind != LineKind::Added))
+                .map(|l| l.content.clone() + "\n")
+                .collect();
+            let outcome = index.scan(&before);
+            let own = outcome.matches.iter().any(|m| m.commit == r.patch.commit);
+            own.then_some((r, before, outcome))
+        })
+        .expect("some record's own BEFORE text matches its signature");
     let target = dir.join("target.c");
-    std::fs::write(&target, "void empty(void) { }\n").unwrap();
-    let (ok, text) = run(&["scan", db_str, target.to_str().unwrap()]);
+    std::fs::write(&target, &before).unwrap();
+    let target_str = target.to_str().unwrap();
+    let (ok, text) = run(&["scan", db_str, target_str]);
     assert!(ok, "{text}");
-    assert!(text.contains("vulnerable-signature hits"), "{text}");
+    let own = format!(
+        "VULNERABLE clone of {} ({})",
+        record.patch.commit.short(),
+        record.cve_id.as_deref().unwrap_or("silent fix")
+    );
+    assert!(text.lines().any(|l| l == own), "no {own:?} in:\n{text}");
+    assert_eq!(
+        text.lines().filter(|l| l.starts_with("VULNERABLE clone of ")).count(),
+        outcome.matches.len(),
+        "{text}"
+    );
+    let counts = format!(
+        "{target_str}: {} vulnerable-signature hits, {} patched-signature hits",
+        outcome.matches.len(),
+        outcome.patched
+    );
+    assert!(text.lines().any(|l| l == counts), "no {counts:?} in:\n{text}");
 }
 
 #[test]
